@@ -16,6 +16,7 @@ service workers record their own (parentless) span trees.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib
 import itertools
@@ -23,6 +24,38 @@ import json
 import threading
 import time
 from typing import Callable, Dict, List, Optional
+
+
+@contextlib.contextmanager
+def patched(owner, attribute: str, make: Callable):
+    """Replace ``owner.attribute`` by ``make(original)`` inside the block.
+
+    ``original`` is the plain function even for a staticmethod, and the
+    replacement is re-wrapped as one.  The original is restored on exit.
+    """
+    raw = owner.__dict__[attribute]
+    if isinstance(raw, staticmethod):
+        setattr(owner, attribute, staticmethod(make(raw.__func__)))
+    else:
+        setattr(owner, attribute, make(raw))
+    try:
+        yield
+    finally:
+        setattr(owner, attribute, raw)
+
+
+def observe(owner, attribute: str, note: Callable):
+    """Call ``note(result)`` after each call of ``owner.attribute`` inside
+    the block (a context manager)."""
+    def make(original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            result = original(*args, **kwargs)
+            note(result)
+            return result
+        return wrapper
+
+    return patched(owner, attribute, make)
 
 
 class SpanTracer:
@@ -114,10 +147,6 @@ class SpanTracer:
                 handle.write(json.dumps(span, sort_keys=True) + "\n")
 
 
-def _note_candidates(tracer: SpanTracer, result, args, kwargs) -> None:
-    tracer.count("core.candidates", len(result))
-
-
 def _note_selection(tracer: SpanTracer, result, args, kwargs) -> None:
     tracer.count("core.select_considered", len(args[0]))
     tracer.count("core.selected", len(result.selected))
@@ -141,8 +170,7 @@ def _note_cells(tracer: SpanTracer, result, args, kwargs) -> None:
 #: Owners are the modules whose callers look the name up at call time,
 #: so patching the attribute reaches every caller.
 PROBES = [
-    ("core.identify", "repro.core.customizer", "identify_candidates",
-     _note_candidates),
+    ("core.identify", "repro.core.customizer", "identify_candidates", None),
     ("core.select", "repro.core.customizer", "select", _note_selection),
     ("core.rewrite", "repro.core.customizer", "apply_selection", None),
     ("core.profile", "repro.core.customizer:IsaCustomizer", "profile", None),
@@ -179,58 +207,44 @@ def _resolve(owner: str):
     return getattr(target, class_name) if class_name else target
 
 
-class Probes:
-    """Installs the PROBES wrappers for one traced pass (a context)."""
-
-    def __init__(self, tracer: SpanTracer) -> None:
-        self.tracer = tracer
-        self._patched: List[tuple] = []
-
-    def _wrap(self, layer: str, original: Callable,
-              note: Optional[Callable]) -> Callable:
-        tracer = self.tracer
-
+def _span_wrapper(tracer: SpanTracer, layer: str,
+                  note: Optional[Callable]) -> Callable:
+    """``make`` for :func:`patched`: run the original inside a span."""
+    def make(original):
         @functools.wraps(original)
         def wrapper(*args, **kwargs):
             result = tracer.call(layer, original, args, kwargs)
             if note is not None:
                 note(tracer, result, args, kwargs)
             return result
-
         return wrapper
 
-    def _patch(self, owner, attribute: str, replacement) -> None:
-        self._patched.append((owner, attribute, owner.__dict__[attribute]))
-        setattr(owner, attribute, replacement)
+    return make
 
-    def __enter__(self) -> "Probes":
-        for layer, owner_name, attribute, note in PROBES:
-            owner = _resolve(owner_name)
-            raw = owner.__dict__[attribute]
-            if isinstance(raw, staticmethod):
-                self._patch(owner, attribute, staticmethod(
-                    self._wrap(layer, raw.__func__, note)))
-            else:
-                self._patch(owner, attribute, self._wrap(layer, raw, note))
-        self._patch_result_polls()
-        return self
 
-    def _patch_result_polls(self) -> None:
-        """Count the client's result polls (one wire call each)."""
-        from repro.service.client import ServiceClient
-
-        tracer = self.tracer
-        original = ServiceClient.__dict__["_call"]
-
+def _poll_counter(tracer: SpanTracer) -> Callable:
+    """``make`` for :func:`patched`: count the client's result polls (one
+    wire call each)."""
+    def make(original):
         @functools.wraps(original)
         def call(client, message):
             if message.get("op") == "result":
                 tracer.count("service.result_polls")
             return original(client, message)
+        return call
 
-        self._patch(ServiceClient, "_call", call)
+    return make
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        for owner, attribute, raw in reversed(self._patched):
-            setattr(owner, attribute, raw)
-        self._patched.clear()
+
+@contextlib.contextmanager
+def probes(tracer: SpanTracer):
+    """Install the PROBES wrappers for one traced pass."""
+    from repro.service.client import ServiceClient
+
+    with contextlib.ExitStack() as stack:
+        for layer, owner_name, attribute, note in PROBES:
+            stack.enter_context(patched(_resolve(owner_name), attribute,
+                                        _span_wrapper(tracer, layer, note)))
+        stack.enter_context(patched(ServiceClient, "_call",
+                                    _poll_counter(tracer)))
+        yield

@@ -1,4 +1,4 @@
-"""The three benchmark workloads and their oracles.
+"""The two benchmark workloads and their oracles.
 
 Every workload is a closed loop through the public request API: one
 client thread (two for ``service-warm``) sends its next request only
@@ -17,7 +17,6 @@ A workload exposes:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 import os
@@ -27,8 +26,11 @@ import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+import repro.core.customizer as customizer
+import repro.toolchain.matrix as matrix_module
+from bench_trace import observe
 from repro.api import (
     AppRequest, CompileRequest, CustomizeRequest, ExploreRequest,
     MatrixRequest, PopulationRequest, RunRequest, Session,
@@ -52,8 +54,8 @@ MACHINES = list(PRESETS)
 #: The generated population is fixed, not drawn from ``--seed``: some
 #: population seeds generate a kernel with one large block, and its O2
 #: customization then takes 3 s to over 120 s (seeds 101, 102, 110, 111)
-#: instead of ~0.6 s.  That would turn sweep-cold, the workload that
-#: bypasses identification, into an identification benchmark.
+#: instead of ~0.6 s.  That would turn sweep-cold, where identification
+#: is a few percent of the pass, into an identification benchmark.
 POPULATION_SEED = 1
 
 
@@ -66,14 +68,20 @@ class PassResult:
     attempted: int
     #: per-request latency in seconds of every answered request.
     latencies: List[float]
-    #: what each latency measured, e.g. ``customize:fir_filter``.
+    #: what each latency measured, e.g. ``customize:crc32``.
     labels: List[str]
-    #: oracle mismatches and exceptions, one line each.
-    failures: List[str]
+    #: oracle mismatches and exceptions as (request index, line); one
+    #: request may have several lines.
+    failures: List[Tuple[int, str]]
     #: model outputs that must repeat exactly at one seed.
     deterministic: Dict[str, float]
     #: per-layer numbers read from responses and store/daemon stats.
     layers: Dict[str, float] = field(default_factory=dict)
+
+    @property
+    def failed(self) -> int:
+        """Requests that raised or failed an oracle check."""
+        return len({index for index, _ in self.failures})
 
 
 def label(request) -> str:
@@ -140,53 +148,21 @@ def geomean(ratios: List[float]) -> float:
     return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
 
-@contextlib.contextmanager
-def matrix_reports(sink: List[object]):
-    """Keep every MatrixReport ``run_matrix`` returns (the response rows
-    drop per-cell operation counts, which the trace oracle compares)."""
-    import repro.toolchain.matrix as matrix_module
+class SweepCold:
+    """Every request kind, from a cold session: one client thread calling
+    ``Session.execute``."""
 
-    original = matrix_module.__dict__["run_matrix"]
-
-    def capture(*args, **kwargs):
-        report = original(*args, **kwargs)
-        sink.append(report)
-        return report
-
-    matrix_module.run_matrix = capture
-    try:
-        yield sink
-    finally:
-        matrix_module.run_matrix = original
-
-
-@contextlib.contextmanager
-def candidate_counter(sink: Dict[str, int]):
-    """Count candidates identify_candidates returns (a counter, no timing)."""
-    import repro.core.customizer as customizer
-
-    original = customizer.__dict__["identify_candidates"]
-
-    def count(*args, **kwargs):
-        candidates = original(*args, **kwargs)
-        sink["core.candidates"] = sink.get("core.candidates", 0) + len(
-            candidates)
-        return candidates
-
-    customizer.identify_candidates = count
-    try:
-        yield sink
-    finally:
-        customizer.identify_candidates = original
-
-
-class InProcessWorkload:
-    """One client thread calling ``Session.execute`` on a fresh session."""
-
-    name = ""
-    opt_level = 2
+    name = "sweep-cold"
     #: the threads that send requests (their time is the pass's time).
     request_threads = ("MainThread",)
+    #: input size of the matrices and the exploration.  At the kernels'
+    #: default sizes one pass took 10-18 s, so a run held only 1-3 passes;
+    #: at 32 the cycle matrix is still the largest request.
+    SIZE = 32
+    #: The one O3 customization, the smallest of the O3 set (~0.3 s).  A
+    #: larger one (ip_checksum, ~1 s) took as long as the exploration, so
+    #: the pooled p95 jumped between the two from run to run.
+    CUSTOMIZE_KERNEL = "crc32"
 
     def __init__(self, seed: int, workdir: str,
                  inject_mismatch: bool = False) -> None:
@@ -194,52 +170,48 @@ class InProcessWorkload:
         self.workdir = workdir
         self.inject_mismatch = inject_mismatch
 
-    def requests(self) -> List[object]:
-        raise NotImplementedError
-
-    def check(self, pairs, reports, failures: List[str],
-              deterministic: Dict[str, float],
-              layers: Dict[str, float]) -> None:
-        """Oracle-check the (request, response) pairs of one pass."""
-        raise NotImplementedError
-
     def prepare(self) -> None:
         pass
 
     def setup(self):
         reset_process_state()
-        return pinned_session(f"bench-{self.name}", self.opt_level)
+        return pinned_session(f"bench-{self.name}", 2)
 
     def teardown(self, session) -> None:
         session.close()
 
     def run_pass(self, session, call: Callable = direct) -> PassResult:
         requests = self.requests()
-        responses, latencies, failures = [], [], []
+        responses, latencies = [], []
+        failures: List[Tuple[int, str]] = []
+        # MatrixReports keep the per-cell operation counts that the
+        # response rows drop (the trace oracle compares them).
         reports: List[object] = []
-        counts: Dict[str, int] = {}
-        with matrix_reports(reports), candidate_counter(counts):
+        candidates: List[int] = []
+        with observe(matrix_module, "run_matrix", reports.append), \
+                observe(customizer, "identify_candidates",
+                        lambda found: candidates.append(len(found))):
             started = time.perf_counter()
-            for request in requests:
+            for index, request in enumerate(requests):
                 begin = time.perf_counter()
                 try:
                     response = call(session.execute, request)
                 except Exception as exc:  # noqa: BLE001 - counted, reported
-                    failures.append(
+                    failures.append((index, (
                         f"exception {request.kind}: {type(exc).__name__}: "
-                        f"{exc}")
+                        f"{exc}")))
                     responses.append(None)
                     continue
                 latencies.append(time.perf_counter() - begin)
                 responses.append(response)
             wall = time.perf_counter() - started
-        deterministic: Dict[str, float] = {
-            "core.candidates": counts.get("core.candidates", 0)}
+        deterministic: Dict[str, float] = {"core.candidates": sum(candidates)}
         layers = {f"pipeline.{stage}_hit_ratio":
                   hit_ratio(session.metrics(), stage)
                   for stage in PIPELINE_STAGES}
         if not any(response is None for response in responses):
-            self.check(list(zip(requests, responses)), reports, failures,
+            self.check(list(zip(requests, responses)), reports,
+                       lambda index, line: failures.append((index, line)),
                        deterministic, layers)
         labels = [label(request)
                   for request, response in zip(requests, responses)
@@ -247,59 +219,22 @@ class InProcessWorkload:
         return PassResult(wall, len(requests), latencies, labels, failures,
                           deterministic, layers)
 
-
-class CustomizeO3(InProcessWorkload):
-    """Five CustomizeRequests at O3: identification-dominated."""
-
-    name = "customize-o3"
-    opt_level = 3
-    #: viterbi_acs is left out: its 12 s of O3 identification would make
-    #: one pass fill a whole run, and a one-pass run's latency median
-    #: (of six requests) spread 38% across seeds on a noisy host.
-    KERNELS = ("fir_filter", "sad16", "popcount_buffer", "ip_checksum",
-               "crc32")
-
     def requests(self) -> List[object]:
-        return [CustomizeRequest(kernel=kernel, machine="vliw4",
-                                 area_budget_kgates=40.0, max_operations=8,
-                                 seed=self.seed, opt_level=3)
-                for kernel in self.KERNELS]
-
-    def check(self, pairs, reports, failures, deterministic, layers) -> None:
-        cycles, ratios = 0, []
-        for request, response in pairs:
-            injected = (self.inject_mismatch
-                        and request.kernel == self.KERNELS[-1])
-            if (injected or not response.correct
-                    or response.custom_cycles <= 0):
-                failures.append(f"oracle customize {request.kernel}: "
-                                f"correct={response.correct} custom_cycles="
-                                f"{response.custom_cycles} injected={injected}")
-                continue
-            cycles += response.custom_cycles
-            ratios.append(response.base_cycles / response.custom_cycles)
-        deterministic["sim_cycles"] = cycles
-        deterministic["custom_speedup_geomean"] = (
-            geomean(ratios) if ratios else 0.0)
-
-
-class SweepCold(InProcessWorkload):
-    """Every request kind but customize, from a cold session."""
-
-    name = "sweep-cold"
-
-    def requests(self) -> List[object]:
-        seed = self.seed
+        seed, size = self.seed, self.SIZE
         requests: List[object] = [
-            MatrixRequest(machines=MACHINES, seed=seed, opt_level=2,
-                          engine="interpreter", fidelity="cycle"),
-            MatrixRequest(machines=MACHINES, seed=seed, opt_level=2,
-                          engine="compiled", fidelity="trace"),
+            MatrixRequest(machines=MACHINES, seed=seed, size=size,
+                          opt_level=2, engine="interpreter",
+                          fidelity="cycle"),
+            MatrixRequest(machines=MACHINES, seed=seed, size=size,
+                          opt_level=2, engine="compiled", fidelity="trace"),
             ExploreRequest(mix="cellphone", strategy="exhaustive", seed=seed,
-                           opt_level=2, engine="cycle", fidelity="cycle",
-                           workers=0),
+                           size=size, opt_level=2, engine="cycle",
+                           fidelity="cycle", workers=0),
             PopulationRequest(count=10, seed=POPULATION_SEED,
                               engine="compiled", opt_level=2, workers=0),
+            CustomizeRequest(kernel=self.CUSTOMIZE_KERNEL, machine="vliw4",
+                             area_budget_kgates=40.0, max_operations=8,
+                             seed=seed, opt_level=3),
         ]
         requests += [RunRequest(kernel=kernel, machine="vliw4",
                                 engine="native", batch=32, seed=seed,
@@ -311,16 +246,24 @@ class SweepCold(InProcessWorkload):
                      for topology in APP_TOPOLOGIES]
         return requests
 
-    def check(self, pairs, reports, failures, deterministic, layers) -> None:
+    def check(self, pairs, reports, fail: Callable[[int, str], None],
+              deterministic: Dict[str, float],
+              layers: Dict[str, float]) -> None:
+        """Oracle-check the (request, response) pairs of one pass;
+        ``fail(index, line)`` records a failed check of request ``index``."""
         by_kind: Dict[str, list] = {}
-        for request, response in pairs:
-            by_kind.setdefault(request.kind, []).append((request, response))
-        (_, cycle), (_, trace) = by_kind["matrix"]
+        for index, (request, response) in enumerate(pairs):
+            by_kind.setdefault(request.kind, []).append(
+                (index, request, response))
+        (cycle_index, _, cycle), (trace_index, _, trace) = by_kind["matrix"]
         cells = len(MACHINES) * len(KERNELS)
-        for name, matrix in (("cycle", cycle), ("trace", trace)):
+        for index, name, matrix in ((cycle_index, "cycle", cycle),
+                                    (trace_index, "trace", trace)):
             if not matrix.all_correct or len(matrix.rows) != cells:
-                failures.append(f"oracle matrix {name}: all_correct="
-                                f"{matrix.all_correct} rows={len(matrix.rows)}")
+                fail(index, f"oracle matrix {name}: all_correct="
+                            f"{matrix.all_correct} rows={len(matrix.rows)}")
+        # The trace matrix is checked against the cycle matrix, so a
+        # disagreement fails the trace request.
         trace_rows = {(row["machine"], row["kernel"]): dict(row)
                       for row in trace.rows}
         if self.inject_mismatch:
@@ -329,8 +272,8 @@ class SweepCold(InProcessWorkload):
         for row in cycle.rows:
             other = trace_rows.get((row["machine"], row["kernel"]))
             if other is None or other["code_bytes"] != row["code_bytes"]:
-                failures.append(f"oracle code bytes {row['machine']}/"
-                                f"{row['kernel']}")
+                fail(trace_index, f"oracle code bytes {row['machine']}/"
+                                  f"{row['kernel']}")
                 continue
             errors.append(abs(other["cycles"] - row["cycles"])
                           / row["cycles"])
@@ -338,26 +281,36 @@ class SweepCold(InProcessWorkload):
             operations = [{(cell.machine, cell.kernel): cell.operations
                            for cell in report.cells} for report in reports]
             if operations[0] != operations[1]:
-                failures.append("oracle operations: trace and cycle "
-                                "matrices disagree")
+                fail(trace_index, "oracle operations: trace and cycle "
+                                  "matrices disagree")
         else:
-            failures.append(f"oracle operations: saw {len(reports)} matrix "
-                            f"reports, expected 2")
+            fail(trace_index, f"oracle operations: saw {len(reports)} "
+                              f"matrix reports, expected 2")
         points = len(list(DesignSpace.small().points()))
-        for _, explore in by_kind["explore"]:
+        for index, _, explore in by_kind["explore"]:
             if explore.points_evaluated != points or explore.best is None:
-                failures.append(f"oracle explore: {explore.points_evaluated}"
-                                f" of {points} points")
+                fail(index, f"oracle explore: {explore.points_evaluated}"
+                            f" of {points} points")
             layers["dse.points"] = explore.points_evaluated
             layers["dse.memo_hit_ratio"] = float(
                 explore.provenance.cache["batch"]["hit_rate"])
-        for request, population in by_kind["population"]:
+        for index, request, population in by_kind["population"]:
             if population.valid != request.count:
-                failures.append(f"oracle population: {population.valid} of "
-                                f"{request.count} valid")
-        for request, response in by_kind["run"] + by_kind["app"]:
+                fail(index, f"oracle population: {population.valid} of "
+                            f"{request.count} valid")
+        for index, request, response in by_kind["run"] + by_kind["app"]:
             if not response.correct:
-                failures.append(f"oracle {label(request)}")
+                fail(index, f"oracle {label(request)}")
+        ratios = []
+        for index, request, response in by_kind["customize"]:
+            if not response.correct or response.custom_cycles <= 0:
+                fail(index, f"oracle customize {request.kernel}: "
+                            f"correct={response.correct} custom_cycles="
+                            f"{response.custom_cycles}")
+                continue
+            ratios.append(response.base_cycles / response.custom_cycles)
+        deterministic["custom_speedup_geomean"] = (
+            geomean(ratios) if ratios else 0.0)
         deterministic["sim_cycles"] = sum(row["cycles"] for row in cycle.rows)
         deterministic["code_bytes"] = sum(
             row["code_bytes"] for row in cycle.rows)
@@ -466,21 +419,23 @@ class ServiceWarm:
         streams = [self.client_requests(client)
                    for client in range(len(self.request_threads))]
         results: List[list] = [[] for _ in streams]
-        errors: List[str] = []
+        errors: List[Tuple[int, str]] = []
 
         def drive(client: int) -> None:
             with ServiceClient(daemon.endpoint, timeout=60.0) as service:
                 execute = functools.partial(service.execute, timeout=120.0)
-                for request in streams[client]:
+                for position, request in enumerate(streams[client]):
+                    index = client * self.REQUESTS_PER_CLIENT + position
                     begin = time.perf_counter()
                     try:
                         response = call(execute, request)
                     except Exception as exc:  # noqa: BLE001 - counted
-                        errors.append(f"exception {request.kind}: "
-                                      f"{type(exc).__name__}: {exc}")
+                        errors.append((index, f"exception {request.kind}: "
+                                              f"{type(exc).__name__}: {exc}"))
                         continue
                     results[client].append(
-                        (request, response, time.perf_counter() - begin))
+                        (index, request, response,
+                         time.perf_counter() - begin))
 
         with ServiceClient(daemon.endpoint, timeout=60.0) as probe:
             before = probe.stats()
@@ -502,13 +457,14 @@ class ServiceWarm:
         labels: List[str] = []
         cycles = code_bytes = 0
         for per_client in results:
-            for request, response, latency in per_client:
+            for index, request, response, latency in per_client:
                 latencies.append(latency)
                 labels.append(label(request))
                 data = strip(response)
                 if data != self._oracle.get(request.to_json()):
-                    failures.append(f"oracle service {request.kind}: "
-                                    f"response differs from Session.execute")
+                    failures.append((index, (
+                        f"oracle service {request.kind}: response differs "
+                        f"from Session.execute")))
                 if request.kind == "matrix":
                     cycles += sum(row["cycles"] for row in response.rows)
                     code_bytes += sum(row["code_bytes"]
@@ -543,5 +499,4 @@ class ServiceWarm:
                           deterministic, layers)
 
 
-WORKLOADS = {workload.name: workload
-             for workload in (CustomizeO3, SweepCold, ServiceWarm)}
+WORKLOADS = {workload.name: workload for workload in (SweepCold, ServiceWarm)}

@@ -1,9 +1,9 @@
-"""Repository benchmark: three seeded workloads through the request API.
+"""Repository benchmark: two seeded workloads through the request API.
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload customize-o3 --seed 1 \\
-        --seconds 20 --trace 0
+    python3 perfbench/run.py --workload sweep-cold --seed 1 \\
+        --seconds 40 --trace 0
 
 ``--trace 0`` runs timed passes with no instrumentation and reports the
 end-to-end metrics of ``BENCHMARK.json``; ``--trace 1`` runs one
@@ -43,7 +43,7 @@ DELAY_KNOBS = ("REPRO_SESSION_DELAY_S", "REPRO_SERVICE_TASK_DELAY_S")
 RECORDED_KNOBS = ("REPRO_ENGINE", "REPRO_NATIVE_CC", "REPRO_OBS")
 #: knobs that would send output or requests outside this benchmark.
 DROPPED_KNOBS = ("REPRO_OBS_JOURNAL", "REPRO_SERVICE_SOCKET")
-WORKLOAD_NAMES = ("customize-o3", "sweep-cold", "service-warm")
+WORKLOAD_NAMES = ("sweep-cold", "service-warm")
 #: units of the deterministic model outputs the summary prints.
 MODEL_UNITS = {"sim_cycles": "cycles", "code_bytes": "bytes",
                "custom_speedup_geomean": "ratio",
@@ -95,18 +95,17 @@ def environment(native_cc):
 
 
 def end_to_end(setup_s, results):
-    """Timings are medians over passes: of the pass wall, of the pass
-    throughput, and of each pass's own latency percentiles."""
-    per_pass = [sorted(result.latencies) for result in results]
+    """Pass wall and throughput are medians over passes.  The latency
+    percentiles are taken over the latencies of all passes pooled, so
+    they come from the same population of requests in every run."""
+    pooled = sorted(latency for r in results for latency in r.latencies)
     return {
         "setup_s": setup_s,
         "wall_s": statistics.median(r.wall_s for r in results),
         "throughput_rps": statistics.median(
             len(r.latencies) / r.wall_s for r in results),
-        "latency_p50_ms": 1e3 * statistics.median(
-            statistics.median(latencies) for latencies in per_pass),
-        "latency_p95_ms": 1e3 * statistics.median(
-            percentile(latencies, 0.95) for latencies in per_pass),
+        "latency_p50_ms": 1e3 * statistics.median(pooled),
+        "latency_p95_ms": 1e3 * percentile(pooled, 0.95),
         "peak_rss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "sim_cycles": results[0].deterministic.get("sim_cycles", 0),
@@ -128,7 +127,7 @@ def per_layer(workload, untraced, traced, tracer):
     metrics = {
         "core.identify_pct": pct("core.identify"),
         "core.identify_calls": calls.get("core.identify", 0),
-        "core.candidates": counts.get("core.candidates", 0),
+        "core.candidates": traced.deterministic.get("core.candidates", 0),
         "core.select_pct": pct("core.select"),
         "core.rewrite_pct": pct("core.rewrite"),
         "core.profile_pct": pct("core.profile"),
@@ -174,8 +173,6 @@ def per_layer(workload, untraced, traced, tracer):
         / untraced.wall_s,
         "obs.attributed_fraction": tracer.self_seconds_on(
             workload.request_threads) / request_s,
-        "obs.traced_wall_s": traced.wall_s,
-        "obs.spans": len(tracer.spans),
     }
     for name in ("service.queue_wait_pct", "service.job_pct",
                  "service.cell_hit_ratio", "service.failed_jobs",
@@ -195,8 +192,10 @@ def drift(results):
 
 
 def run_passes(workload, seconds, setups):
-    """Timed passes while another pass fits in ``seconds`` of measurement
-    (at least one)."""
+    """Timed passes until they have measured ``seconds`` (at least one
+    pass).  Stopping only once the time is used up, not when the next
+    pass might not fit, keeps the pass count from dropping by one when
+    the host runs slow."""
     results = []
     measured = 0.0
     while True:
@@ -209,20 +208,20 @@ def run_passes(workload, seconds, setups):
             workload.teardown(ctx)
         results.append(result)
         measured += result.wall_s
-        if measured + result.wall_s > seconds or len(results) >= MAX_PASSES:
+        if measured >= seconds or len(results) >= MAX_PASSES:
             return results
 
 
 def traced_pass(workload, setups):
     """One instrumented pass; returns (result, tracer)."""
-    from bench_trace import Probes, SpanTracer
+    from bench_trace import SpanTracer, probes
 
     tracer = SpanTracer()
     started = time.perf_counter()
     ctx = workload.setup()
     setups.append(time.perf_counter() - started)
     try:
-        with Probes(tracer):
+        with probes(tracer):
             result = workload.run_pass(ctx, call=tracer.request)
     finally:
         workload.teardown(ctx)
@@ -291,10 +290,10 @@ def measure(args, spec, src, workdir):
     else:
         results = run_passes(workload, args.seconds, setups)
 
-    failures = [line for result in results for line in result.failures]
-    failures += drift(results)
+    failures = [line for result in results for _, line in result.failures]
+    drifts = drift(results)
     attempted = sum(result.attempted for result in results)
-    failed = min(attempted, len(failures))
+    failed = sum(result.failed for result in results)
     imports = [import_s] + import_seconds(src)
     setup_s = statistics.median(imports) + statistics.median(setups)
     e2e = end_to_end(setup_s, results)
@@ -312,7 +311,8 @@ def measure(args, spec, src, workdir):
               "setups_s": setups, "imports_s": imports,
               "deterministic": results[0].deterministic,
               "end_to_end": e2e, "metrics": metrics,
-              "env": environment(native_cc), "failures": failures}
+              "env": environment(native_cc), "failed": failed,
+              "failures": failures, "drift": drifts}
     stem = f"{args.workload}-s{args.seed}-t{args.trace}"
     (WORK / "results").mkdir(parents=True, exist_ok=True)
     (WORK / "results" / f"{stem}.json").write_text(
@@ -321,14 +321,15 @@ def measure(args, spec, src, workdir):
         (WORK / "traces").mkdir(parents=True, exist_ok=True)
         tracer.write(str(WORK / "traces" / f"{stem}.jsonl"))
 
-    print_summary(spec, record, results, failed, attempted,
+    print_summary(spec, record, attempted,
                   tracer.self_seconds() if args.trace else None)
-    print(json.dumps({"correct": not failures, "attempted": attempted,
+    correct = not failed and not drifts
+    print(json.dumps({"correct": correct, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
-    return 1 if failures else 0
+    return 0 if correct else 1
 
 
-def print_summary(spec, record, results, failed, attempted, layer_seconds):
+def print_summary(spec, record, attempted, layer_seconds):
     """Every metric by name and unit, the error rate, the model outputs
     and the environment, above the JSON result line."""
     print(f"perfbench {record['workload']} seed={record['seed']} "
@@ -336,11 +337,13 @@ def print_summary(spec, record, results, failed, attempted, layer_seconds):
     units = {m["name"]: m["unit"] for m in spec["end_to_end"]}
     for name, value in record["end_to_end"].items():
         print(f"  {name:<34} {value:>14.4f} {units[name]}")
+    failed = record["failed"]
     print(f"  {'error_rate':<34} {failed / attempted:>14.4f} fraction "
           f"({failed} failed of {attempted} attempted)")
-    per_pass = len(results[0].latencies)
-    print(f"  latency samples: {per_pass} per pass "
-          f"({per_pass - math.ceil(0.95 * per_pass)} beyond p95)")
+    print(f"  {'determinism_drift':<34} {len(record['drift']):>14d} outputs")
+    samples = sum(len(latencies) for latencies in record["pass_latencies_s"])
+    print(f"  latency samples: {samples} over {record['passes']} passes "
+          f"({samples - math.ceil(0.95 * samples)} beyond p95)")
     if layer_seconds is not None:
         for name, entry in record["metrics"].items():
             print(f"  {name:<34} {entry['value']:>14.4f} {entry['unit']}")
@@ -351,7 +354,7 @@ def print_summary(spec, record, results, failed, attempted, layer_seconds):
         print(f"  {name:<34} {value:>14.4f} {MODEL_UNITS[name]} "
               f"(model output)")
     print(f"  env: {json.dumps(record['env'], sort_keys=True)}")
-    for line in record["failures"]:
+    for line in record["failures"] + record["drift"]:
         print(f"  FAILED {line}")
 
 
