@@ -10,6 +10,11 @@ dataclasses of :mod:`repro.api.requests` (or their dict form) and come
 back as the matching response dataclasses, so swapping a ``Session``
 for a ``ServiceClient`` is a one-line change.
 
+Waiting for a job costs no polling: :meth:`ServiceClient.result` sends
+a long-poll ``result`` op (``wait_s``) that the daemon answers as soon
+as the job settles, re-issuing it only when the daemon's wait cap
+(:data:`~repro.service.protocol.RESULT_WAIT_CAP_S`) runs out first.
+
 The module also hosts the **service-backed pipeline** used by the
 deprecated ``global_compile_pipeline()`` shims: when the
 ``REPRO_SERVICE_SOCKET`` environment variable names a live daemon, the
@@ -199,18 +204,22 @@ class ServiceClient:
     def cancel(self, job_id: str) -> bool:
         return bool(self._call({"op": "cancel", "id": job_id})["cancelled"])
 
-    def result(self, job_id: str, timeout: Optional[float] = None,
-               poll_s: float = 0.05):
+    def result(self, job_id: str, timeout: Optional[float] = None):
         """Block until the job is terminal; returns the response object.
 
         Raises :class:`JobFailed` for failed/cancelled jobs and
-        :class:`ServiceError` on timeout.
+        :class:`ServiceError` on timeout, when the daemon stops first,
+        or when a done job's stored result cannot be read.
         """
         from ..api.requests import response_from_dict
 
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            reply = self._call({"op": "result", "id": job_id})
+            wait_s = protocol.RESULT_WAIT_CAP_S
+            if deadline is not None:
+                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
+            reply = self._call({"op": "result", "id": job_id,
+                                "wait_s": wait_s})
             state = reply["state"]
             if state == "done":
                 return response_from_dict(reply["response"])
@@ -222,7 +231,6 @@ class ServiceClient:
             if deadline is not None and time.monotonic() >= deadline:
                 raise ServiceError(
                     f"timed out waiting for job {job_id} (state {state})")
-            time.sleep(poll_s)
 
     def execute(self, request, timeout: Optional[float] = None,
                 priority: int = 0):

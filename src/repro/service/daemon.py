@@ -3,9 +3,10 @@
 :class:`ServiceDaemon` is the long-lived process of the service layer.
 It owns three durable things under one root directory:
 
-* ``queue/`` — the :class:`~repro.service.queue.DurableQueue` journal,
-  so submitted jobs survive daemon restarts (running jobs are re-queued
-  on recovery, finished results stay fetchable);
+* ``queue/`` — the :class:`~repro.service.queue.DurableQueue`'s
+  append-only journal and result files, so submitted jobs survive
+  daemon restarts (running jobs are re-queued on recovery, finished
+  results stay fetchable);
 * ``store/`` — the shared
   :class:`~repro.service.diskstore.DiskArtifactStore`, the **data
   plane**: workers persist compile artifacts, matrix cells and design
@@ -13,6 +14,13 @@ It owns three durable things under one root directory:
 * ``daemon.sock`` — one framed-JSON endpoint (unix socket by default,
   ``tcp:host:port`` optional) serving both clients and workers: the
   first frame of a connection declares the role.
+
+Job results are pushed: a client's ``result`` op carrying ``wait_s``
+blocks on :meth:`DurableQueue.wait` until the job settles (or
+:data:`~repro.service.protocol.RESULT_WAIT_CAP_S` passes), so one round
+trip usually fetches a finished job.  :meth:`ServiceDaemon.stop` closes
+the queue first, which answers blocked long polls with an error instead
+of leaving clients to their timeouts.
 
 Fan-out requests are sharded over a pool of N workers (separate
 processes by default; in-process threads for tests and zero-install
@@ -303,8 +311,9 @@ class TaskPool:
         for link in links:
             with contextlib.suppress(OSError):
                 protocol.send_frame(link.conn, {"op": "exit"})
-            with contextlib.suppress(OSError):
-                link.conn.close()
+            protocol.hang_up(link.conn)
+        if self._dispatcher is not None:
+            self._dispatcher.join()
 
 
 # ----------------------------------------------------------------------
@@ -456,8 +465,11 @@ class ServiceDaemon:
                 return
             self._stopping = True
         if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
+            # Wakes the accept thread; close() alone would leave it
+            # blocked, pinning the whole daemon in memory.
+            protocol.hang_up(self._listener)
+        # Answer blocked result long-polls and idle claims at once.
+        self.queue.close()
         # Let job runners finish the jobs they already claimed (queued
         # jobs stay journaled for the next daemon), then drop the pool.
         deadline = time.monotonic() + timeout
@@ -476,8 +488,9 @@ class ServiceDaemon:
                     proc.kill()
         self._procs.clear()
         for conn in list(self._client_conns):
-            with contextlib.suppress(OSError):
-                conn.close()
+            protocol.hang_up(conn)
+        for thread in self._threads:
+            thread.join(max(0.0, deadline - time.monotonic()))
         parsed = protocol.parse_endpoint(self.endpoint)
         if parsed[0] == "unix" and os.path.exists(parsed[1]):
             with contextlib.suppress(OSError):
@@ -719,11 +732,31 @@ class ServiceDaemon:
         return merge_snapshot(snapshot, *others) if others else snapshot
 
     def _op_result(self, message: Dict[str, object]) -> Dict[str, object]:
-        record = self.queue.get(str(message.get("id")))
+        """A job's state, plus its response once done.
+
+        With ``wait_s`` this is a long poll: the reply waits until the
+        job is terminal or ``min(wait_s, RESULT_WAIT_CAP_S)`` passes.
+        """
+        job_id = str(message.get("id"))
+        wait_s = min(float(message.get("wait_s") or 0.0),
+                     protocol.RESULT_WAIT_CAP_S)
+        if wait_s > 0:
+            record = self.queue.wait(job_id, wait_s)
+            if not record.terminal and self.queue.closed:
+                return {"ok": False,
+                        "error": f"daemon stopped before job {job_id} "
+                                 f"finished"}
+        else:
+            record = self.queue.get(job_id)
         reply: Dict[str, object] = {"ok": True, "job": record.to_dict(),
                                     "state": record.state}
         if record.state == "done":
-            reply["response"] = self.queue.result(record.id)
+            response = self.queue.result(record.id)
+            if response is None:
+                return {"ok": False,
+                        "error": f"job {job_id} is done but its stored "
+                                 f"result is missing or unreadable"}
+            reply["response"] = response
         return reply
 
     # ------------------------------------------------------------------

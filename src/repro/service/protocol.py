@@ -19,10 +19,18 @@ Frames are bounded (:data:`MAX_FRAME_BYTES`) so a corrupt length prefix
 cannot make a peer allocate gigabytes; the payload plane for bulky
 artifacts is the shared :class:`~repro.service.diskstore.DiskArtifactStore`,
 never the socket.
+
+Results are pushed, not polled: the client op ``{"op": "result", "id":
+..., "wait_s": seconds}`` is a long poll.  The daemon holds the reply
+until the job reaches a terminal state or ``min(wait_s,``
+:data:`RESULT_WAIT_CAP_S` ``)`` seconds pass, so a client usually
+fetches a job with one round trip.  Without ``wait_s`` the daemon
+answers at once with the job's current state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -32,6 +40,10 @@ from typing import Dict, Optional, Tuple, Union
 #: hard per-frame ceiling; responses carrying whole exploration tables
 #: stay far below this, bulk artifacts travel through the disk store.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+
+#: longest a ``result`` op is held server-side before the daemon answers
+#: with the job's current state; clients re-issue the op after that.
+RESULT_WAIT_CAP_S = 5.0
 
 _HEADER = struct.Struct(">I")
 
@@ -99,6 +111,18 @@ def connect(endpoint: str, timeout: Optional[float] = None) -> socket.socket:
         sock.connect(parsed[1])
     sock.settimeout(None)
     return sock
+
+
+def hang_up(sock: socket.socket) -> None:
+    """Shut ``sock`` down, then close it.
+
+    On Linux, ``close()`` alone does not wake a thread blocked in
+    ``accept()`` or ``recv()`` on the same socket; ``shutdown`` does.
+    """
+    with contextlib.suppress(OSError):
+        sock.shutdown(socket.SHUT_RDWR)
+    with contextlib.suppress(OSError):
+        sock.close()
 
 
 def send_frame(sock: socket.socket, message: Dict[str, object]) -> None:

@@ -5,13 +5,14 @@ wire format of :mod:`repro.api.requests`) plus scheduling metadata.
 :class:`DurableQueue` keeps every job journaled on disk so a daemon
 crash or restart loses nothing:
 
-* ``jobs/<id>.json`` — one :class:`JobRecord` per job, rewritten
-  atomically (pid-unique temp file + ``os.replace``) on every state
-  transition, so the on-disk journal is always a complete, valid JSON
-  snapshot of the job;
+* ``journal.jsonl`` — an append-only log, opened once in append mode,
+  with one :class:`JobRecord` line per state transition.  Opening the
+  queue replays it (the last line per job id wins).  A crash mid-append
+  can tear only the unterminated last line: it is cut off on open, and
+  any other undecodable line is skipped on replay;
 * ``results/<id>.json`` — the response JSON of a finished job, written
-  before the record flips to ``done`` so a ``done`` state always has a
-  fetchable result.
+  atomically (temp file + ``os.replace``) before the job's ``done``
+  line is appended, so a ``done`` state always has a fetchable result.
 
 States move ``queued → running → done|failed``, with ``cancelled``
 reachable from ``queued`` and ``running → queued`` on recovery (a job
@@ -21,8 +22,12 @@ counter ticking so a poison job cannot crash-loop forever — after
 ``(priority desc, submission order asc)``.
 
 The queue is the daemon's private state machine; it is process-local
-(one daemon owns one queue root) but thread-safe, with a condition
-variable so job-runner threads block cheaply on :meth:`claim`.
+(one daemon owns one queue root) but thread-safe.  Journal appends
+happen under the queue lock, so log order is transition order; only
+the result-file write runs outside it.  Job runners block cheaply on
+:meth:`claim`, result long-polls block on :meth:`wait` (every terminal
+transition wakes them), and :meth:`close` releases both when the
+daemon stops.
 """
 
 from __future__ import annotations
@@ -43,6 +48,9 @@ JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 #: states from which a job can never move again.
 TERMINAL_STATES = ("done", "failed", "cancelled")
+
+#: file name of the append-only transition log under the queue root.
+JOURNAL_NAME = "journal.jsonl"
 
 
 class QueueError(RuntimeError):
@@ -111,63 +119,98 @@ class DurableQueue:
 
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
-        self.jobs_dir = os.path.join(self.root, "jobs")
+        self.journal_path = os.path.join(self.root, JOURNAL_NAME)
         self.results_dir = os.path.join(self.root, "results")
-        os.makedirs(self.jobs_dir, exist_ok=True)
         os.makedirs(self.results_dir, exist_ok=True)
         self._records: Dict[str, JobRecord] = {}
         #: (-priority, seq, id) min-heap of claimable jobs.
         self._heap: List[tuple] = []
         self._seq = 0
+        self._closed = False
         self._lock = threading.Lock()
         self._available = threading.Condition(self._lock)
+        #: notified on every terminal transition (and on close).
+        self._settled = threading.Condition(self._lock)
         self.recovered: List[str] = self._recover()
 
     # ------------------------------------------------------------------
     # Journal I/O.
     # ------------------------------------------------------------------
-    def _job_path(self, job_id: str) -> str:
-        return os.path.join(self.jobs_dir, f"{job_id}.json")
-
     def _result_path(self, job_id: str) -> str:
         return os.path.join(self.results_dir, f"{job_id}.json")
 
-    def _write_json(self, path: str, data: Dict[str, object]) -> None:
+    def _append(self, record: JobRecord) -> None:
+        # Caller holds the lock.  One unbuffered write per line, so a
+        # crash tears at most the last line.
+        line = (json.dumps(record.to_dict(), sort_keys=True)
+                + "\n").encode("utf-8")
+        if self._closed:
+            # A job still in flight when the queue closed lands anyway.
+            with open(self.journal_path, "ab") as handle:
+                handle.write(line)
+        else:
+            self._journal.write(line)
+
+    def _write_result(self, job_id: str,
+                      response: Mapping[str, object]) -> None:
+        path = self._result_path(job_id)
         tmp = f"{path}.tmp.{os.getpid()}"
+        data = json.dumps(dict(response), sort_keys=True)
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(data, handle, sort_keys=True)
+            handle.write(data)
         os.replace(tmp, path)
 
-    def _persist(self, record: JobRecord) -> None:
-        self._write_json(self._job_path(record.id), record.to_dict())
-
     def _recover(self) -> List[str]:
-        """Load the journal; re-queue jobs that died mid-flight."""
-        recovered: List[str] = []
-        for name in sorted(os.listdir(self.jobs_dir)):
-            if not name.endswith(".json"):
-                continue
-            path = os.path.join(self.jobs_dir, name)
+        """Replay the journal; re-queue jobs that died mid-flight."""
+        try:
+            with open(self.journal_path, "rb") as handle:
+                data = handle.read()
+        except FileNotFoundError:
+            data = b""
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # A torn last append: cut it so the next line is not glued
+            # onto garbage.
+            os.truncate(self.journal_path, end)
+        for line in data[:end].splitlines():
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = JobRecord.from_dict(json.load(handle))
-            except (OSError, ValueError, QueueError):
-                # A torn journal entry would mean os.replace failed
-                # atomicity; treat it as absent rather than poisoning
-                # startup.
+                record = JobRecord.from_dict(json.loads(line))
+            except (ValueError, TypeError, QueueError):
                 continue
+            self._records[record.id] = record
+        self._journal = open(self.journal_path, "ab", buffering=0)
+        recovered: List[str] = []
+        for record in sorted(self._records.values(), key=lambda r: r.seq):
+            self._seq = max(self._seq, record.seq)
             if record.state == "running":
                 record.state = "queued"
                 record.recovered = True
                 record.worker = ""
-                self._persist(record)
+                self._append(record)
                 recovered.append(record.id)
-            self._records[record.id] = record
-            self._seq = max(self._seq, record.seq)
             if record.state == "queued":
                 heapq.heappush(self._heap,
                                (-record.priority, record.seq, record.id))
         return recovered
+
+    def close(self) -> None:
+        """Stop handing out work and wake every blocked caller.
+
+        Pending :meth:`claim` calls return None and pending :meth:`wait`
+        calls return the job as it stands.  Jobs already running may
+        still finish; their transitions are journaled.  Idempotent.
+        """
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._journal.close()
+            self._available.notify_all()
+            self._settled.notify_all()
+
+    @property
+    def closed(self) -> bool:
+        return self._closed
 
     # ------------------------------------------------------------------
     # Submission and claiming.
@@ -177,13 +220,15 @@ class DurableQueue:
                trace: Optional[Mapping[str, str]] = None) -> JobRecord:
         """Journal a new job; returns its record (state ``queued``)."""
         with self._available:
+            if self._closed:
+                raise QueueError("the queue is closed")
             self._seq += 1
             record = JobRecord(
                 id=f"job-{self._seq:06d}", request=dict(request),
                 priority=int(priority), seq=self._seq,
                 max_attempts=max_attempts, submitted_at=time.time(),
                 trace=dict(trace) if trace else None)
-            self._persist(record)
+            self._append(record)
             self._records[record.id] = record
             heapq.heappush(self._heap,
                            (-record.priority, record.seq, record.id))
@@ -192,17 +237,18 @@ class DurableQueue:
 
     def claim(self, timeout: Optional[float] = None,
               worker: str = "") -> Optional[JobRecord]:
-        """Pop the best queued job and mark it running; None on timeout."""
+        """Pop the best queued job and mark it running; None on timeout
+        or once the queue is closed."""
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._available:
-            while True:
+            while not self._closed:
                 record = self._pop_queued()
                 if record is not None:
                     record.state = "running"
                     record.attempts += 1
                     record.started_at = time.time()
                     record.worker = worker
-                    self._persist(record)
+                    self._append(record)
                     return record
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
@@ -211,6 +257,7 @@ class DurableQueue:
                     self._available.wait(remaining)
                 else:
                     self._available.wait()
+            return None
 
     def _pop_queued(self) -> Optional[JobRecord]:
         # Caller holds the lock.  Entries for jobs that were cancelled
@@ -231,34 +278,40 @@ class DurableQueue:
             raise QueueError(f"unknown job {job_id!r}")
         return record
 
+    def _require_running(self, job_id: str, verb: str) -> JobRecord:
+        record = self._require(job_id)
+        if record.state != "running":
+            raise QueueError(
+                f"cannot {verb} job {job_id} in state {record.state!r}")
+        return record
+
+    def _settle(self, record: JobRecord, state: str,
+                error: Optional[str]) -> JobRecord:
+        # Caller holds the lock: journal the terminal state, wake waiters.
+        record.state = state
+        record.finished_at = time.time()
+        record.error = error
+        self._append(record)
+        self._settled.notify_all()
+        return record
+
     def finish(self, job_id: str, response: Mapping[str, object]) -> JobRecord:
         """Store the response, then flip the job to ``done``."""
-        with self._available:
-            record = self._require(job_id)
-            if record.state != "running":
-                raise QueueError(
-                    f"cannot finish job {job_id} in state {record.state!r}")
-            # Result first: a 'done' journal entry must always have a
-            # fetchable result, even if the daemon dies between writes.
-            self._write_json(self._result_path(job_id), dict(response))
-            record.state = "done"
-            record.finished_at = time.time()
-            record.error = None
-            self._persist(record)
-            return record
+        with self._lock:
+            self._require_running(job_id, "finish")
+        # Result first, and outside the lock: a 'done' journal line must
+        # always have a fetchable result, even if the daemon dies in
+        # between.
+        self._write_result(job_id, response)
+        with self._lock:
+            return self._settle(self._require_running(job_id, "finish"),
+                                "done", None)
 
     def fail(self, job_id: str, error: str) -> JobRecord:
         """Flip a running job to ``failed`` (terminal)."""
-        with self._available:
-            record = self._require(job_id)
-            if record.state != "running":
-                raise QueueError(
-                    f"cannot fail job {job_id} in state {record.state!r}")
-            record.state = "failed"
-            record.finished_at = time.time()
-            record.error = error
-            self._persist(record)
-            return record
+        with self._lock:
+            return self._settle(self._require_running(job_id, "fail"),
+                                "failed", error)
 
     def requeue(self, job_id: str, error: str) -> JobRecord:
         """Put a running job back in line (worker death, shutdown).
@@ -267,21 +320,16 @@ class DurableQueue:
         kills every worker it touches must not crash-loop the fleet.
         """
         with self._available:
-            record = self._require(job_id)
-            if record.state != "running":
-                raise QueueError(
-                    f"cannot requeue job {job_id} in state {record.state!r}")
+            record = self._require_running(job_id, "requeue")
             if record.attempts >= record.max_attempts:
-                record.state = "failed"
-                record.finished_at = time.time()
-                record.error = (f"gave up after {record.attempts} attempts; "
-                                f"last error: {error}")
-                self._persist(record)
-                return record
+                return self._settle(
+                    record, "failed",
+                    f"gave up after {record.attempts} attempts; "
+                    f"last error: {error}")
             record.state = "queued"
             record.worker = ""
             record.error = error
-            self._persist(record)
+            self._append(record)
             heapq.heappush(self._heap,
                            (-record.priority, record.seq, record.id))
             self._available.notify()
@@ -289,13 +337,11 @@ class DurableQueue:
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a queued job; False once it is running or terminal."""
-        with self._available:
+        with self._lock:
             record = self._require(job_id)
             if record.state != "queued":
                 return False
-            record.state = "cancelled"
-            record.finished_at = time.time()
-            self._persist(record)
+            self._settle(record, "cancelled", record.error)
             return True
 
     # ------------------------------------------------------------------
@@ -304,6 +350,15 @@ class DurableQueue:
     def get(self, job_id: str) -> JobRecord:
         with self._lock:
             return self._require(job_id)
+
+    def wait(self, job_id: str, timeout: float) -> JobRecord:
+        """Block until the job is terminal, the queue closes, or
+        ``timeout`` seconds pass; returns the job's record."""
+        with self._settled:
+            record = self._require(job_id)
+            self._settled.wait_for(
+                lambda: record.terminal or self._closed, timeout)
+            return record
 
     def result(self, job_id: str) -> Optional[Dict[str, object]]:
         """The stored response dict of a ``done`` job, else None."""

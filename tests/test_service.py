@@ -260,8 +260,55 @@ class TestDurableQueue:
         # The journal and the status op emit the same shape.
         queue = DurableQueue(str(tmp_path))
         submitted = queue.submit({"kind": "run"})
-        journal = json.load(open(queue._job_path(submitted.id)))
-        assert JobRecord.from_dict(journal) == submitted
+        with open(queue.journal_path, encoding="utf-8") as handle:
+            last_line = handle.read().splitlines()[-1]
+        assert JobRecord.from_dict(json.loads(last_line)) == submitted
+
+    def test_journal_recovery_survives_torn_tail(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        crashed = queue.submit({"kind": "a"})
+        queue.claim(timeout=1.0, worker="dead-daemon")
+        waiting = queue.submit({"kind": "b"})
+        del queue
+        # The daemon died mid-append: an unterminated half line.
+        with open(os.path.join(str(tmp_path), "journal.jsonl"), "ab") as f:
+            f.write(b'{"kind": "job", "id": "job-0000')
+
+        reborn = DurableQueue(str(tmp_path))
+        assert reborn.recovered == [crashed.id]
+        late = reborn.submit({"kind": "c"})
+        claimed = reborn.claim(timeout=1.0, worker="reborn")
+        assert claimed.id == crashed.id and claimed.attempts == 2
+        reborn.finish(crashed.id, {"kind": "a.response", "value": 3})
+        del reborn
+
+        third = DurableQueue(str(tmp_path))
+        assert third.recovered == []
+        finished = third.get(crashed.id)
+        assert finished.state == "done" and finished.recovered
+        assert finished.attempts == 2
+        assert third.result(crashed.id)["value"] == 3
+        assert [r.id for r in third.list(["queued"])] == [waiting.id, late.id]
+        assert len(third) == 3
+        third.close()
+
+    def test_wait_wakes_on_terminal_transition_and_close(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        record = queue.submit({"kind": "a"})
+        queue.claim(timeout=1.0)
+        assert queue.wait(record.id, 0.05).state == "running"  # times out
+        threading.Timer(0.1, queue.fail, (record.id, "boom")).start()
+        started = time.monotonic()
+        assert queue.wait(record.id, 10.0).state == "failed"
+        assert time.monotonic() - started < 5.0
+        pending = queue.submit({"kind": "b"})
+        threading.Timer(0.1, queue.close).start()
+        started = time.monotonic()
+        assert queue.wait(pending.id, 10.0).state == "queued"
+        assert time.monotonic() - started < 5.0
+        assert queue.claim(timeout=10.0) is None
+        with pytest.raises(QueueError):
+            queue.submit({"kind": "c"})
 
     def test_job_record_rejects_bad_schema(self):
         good = JobRecord(id="j", request={}).to_dict()
@@ -476,11 +523,104 @@ class TestDaemon:
         assert new_hits / total >= 0.9, (
             f"warm hit rate {new_hits}/{total} below 90%")
 
+    def test_done_job_with_unreadable_result_raises_service_error(
+            self, client, thread_daemon):
+        handle = client.submit(RunRequest(kernel="crc32", machine="vliw4",
+                                          engine="compiled"))
+        handle.result(timeout=120)
+        os.remove(thread_daemon.queue._result_path(handle.id))
+        with pytest.raises(ServiceError, match="result is missing"):
+            client.result(handle.id, timeout=10)
+
     def test_stats_surface(self, client):
         stats = client.stats()
         assert stats["queue"]["total"] >= 1
         assert stats["store"]["entries"] > 0
         assert stats["workers"]  # per-worker store counters
+
+
+# ----------------------------------------------------------------------
+# Push-based results and a clean stop.
+# ----------------------------------------------------------------------
+
+def _svc_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("svc")}
+
+
+class TestLongPollAndStop:
+
+    def test_slow_job_fetched_with_one_result_op(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "0.3")
+        ops = []
+        call = ServiceClient._call
+
+        def counting_call(client, message):
+            ops.append(message["op"])
+            return call(client, message)
+
+        monkeypatch.setattr(ServiceClient, "_call", counting_call)
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="longpoll") as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                started = time.monotonic()
+                response = c.execute(RunRequest(kernel="crc32",
+                                                machine="vliw4",
+                                                engine="compiled"),
+                                     timeout=120)
+                elapsed = time.monotonic() - started
+        assert response.correct
+        assert elapsed >= 0.3
+        assert ops.count("result") == 1, ops
+
+    def test_stop_wakes_blocked_result(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "3.0")
+        daemon = ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                               worker_mode="thread", name="stopper")
+        outcome = {}
+
+        def wait_for_result(job_id):
+            with ServiceClient(daemon.endpoint) as c:
+                try:
+                    c.result(job_id, timeout=60)
+                except ServiceError as exc:
+                    outcome["error"] = exc
+                outcome["at"] = time.monotonic()
+
+        with daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                handle = c.submit(RunRequest(kernel="crc32", machine="vliw4",
+                                             engine="compiled"))
+            _wait_for(lambda: daemon.queue.get(handle.id).state == "running",
+                      30.0, "the job never started")
+            waiter = threading.Thread(target=wait_for_result,
+                                      args=(handle.id,))
+            waiter.start()
+            time.sleep(0.2)  # let the client block in its long poll
+            stop_started = time.monotonic()
+        waiter.join(30)
+        assert isinstance(outcome.get("error"), ServiceError)
+        assert not isinstance(outcome["error"], JobFailed)
+        assert outcome["at"] - stop_started < 2.0
+
+    def test_stop_releases_threads_and_daemon(self, tmp_path):
+        import gc
+        import weakref
+
+        before = _svc_threads()
+        daemon = ServiceDaemon(str(tmp_path / "svc"), workers=2,
+                               worker_mode="thread", name="leaky")
+        with daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                assert c.execute(MatrixRequest(machines=["vliw4"],
+                                               kernels=["crc32"]),
+                                 timeout=120).all_correct
+        _wait_for(lambda: not (_svc_threads() - before), 10.0,
+                  f"threads left behind: {_svc_threads() - before}")
+        ref = weakref.ref(daemon)
+        del daemon
+        gc.collect()
+        assert ref() is None
 
 
 # ----------------------------------------------------------------------
