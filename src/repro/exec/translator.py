@@ -248,7 +248,13 @@ class TranslatedProgram:
 # ----------------------------------------------------------------------
 
 class ModuleTranslator:
-    """Translates one module; use :func:`translate_module` for the one-shot API."""
+    """Translates one module; use :func:`translate_module` for the one-shot API.
+
+    Construction lays out the globals and creates every (still empty)
+    :class:`TranslatedFunction`, so :meth:`instruction` and
+    :meth:`terminator` can also translate single instructions on demand —
+    the cycle simulator builds its timed blocks from them.
+    """
 
     def __init__(self, module: Module, library=None) -> None:
         from ..core.library import global_extension_library
@@ -256,14 +262,14 @@ class ModuleTranslator:
         self.module = module
         self.library = library if library is not None else global_extension_library()
         self.program = TranslatedProgram(module.name)
+        self._layout_globals()
+        # Every function exists before any is translated, so CALL closures
+        # can capture callee TranslatedFunctions even for mutual recursion.
+        for function in module.functions.values():
+            self.program.functions[function.name] = TranslatedFunction(function)
 
     # ------------------------------------------------------------------
     def translate(self) -> TranslatedProgram:
-        self._layout_globals()
-        # Two passes so CALL closures can capture callee TranslatedFunctions
-        # even for mutual recursion.
-        for function in self.module.functions.values():
-            self.program.functions[function.name] = TranslatedFunction(function)
         for function in self.module.functions.values():
             self._translate_function(function)
         return self.program
@@ -285,7 +291,7 @@ class ModuleTranslator:
                                   for slot in self.program.globals_layout}
 
     # ------------------------------------------------------------------
-    def _access(self, operand) -> _Access:
+    def access(self, operand) -> _Access:
         """Resolve an operand to a translation-time accessor."""
         if isinstance(operand, Constant):
             return ("k", operand.value)
@@ -313,12 +319,18 @@ class ModuleTranslator:
                 key = inst.opcode.value
                 tblock.opcode_delta[key] = tblock.opcode_delta.get(key, 0) + 1
                 if inst.is_terminator():
-                    tblock.terminator = self._translate_terminator(
-                        inst, index_of, function, block)
+                    tblock.terminator = self.terminator(inst, index_of)
                     if inst.opcode is Opcode.BRANCH:
                         tblock.branches += 1
                     break
-                ops.append(self._translate_instruction(inst, tblock))
+                if inst.opcode is Opcode.LOAD:
+                    tblock.loads += 1
+                elif inst.opcode is Opcode.STORE:
+                    tblock.stores += 1
+                elif inst.opcode is Opcode.CALL:
+                    tblock.call_delta[inst.callee] = (
+                        tblock.call_delta.get(inst.callee, 0) + 1)
+                ops.append(self.instruction(inst))
             else:
                 # No terminator: fail at run time exactly like the interpreter.
                 block_name, function_name = block.name, function.name
@@ -331,8 +343,9 @@ class ModuleTranslator:
             translated.blocks.append(tblock)
 
     # ------------------------------------------------------------------
-    def _translate_terminator(self, inst: Instruction, index_of,
-                              function: Function, block) -> Callable:
+    def terminator(self, inst: Instruction, index_of) -> Callable:
+        """Threaded code for a terminator; ``index_of`` maps ``id(block)``
+        of each target to the block index the closure returns."""
         op = inst.opcode
         if op is Opcode.JUMP:
             target = index_of[id(inst.targets[0])]
@@ -342,7 +355,7 @@ class ModuleTranslator:
         if op is Opcode.BRANCH:
             t_index = index_of[id(inst.targets[0])]
             f_index = index_of[id(inst.targets[1])]
-            kind, ref = self._access(inst.operands[0])
+            kind, ref = self.access(inst.operands[0])
             if kind == "r":
                 def do_branch(regs, ctx, _c=ref, _t=t_index, _f=f_index):
                     if regs[_c]:
@@ -359,7 +372,7 @@ class ModuleTranslator:
             return do_const_branch
         if op is Opcode.RETURN:
             if inst.operands:
-                get = _getter(self._access(inst.operands[0]))
+                get = _getter(self.access(inst.operands[0]))
                 def do_return(regs, ctx, _g=get):
                     ctx._retval = _g(regs)
                     return None
@@ -371,8 +384,8 @@ class ModuleTranslator:
         raise SimulationError(f"unexpected terminator {op}")  # pragma: no cover
 
     # ------------------------------------------------------------------
-    def _translate_instruction(self, inst: Instruction,
-                               tblock: TranslatedBlock) -> Callable:
+    def instruction(self, inst: Instruction) -> Callable:
+        """Threaded code for one non-terminator instruction."""
         op = inst.opcode
 
         if op in _BINARY_SEMANTICS:
@@ -381,9 +394,9 @@ class ModuleTranslator:
             return self._build_unary(inst, _UNARY_SEMANTICS[op])
 
         if op is Opcode.SELECT:
-            get_c = _getter(self._access(inst.operands[0]))
-            get_t = _getter(self._access(inst.operands[1]))
-            get_f = _getter(self._access(inst.operands[2]))
+            get_c = _getter(self.access(inst.operands[0]))
+            get_t = _getter(self.access(inst.operands[1]))
+            get_f = _getter(self.access(inst.operands[2]))
             dest = inst.dest.id
             wrap = _wrap_fn(inst.dest.type)
             def do_select(regs, ctx, _c=get_c, _t=get_t, _f=get_f,
@@ -392,11 +405,10 @@ class ModuleTranslator:
             return do_select
 
         if op is Opcode.LOAD:
-            tblock.loads += 1
             dest = inst.dest.id
             dtype = inst.dest.type
             wrap = _wrap_fn(dtype)
-            kind, ref = self._access(inst.operands[0])
+            kind, ref = self.access(inst.operands[0])
             if kind == "r":
                 def do_load(regs, ctx, _a=ref, _d=dest, _t=dtype, _w=wrap):
                     regs[_d] = _w(ctx.memory.load(int(regs[_a]), _t))
@@ -407,10 +419,9 @@ class ModuleTranslator:
             return do_load_const
 
         if op is Opcode.STORE:
-            tblock.stores += 1
-            get_value = _getter(self._access(inst.operands[0]))
+            get_value = _getter(self.access(inst.operands[0]))
             stype = inst.operands[0].type
-            kind, ref = self._access(inst.operands[1])
+            kind, ref = self.access(inst.operands[1])
             if kind == "r":
                 def do_store(regs, ctx, _v=get_value, _a=ref, _t=stype):
                     ctx.memory.store(int(regs[_a]), _v(regs), _t)
@@ -421,7 +432,7 @@ class ModuleTranslator:
             return do_store_const
 
         if op is Opcode.ALLOCA:
-            get_count = _getter(self._access(inst.operands[0]))
+            get_count = _getter(self.access(inst.operands[0]))
             element = inst.alloc_type or I32
             size, alignment = element.size, element.alignment
             dest = inst.dest.id
@@ -432,8 +443,6 @@ class ModuleTranslator:
             return do_alloca
 
         if op is Opcode.CALL:
-            tblock.call_delta[inst.callee] = (
-                tblock.call_delta.get(inst.callee, 0) + 1)
             return self._build_call(inst)
 
         if op is Opcode.CUSTOM:
@@ -443,8 +452,8 @@ class ModuleTranslator:
 
     # ------------------------------------------------------------------
     def _build_binary(self, inst: Instruction, fn: Callable) -> Callable:
-        (ak, av) = self._access(inst.operands[0])
-        (bk, bv) = self._access(inst.operands[1])
+        (ak, av) = self.access(inst.operands[0])
+        (bk, bv) = self.access(inst.operands[1])
         dest = inst.dest.id
         wrap = _wrap_fn(inst.dest.type)
         # Specialize the four operand-kind combinations so the hot path is a
@@ -466,7 +475,7 @@ class ModuleTranslator:
         return op_kk
 
     def _build_unary(self, inst: Instruction, fn: Callable) -> Callable:
-        kind, ref = self._access(inst.operands[0])
+        kind, ref = self.access(inst.operands[0])
         dest = inst.dest.id
         wrap = _wrap_fn(inst.dest.type)
         if kind == "r":
@@ -478,7 +487,7 @@ class ModuleTranslator:
         return op_k
 
     def _build_call(self, inst: Instruction) -> Callable:
-        getters = tuple(_getter(self._access(a)) for a in inst.operands)
+        getters = tuple(_getter(self.access(a)) for a in inst.operands)
         if self.module.has_function(inst.callee):
             callee = self.program.functions[inst.callee]
         else:
@@ -500,7 +509,7 @@ class ModuleTranslator:
         return do_void_call
 
     def _build_custom(self, inst: Instruction) -> Callable:
-        getters = tuple(_getter(self._access(a)) for a in inst.operands)
+        getters = tuple(_getter(self.access(a)) for a in inst.operands)
         name = inst.custom_op
         pattern = self.library.lookup(name)
         dest = inst.dest.id if inst.dest is not None else None

@@ -42,14 +42,11 @@ from ..backend.mcode import CompiledModule
 from ..ir import Opcode
 from ..obs import global_tracer
 from ..sim.cache import Cache, CacheStatistics
-from ..sim.cycle import CycleStatistics, SimulationResult
+from ..sim.cycle import CycleStatistics, SimulationResult, code_layout
 
 #: declared relative tolerance of trace-fidelity cycle estimates against
 #: the cycle simulator (the differential harness asserts it).
 TRACE_CYCLE_TOLERANCE = 0.02
-
-#: code layout base address (mirrors CycleSimulator._layout_code).
-CODE_BASE = 0x1000
 
 #: artifact-store stage name under which d-cache replays are memoized.
 REPLAY_STAGE = "retime-dcache"
@@ -174,52 +171,44 @@ class RetimingModel:
         track_icache = machine.icache is not None and self.model_caches
         line_bits = ((machine.icache.line_bytes - 1).bit_length()
                      if track_icache else 0)
-        syllable_bytes = machine.syllable_bits // 8
-        cursor = CODE_BASE
+        layout = code_layout(compiled, machine) if track_icache else None
         for function in compiled:
             visit_counts = trace.block_counts.get(function.name) or {}
             for block in function.blocks:
-                address = cursor
-                block_bytes = 0
                 visits = visit_counts.get(block.name, 0)
-                if visits:
-                    schedule_cycles += visits * block.cycles
-                    stats.bundles_executed += visits * block.cycles
+                if not visits:
+                    continue
+                schedule_cycles += visits * block.cycles
+                stats.bundles_executed += visits * block.cycles
+                if track_icache:
+                    for address in layout[function.name][block.name]:
+                        icache_fetches += visits
+                        line = address >> line_bits
+                        icache_lines.add(line)
+                        line_fetches[line] = (
+                            line_fetches.get(line, 0) + visits)
                 for bundle in block.bundles:
-                    if machine.compressed_encoding:
-                        bundle_bytes = len(bundle.ops) * syllable_bytes + 1
-                    else:
-                        bundle_bytes = machine.issue_width * syllable_bytes
-                    if visits:
-                        if track_icache:
-                            icache_fetches += visits
-                            line = (address + block_bytes) >> line_bits
-                            icache_lines.add(line)
-                            line_fetches[line] = (
-                                line_fetches.get(line, 0) + visits)
-                        stats.nop_slots += visits * (
-                            machine.issue_width - len(bundle.ops))
-                        for op in bundle.ops:
-                            stats.operations_executed += visits
-                            if op.is_spill:
-                                stats.spill_ops_executed += visits
-                                dynamic_spills += visits
-                                pj = operation_pj(OperationClass.MEM)
-                            elif op.is_copy:
-                                stats.copy_ops_executed += visits
-                                pj = operation_pj(OperationClass.IALU)
-                            elif op.inst.opcode is Opcode.CUSTOM:
-                                stats.custom_ops_executed += visits
-                                entry = library.entry(op.inst.custom_op)
-                                fused = (entry.operation.fused_ops
-                                         if entry else 1)
-                                pj = custom_pj(fused, len(op.inst.operands))
-                            else:
-                                pj = operation_pj(op.op_class,
-                                                 len(op.inst.operands))
-                            dynamic_pj += visits * pj
-                    block_bytes += bundle_bytes
-                cursor += max(1, block_bytes)
+                    stats.nop_slots += visits * (
+                        machine.issue_width - len(bundle.ops))
+                    for op in bundle.ops:
+                        stats.operations_executed += visits
+                        if op.is_spill:
+                            stats.spill_ops_executed += visits
+                            dynamic_spills += visits
+                            pj = operation_pj(OperationClass.MEM)
+                        elif op.is_copy:
+                            stats.copy_ops_executed += visits
+                            pj = operation_pj(OperationClass.IALU)
+                        elif op.inst.opcode is Opcode.CUSTOM:
+                            stats.custom_ops_executed += visits
+                            entry = library.entry(op.inst.custom_op)
+                            fused = (entry.operation.fused_ops
+                                     if entry else 1)
+                            pj = custom_pj(fused, len(op.inst.operands))
+                        else:
+                            pj = operation_pj(op.op_class,
+                                             len(op.inst.operands))
+                        dynamic_pj += visits * pj
 
         error_bound = 0
 

@@ -30,13 +30,9 @@ from ..exec.cache import module_fingerprint
 from ..exec.engine import CompiledSimulator
 from ..ir import Module
 from ..pipeline.fingerprints import TRACE_SCHEMA
+from ..sim.cycle import SPILL_AREA_ALIGN, SPILL_AREA_BYTES
 from ..sim.functional import ExecutionProfile
 from ..workloads.kernels import copy_run_args
-
-#: size/alignment of the cycle simulator's spill area, mirrored by the
-#: tracing run so recorded addresses match cycle-simulation layout.
-SPILL_AREA_BYTES = 4096
-SPILL_AREA_ALIGN = 16
 
 
 @dataclass

@@ -172,6 +172,25 @@ def run_matrix(machines: Sequence[MachineDescription],
 
         retimer = RetimingModel(store=pipeline.store)
 
+    # The cycle-fidelity functional reference runs the machine-independent
+    # module from ``pipeline.front``, so it runs once per kernel; its value,
+    # or the exception it raised, is shared by that kernel's cells.
+    references: Dict[str, object] = {}
+
+    def reference_value(kernel: Kernel, module, args):
+        if kernel.name not in references:
+            try:
+                reference = make_functional_simulator(
+                    module.clone(), engine=engine, store=pipeline.store)
+                references[kernel.name] = reference.run(
+                    kernel.entry, *copy_run_args(args))
+            except Exception as exc:  # noqa: BLE001 - re-raised per cell
+                references[kernel.name] = exc
+        outcome = references[kernel.name]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
     for machine in machines:
         for name in names:
             kernel = get_kernel(name)
@@ -197,10 +216,7 @@ def run_matrix(machines: Sequence[MachineDescription],
                     cell.ipc = estimate.stats.ipc
                 else:
                     # Cross-check 1: functional simulation vs. the oracle.
-                    reference = make_functional_simulator(
-                        module.clone(), engine=engine, store=pipeline.store)
-                    ref_value = reference.run(kernel.entry,
-                                              *copy_run_args(args))
+                    ref_value = reference_value(kernel, module, args)
 
                     # Cross-check 2: scheduled code on the cycle simulator.
                     simulator = CycleSimulator(compiled)

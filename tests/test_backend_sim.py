@@ -317,3 +317,20 @@ class TestSimulators:
         result = CycleSimulator(compiled).run("f", 5)
         assert result.value == sum(i * 3 for i in range(5))
         assert result.stats.call_overhead_cycles > 0
+
+    def test_cycle_simulator_enforces_max_steps(self):
+        module = compile_c(
+            "int f(int n){int s = 0; for (int i = 0; i < n; i++) {s += i;} "
+            "return s;}")
+        optimize(module, level=2)
+        compiled, _ = compile_module(module, vliw4())
+        with pytest.raises(SimulationError, match="maximum step count"):
+            CycleSimulator(compiled, max_steps=10).run("f", 1000)
+        # The limit counts executed operations, checked once per block.
+        result = CycleSimulator(compiled).run("f", 1000)
+        assert result.value == sum(range(1000))
+        limit = result.stats.operations_executed
+        assert CycleSimulator(compiled, max_steps=limit).run(
+            "f", 1000).value == result.value
+        with pytest.raises(SimulationError, match="maximum step count"):
+            CycleSimulator(compiled, max_steps=limit - 1).run("f", 1000)

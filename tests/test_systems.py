@@ -106,6 +106,59 @@ class TestToolchainFacade:
         rows = report.to_rows()
         assert all(row["ok"] == "pass" for row in rows)
 
+    def test_nxm_matrix_runs_one_reference_per_kernel(self, monkeypatch,
+                                                       api_session):
+        import repro.exec.engine as engine_module
+        from repro.arch.presets import PRESETS, get_preset
+
+        built = []
+        real = engine_module.make_functional_simulator
+
+        def counting(module, **kwargs):
+            built.append(module.name)
+            return real(module, **kwargs)
+
+        monkeypatch.setattr(engine_module, "make_functional_simulator",
+                            counting)
+        machines = [get_preset(name) for name in sorted(PRESETS)]
+        report = run_matrix(machines, size=8, pipeline=api_session.pipeline)
+        assert len(report.cells) == len(machines) * len(KERNELS) == 98
+        assert report.all_correct, [c.error for c in report.failures]
+        assert len(built) == len(KERNELS) == 14
+
+    def test_nxm_matrix_reference_failure_marks_every_machine(
+            self, monkeypatch, api_session):
+        import repro.exec.engine as engine_module
+        from repro.sim import SimulationError
+
+        real = engine_module.make_functional_simulator
+        calls = []
+
+        class Broken:
+            def run(self, entry, *args):
+                calls.append(entry)
+                raise SimulationError(f"reference broke on {entry}")
+
+        def breaking(module, **kwargs):
+            if module.name == "saturated_add":
+                return Broken()
+            return real(module, **kwargs)
+
+        monkeypatch.setattr(engine_module, "make_functional_simulator",
+                            breaking)
+        machines = [risc_baseline(), vliw2(), vliw4()]
+        report = run_matrix(machines,
+                            kernel_names=["dot_product", "saturated_add"],
+                            size=8, pipeline=api_session.pipeline)
+        broken = [c for c in report.cells if c.kernel == "saturated_add"]
+        assert len(broken) == len(machines)
+        assert not any(cell.correct for cell in broken)
+        assert {cell.error for cell in broken} == {
+            "SimulationError: reference broke on saturated_add"}
+        assert calls == ["saturated_add"]
+        assert all(cell.correct for cell in report.cells
+                   if cell.kernel == "dot_product")
+
 
 class TestDesignSpaceExploration:
     def test_space_enumeration_respects_constraints(self):
