@@ -10,10 +10,7 @@ for a slice of the kernel suite it times
   (translation included) and warm (served by the code cache);
 * the generated-C native engine (:class:`NativeSimulator`), warm (the
   ``.so`` compiled once, runs timed with fresh simulators) — skipped
-  when the host has no C compiler;
-* the 32-wide batch tiers: the NumPy-lockstep
-  :class:`VectorizedSimulator` against a per-set compiled-engine loop —
-  skipped when NumPy is missing.
+  when the host has no C compiler.
 
 Results are written to ``BENCH_compiled_engine.json`` at the repository
 root so the perf trajectory of the engines is tracked over time.  Run
@@ -28,7 +25,7 @@ from pathlib import Path
 
 from repro.exec import (
     CodeCache, CompiledSimulator, NativeCodeCache, NativeSimulator,
-    VectorizedSimulator, native_available, numpy_available,
+    native_available,
 )
 from repro.frontend import compile_c
 from repro.opt import optimize
@@ -48,9 +45,6 @@ CASES = [
     ("viterbi_acs", 96),
 ]
 
-#: lanes of the batch-tier comparison (the ShardedBatch chunk shape).
-BATCH_LANES = 32
-
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled_engine.json"
 
 
@@ -67,23 +61,13 @@ def _best_time(make_simulator, module, entry, args, repeats):
     return best, value
 
 
-def _batch_args(kernel, size, lanes):
-    return [kernel.arguments(size, seed=3000 + lane) for lane in range(lanes)]
-
-
-def _copies(args):
-    return tuple(list(a) if isinstance(a, list) else a for a in args)
-
-
 def test_e9_execution_tiers(benchmark, pytestconfig):
     repeats = shrink_knob(pytestconfig, "E9_REPEATS", 3, 1)
     scale = shrink_knob(pytestconfig, "E9_SIZE_DIVISOR", 1, 4)
-    lanes = shrink_knob(pytestconfig, "E9_BATCH_LANES", BATCH_LANES, 8)
     has_native = native_available()
-    has_numpy = numpy_available()
 
     def experiment():
-        rows, batch_rows = [], []
+        rows = []
         for name, size in CASES:
             kernel = get_kernel(name)
             module = compile_c(kernel.source, module_name=name)
@@ -137,44 +121,10 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
                 row["native_vs_compiled"] = round(warm_s / native_s, 1)
                 native_cache.clear()
             rows.append(row)
+        return rows
 
-            if has_numpy:
-                arg_sets = _batch_args(kernel, case_size, lanes)
-                batch_expected = [kernel.expected(a) for a in arg_sets]
-
-                loop_cache = CodeCache()
-                loop_cache.get_or_translate(module)
-                start = time.perf_counter()
-                loop_values = []
-                for arg_set in arg_sets:
-                    simulator = CompiledSimulator(module, cache=loop_cache)
-                    loop_values.append(
-                        simulator.run(kernel.entry, *_copies(arg_set)))
-                loop_s = time.perf_counter() - start
-
-                start = time.perf_counter()
-                vector = VectorizedSimulator(module, lanes)
-                vector_values = vector.run_many(
-                    kernel.entry, [_copies(a) for a in arg_sets])
-                vector_s = time.perf_counter() - start
-
-                assert loop_values == batch_expected
-                assert vector_values == batch_expected
-                batch_rows.append({
-                    "kernel": name,
-                    "lanes": lanes,
-                    "compiled_loop_ms": round(loop_s * 1e3, 3),
-                    "vector_ms": round(vector_s * 1e3, 3),
-                    "vector_speedup": round(loop_s / vector_s, 2),
-                })
-        return rows, batch_rows
-
-    rows, batch_rows = run_once(benchmark, experiment)
+    rows = run_once(benchmark, experiment)
     print_table("E9: execution tiers (interpreter / compiled / native)", rows)
-    if batch_rows:
-        print_table(
-            f"E9: {lanes}-wide batches (vectorized vs compiled loop)",
-            batch_rows)
 
     warm_speedups = [r["warm_speedup"] for r in rows]
     best = max(warm_speedups)
@@ -192,12 +142,6 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             sum(native_speedups) / len(native_speedups), 1)
         lines.append(f"native {max(native_speedups):.1f}x best over the "
                      f"interpreter")
-    if batch_rows:
-        vector_speedups = [r["vector_speedup"] for r in batch_rows]
-        summary["best_vector_speedup"] = max(vector_speedups)
-        lines.append(f"{lanes}-wide vector batches "
-                     f"{max(vector_speedups):.2f}x best over the compiled "
-                     f"loop")
     print("\nE9 summary: " + "; ".join(lines) + ".")
 
     # Acceptance floors (env-overridable for noisy shared runners).
@@ -213,16 +157,10 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             summary["best_native_speedup"], band=4.0,
             floor=shrink_knob(pytestconfig, "E9_MIN_NATIVE_VS_INTERP",
                               25.0, 5.0, cast=float))
-    if batch_rows:
-        metrics["best_vector_speedup"] = bench_metric(
-            summary["best_vector_speedup"], band=4.0)
     write_baseline(OUTPUT, "e9_execution_tiers", {
         "repeats": repeats,
         "native_available": has_native,
-        "numpy_available": has_numpy,
-        "batch_lanes": lanes,
         "rows": rows,
-        "batch_rows": batch_rows,
         "summary": summary,
     }, metrics=metrics,
         shrunk=bool(pytestconfig.getoption("--shrink")))
@@ -240,14 +178,6 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             f"native tier fast enough on only {good}/{len(rows)} kernels "
             f"(floors: {vs_compiled_floor}x vs compiled, "
             f"{vs_interp_floor}x vs interpreter)")
-    if batch_rows:
-        vector_floor = shrink_knob(pytestconfig, "E9_MIN_VECTOR_SPEEDUP",
-                                   2.0, 1.2, cast=float)
-        good = sum(1 for r in batch_rows
-                   if r["vector_speedup"] >= vector_floor)
-        assert good * 2 >= len(batch_rows), (
-            f"vector batch tier above {vector_floor}x on only "
-            f"{good}/{len(batch_rows)} kernels")
 
 
 def test_e9_obs_off_overhead(benchmark, pytestconfig):

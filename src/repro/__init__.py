@@ -52,10 +52,7 @@ from .obs import (
     obs_override, render_prometheus, set_obs_mode,
 )
 from .opt import optimize
-from .pipeline import (
-    ArtifactStore, CompilePipeline, global_compile_pipeline,
-    reset_global_compile_pipeline,
-)
+from .pipeline import ArtifactStore, CompilePipeline
 from .sim import CycleSimulator, FunctionalSimulator
 from .toolchain import Toolchain, run_matrix
 from .api import (
@@ -79,8 +76,7 @@ __all__ = [
     "MetricsRegistry", "ObsJournal", "Tracer", "global_tracer", "obs_mode",
     "obs_override", "render_prometheus", "set_obs_mode",
     "optimize",
-    "ArtifactStore", "CompilePipeline", "global_compile_pipeline",
-    "reset_global_compile_pipeline",
+    "ArtifactStore", "CompilePipeline",
     "CycleSimulator", "FunctionalSimulator",
     "Toolchain", "run_matrix",
     "CompileRequest", "CustomizeRequest", "ExploreRequest", "Job",

@@ -131,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--size", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--batch", type=int, default=None,
-                       help="run N argument sets through the batch "
-                            "cascade (functional engines only)")
+                       help="run N seeded argument sets, one run each "
+                            "(functional engines only)")
     _add_common(run_p)
 
     customize_p = commands.add_parser(

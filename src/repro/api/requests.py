@@ -297,8 +297,8 @@ class RunRequest(Message):
     #: counts only).
     engine: str = "cycle"
     #: run the kernel over N argument sets (seeds ``seed..seed+N-1``)
-    #: through the :func:`repro.exec.run_batch` cascade instead of one
-    #: oracle-checked execution; functional engines only.
+    #: through :func:`repro.exec.run_batch` instead of one execution;
+    #: functional engines only.
     batch: Optional[int] = None
 
     def __post_init__(self) -> None:
@@ -307,6 +307,11 @@ class RunRequest(Message):
         _check_machine(self.machine)
         _check_engine(self.engine, RUN_ENGINES, "run")
         if self.batch is not None:
+            if isinstance(self.batch, bool) or not isinstance(self.batch,
+                                                              int):
+                raise ValueError(
+                    f"RunRequest batch must be an integer, got "
+                    f"{self.batch!r}")
             if self.batch < 1:
                 raise ValueError("RunRequest batch must be at least 1")
             if self.engine == "cycle":
@@ -568,8 +573,9 @@ class RunResponse(Message):
     ipc: float = 0.0
     instructions: int = 0
     #: batched runs: how many argument sets ran (0 = single run), which
-    #: tier of the run_batch cascade actually executed them ("native",
-    #: "vector", "compiled" or "interpreter"), and the per-set values.
+    #: engine actually executed them ("native", "compiled" or
+    #: "interpreter"; "native" falls back to "compiled" without a C
+    #: compiler), and the per-set values.
     batch: int = 0
     batch_engine: str = ""
     values: List[object] = field(default_factory=list)

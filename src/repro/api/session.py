@@ -27,8 +27,7 @@ Work enters a session one of three ways:
 A process-wide **default session** (:func:`default_session`) keeps the
 pre-session API working: ``Toolchain()``, ``run_matrix()``,
 ``Evaluator()`` and friends fall back to its pipeline when none is
-injected, exactly as they used to fall back to the (now deprecated)
-``global_compile_pipeline()``.
+injected.
 """
 
 from __future__ import annotations
@@ -368,21 +367,6 @@ class Session:
     def jobs(self) -> List[Job]:
         return list(self._jobs)
 
-    def stats(self) -> Dict[str, Dict[str, object]]:
-        """Deprecated: per-stage store counters in the legacy dict shape.
-
-        The numbers come straight from the session's metrics registry
-        (they are the same ``store_*`` series ``python -m repro stats``
-        exports); prefer :meth:`metrics` for the typed snapshot.
-        """
-        import warnings
-
-        warnings.warn(
-            "Session.stats() is deprecated; use Session.metrics() (typed "
-            "registry snapshot) or session.store.stats_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.store.stats_dict()
-
     def metrics(self) -> Dict[str, object]:
         """A snapshot of the session's metrics registry.
 
@@ -475,15 +459,13 @@ class Session:
                 provenance=self._provenance("cycle", started,
                                             artifacts.report.stages))
 
-        from ..exec.engine import make_functional_simulator
+        from ..exec.engine import make_functional_simulator, run_batch
 
         module, records = self.pipeline.front(
             kernel.source, kernel.name, opt_level=opt_level,
             unroll_factor=self.unroll_factor)
 
         if request.batch:
-            from ..exec.vector import run_batch
-
             seed = self._seed(request.seed)
             size = self._size(request.size)
             arg_sets = [kernel.arguments(size, seed=seed + lane)
@@ -731,9 +713,7 @@ def default_session() -> Session:
 
     This is what un-injected entry points (``Toolchain()`` without a
     pipeline, ``run_matrix`` and the workload helpers) share, so family
-    members built through any of them reuse one artifact store — the
-    behaviour the deprecated ``global_compile_pipeline()`` used to
-    provide.
+    members built through any of them reuse one artifact store.
     """
     global _DEFAULT_SESSION
     with _DEFAULT_LOCK:

@@ -16,10 +16,10 @@ the experiment can also be run on the outputs of our own cost model.
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def analyze_premium(rows: Optional[Sequence[PricePerformanceRow]] = None
     marginal_high = ((rows[-1].price_usd - rows[-2].price_usd)
                      / max(1e-9, rows[-1].business_winstone - rows[-2].business_winstone))
 
-    log_perf = np.log([r.business_winstone for r in rows])
-    log_price = np.log([r.price_usd for r in rows])
-    exponent = float(np.polyfit(log_perf, log_price, 1)[0])
+    exponent = statistics.linear_regression(
+        [math.log(r.business_winstone) for r in rows],
+        [math.log(r.price_usd) for r in rows]).slope
 
     return PremiumAnalysis(
         winstone_ratio_spread=max(winstone_ratios) / min(winstone_ratios),

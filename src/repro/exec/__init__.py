@@ -5,13 +5,12 @@ This package is the performance tier of the simulation stack:
 * :mod:`repro.exec.translator` — pre-translates IR basic blocks into
   specialized Python closures (threaded code);
 * :mod:`repro.exec.engine` — :class:`CompiledSimulator`, a drop-in for
-  :class:`repro.sim.FunctionalSimulator` with identical results/profiles;
+  :class:`repro.sim.FunctionalSimulator` with identical results/profiles,
+  plus :func:`run_batch`, which runs one kernel over many argument sets
+  (native, falling back to compiled);
 * :mod:`repro.exec.native` — :class:`NativeSimulator`, the generated-C
   JIT tier: modules rendered to C, compiled on the fly and driven via
   ctypes, with ``.so`` artifacts shared through the artifact store;
-* :mod:`repro.exec.vector` — :class:`VectorizedSimulator`, a
-  NumPy-lockstep batch interpreter, plus :func:`run_batch`, the
-  native → vector → compiled cascade for many-argument-set workloads;
 * :mod:`repro.exec.cache` — a content-addressed code cache so structurally
   identical modules are translated once;
 * :mod:`repro.exec.batch` — :class:`BatchEvaluator`, parallel and
@@ -36,8 +35,8 @@ from .cache import (
     module_fingerprint, reset_global_code_cache,
 )
 from .engine import (
-    CompiledSimulator, make_functional_simulator,
-    reset_native_fallback_warning,
+    BatchResult, CompiledSimulator, make_functional_simulator,
+    reset_native_fallback_warning, run_batch,
 )
 from .native import (
     NATIVE_STAGE, NativeCacheStats, NativeCodeCache, NativeCompileError,
@@ -46,9 +45,6 @@ from .native import (
     reset_global_native_cache, reset_native_toolchain,
 )
 from .translator import TranslatedProgram, translate_module
-from .vector import (
-    BatchResult, VectorizedSimulator, numpy_available, run_batch,
-)
 
 __all__ = [
     "ENGINE_KINDS", "EVALUATION_ENGINES", "FIDELITY_LEVELS",
@@ -57,13 +53,12 @@ __all__ = [
     "BatchEvaluator", "BatchStats", "EvaluatorSpec",
     "CODE_STAGE", "CodeCache", "CodeCacheStats", "global_code_cache",
     "module_fingerprint", "reset_global_code_cache",
-    "CompiledSimulator", "make_functional_simulator",
-    "reset_native_fallback_warning",
+    "BatchResult", "CompiledSimulator", "make_functional_simulator",
+    "reset_native_fallback_warning", "run_batch",
     "NATIVE_STAGE", "NativeCacheStats", "NativeCodeCache",
     "NativeCompileError", "NativeProgram", "NativeSimulator",
     "NativeToolchain", "NativeUnavailableError",
     "global_native_cache", "global_native_toolchain", "native_available",
     "reset_global_native_cache", "reset_native_toolchain",
     "TranslatedProgram", "translate_module",
-    "BatchResult", "VectorizedSimulator", "numpy_available", "run_batch",
 ]

@@ -156,9 +156,9 @@ class CodeCache:
 
     When bound to an artifact store (``store=`` or :meth:`bind_store`),
     counters live on the owning store's ``exec.code`` stage stats — one
-    source of truth shared by ``cache.stats``, ``store.stats_dict()``
-    and ``Session.stats()``, so the eviction counts that used to be
-    mirrored (and could drift) are now literally the same number.
+    source of truth shared by ``cache.stats`` and ``store.stats_dict()``,
+    so the eviction counts that used to be mirrored (and could drift)
+    are now literally the same number.
     """
 
     def __init__(self, capacity: Optional[int] = 256, store=None) -> None:

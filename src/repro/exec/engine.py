@@ -15,6 +15,8 @@ Engine selection elsewhere in the stack (``Toolchain(engine=...)``,
 generated-C "native" (:mod:`repro.exec.native`) are interchangeable
 functional-execution engines; "native" degrades to "compiled" with a
 single per-process warning when no C compiler is available.
+:func:`run_batch` runs one kernel over many argument sets on the same
+engines.
 
 Known, deliberate divergences from the interpreter (error paths only):
 
@@ -28,7 +30,8 @@ Known, deliberate divergences from the interpreter (error paths only):
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..ir import Module, PointerType
 from ..ir.types import I32
@@ -221,3 +224,52 @@ def make_functional_simulator(module: Module, engine: str = "interpreter",
     raise ValueError(
         f"engine '{engine}' is registered but has no constructor here; "
         f"teach make_functional_simulator about it")
+
+
+@dataclass
+class BatchResult:
+    """Per-set outcomes of one :func:`run_batch` call."""
+
+    values: List
+    engine_used: str
+    instructions: List[int]
+
+
+def run_batch(module: Module, entry: str, arg_sets: Sequence[Sequence],
+              engine: str = "native", store=None,
+              memory_size: int = 1 << 20,
+              max_steps: int = 50_000_000) -> BatchResult:
+    """Run ``entry`` once per argument set, one fresh simulator per set.
+
+    ``engine="native"`` runs every set on the generated-C engine (all
+    simulators share one compile) and falls back to the compiled engine
+    when no C compiler is available; ``"compiled"`` and
+    ``"interpreter"`` run on that engine.  ``engine_used`` names the
+    engine that ran.  Values are bit-identical to the interpreter run one
+    set at a time.
+    """
+    def per_set(make_simulator, engine_used: str) -> BatchResult:
+        values, instructions = [], []
+        for arg_set in arg_sets:
+            simulator = make_simulator()
+            run_args = tuple(list(a) if isinstance(a, list) else a
+                             for a in arg_set)
+            values.append(simulator.run(entry, *run_args))
+            instructions.append(simulator.profile.instructions_executed)
+        return BatchResult(values, engine_used, instructions)
+
+    if engine == "native":
+        from .native import NativeSimulator, NativeUnavailableError
+
+        try:
+            return per_set(
+                lambda: NativeSimulator(module, memory_size=memory_size,
+                                        max_steps=max_steps, store=store),
+                "native")
+        except NativeUnavailableError:
+            engine = "compiled"
+    return per_set(
+        lambda: make_functional_simulator(module, engine=engine,
+                                          memory_size=memory_size,
+                                          max_steps=max_steps),
+        engine)

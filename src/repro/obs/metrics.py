@@ -443,7 +443,7 @@ class StageStats:
     ``misses``, ... readable and assignable, ``hit_rate``, ``as_dict``)
     while the numbers live in a :class:`MetricsRegistry` as
     ``store_<field>{stage=...}`` counters — one source of truth shared
-    by the store, the code cache mirror, ``Session.stats()`` and the
+    by the store, the code cache mirror, ``store.stats_dict()`` and the
     Prometheus export.
     """
 

@@ -13,8 +13,7 @@ half across design points with equal backend axes.
 
 from .compile import (
     BackendStage, CompilePipeline, EncodeStage, FrontendStage, NativeStage,
-    OptimizeStage, TraceStage, global_compile_pipeline, rebind_compiled,
-    reset_global_compile_pipeline,
+    OptimizeStage, TraceStage, rebind_compiled,
 )
 from .fingerprints import (
     backend_fingerprint, encode_fingerprint, machine_backend_fingerprint,
@@ -30,8 +29,7 @@ __all__ = [
     "ArtifactStore", "StageArtifact", "StageStats", "SupportsArtifactStore",
     "Stage", "StageRecord",
     "CompilePipeline", "FrontendStage", "OptimizeStage", "BackendStage",
-    "EncodeStage", "TraceStage", "NativeStage", "global_compile_pipeline",
-    "reset_global_compile_pipeline", "rebind_compiled",
+    "EncodeStage", "TraceStage", "NativeStage", "rebind_compiled",
     "source_fingerprint", "opt_fingerprint", "machine_backend_fingerprint",
     "backend_fingerprint", "encode_fingerprint", "trace_fingerprint",
     "native_fingerprint",

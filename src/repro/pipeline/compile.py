@@ -371,54 +371,3 @@ class CompilePipeline:
         """Per-stage hit/miss/timing counters of the underlying store."""
         return self.store.stats_dict()
 
-
-# ----------------------------------------------------------------------
-# Deprecated process-global accessors.
-#
-# The process-wide pipeline now lives on the default service session
-# (:mod:`repro.api.session`); these shims keep the old spelling working.
-# ----------------------------------------------------------------------
-
-def global_compile_pipeline() -> CompilePipeline:
-    """Deprecated: the process-wide pipeline.
-
-    Use ``repro.api.default_session().pipeline`` (or construct a private
-    :class:`~repro.api.Session`) instead.  When ``REPRO_SERVICE_SOCKET``
-    names a running service daemon, the returned pipeline compiles
-    against the daemon's shared disk store, so legacy callers join the
-    fleet-wide artifact cache.
-    """
-    import warnings
-
-    warnings.warn(
-        "global_compile_pipeline() is deprecated; use "
-        "repro.api.default_session().pipeline or a private Session",
-        DeprecationWarning, stacklevel=2)
-    from ..service.client import service_backed_pipeline
-
-    pipeline = service_backed_pipeline()
-    if pipeline is not None:
-        return pipeline
-    from ..api.session import default_pipeline
-
-    return default_pipeline()
-
-
-def reset_global_compile_pipeline() -> None:
-    """Deprecated: drop the default session (and with it, its pipeline).
-
-    Use ``repro.api.reset_default_session()`` instead.  Also drops the
-    cached service-backed pipeline, so the next shim call re-resolves
-    ``REPRO_SERVICE_SOCKET``.
-    """
-    import warnings
-
-    warnings.warn(
-        "reset_global_compile_pipeline() is deprecated; use "
-        "repro.api.reset_default_session()",
-        DeprecationWarning, stacklevel=2)
-    from ..api.session import reset_default_session
-    from ..service.client import reset_service_pipeline
-
-    reset_service_pipeline()
-    reset_default_session()

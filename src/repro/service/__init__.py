@@ -16,7 +16,6 @@ order (and therefore the exact floats) of the in-process paths.
 
 from .client import (
     ENDPOINT_ENV, JobFailed, JobHandle, ServiceClient, ServiceError,
-    configured_endpoint, reset_service_pipeline, service_backed_pipeline,
 )
 from .daemon import ServiceDaemon, ShardedBatch, TaskError, TaskPool
 from .diskstore import DiskArtifactStore
@@ -34,6 +33,5 @@ __all__ = [
     "JOB_SCHEMA_VERSION", "JOB_STATES", "TERMINAL_STATES",
     "WorkerRuntime", "worker_loop",
     "CELL_STAGE", "cell_key", "shard_matrix", "merge_matrix",
-    "ENDPOINT_ENV", "configured_endpoint", "service_backed_pipeline",
-    "reset_service_pipeline",
+    "ENDPOINT_ENV",
 ]

@@ -14,13 +14,6 @@ Waiting for a job costs no polling: :meth:`ServiceClient.result` sends
 a long-poll ``result`` op (``wait_s``) that the daemon answers as soon
 as the job settles, re-issuing it only when the daemon's wait cap
 (:data:`~repro.service.protocol.RESULT_WAIT_CAP_S`) runs out first.
-
-The module also hosts the **service-backed pipeline** used by the
-deprecated ``global_compile_pipeline()`` shims: when the
-``REPRO_SERVICE_SOCKET`` environment variable names a live daemon, the
-shim compiles against the daemon's shared
-:class:`~repro.service.diskstore.DiskArtifactStore` so legacy callers
-join the fleet-wide cache instead of a private in-process one.
 """
 
 from __future__ import annotations
@@ -34,7 +27,7 @@ from ..obs import global_tracer, tracing_enabled
 from . import protocol
 
 #: environment variable naming the daemon endpoint for implicit clients
-#: (the deprecation shims, the CLI's client subcommands).
+#: (the CLI's client subcommands).
 ENDPOINT_ENV = "REPRO_SERVICE_SOCKET"
 
 
@@ -268,52 +261,3 @@ class ServiceClient:
         handles = [self.submit(request) for request in requests]
         return [handle.result(timeout=timeout) for handle in handles]
 
-
-# ----------------------------------------------------------------------
-# The service-backed pipeline for the deprecation shims.
-# ----------------------------------------------------------------------
-
-_SERVICE_PIPELINE: Optional[tuple] = None
-_SERVICE_LOCK = threading.Lock()
-
-
-def configured_endpoint() -> Optional[str]:
-    """The daemon endpoint named by ``REPRO_SERVICE_SOCKET``, if any."""
-    return os.environ.get(ENDPOINT_ENV) or None
-
-
-def service_backed_pipeline():
-    """A CompilePipeline over the configured daemon's shared store.
-
-    Returns None when no endpoint is configured or the daemon does not
-    answer — callers fall back to their in-process default.  The
-    pipeline is cached per endpoint, so repeated shim calls share one
-    store handle (and its memory LRU).
-    """
-    global _SERVICE_PIPELINE
-    endpoint = configured_endpoint()
-    if endpoint is None:
-        return None
-    with _SERVICE_LOCK:
-        if (_SERVICE_PIPELINE is not None
-                and _SERVICE_PIPELINE[0] == endpoint):
-            return _SERVICE_PIPELINE[1]
-        try:
-            with ServiceClient(endpoint, timeout=5.0) as client:
-                info = client.describe()
-        except ServiceError:
-            return None
-        from ..pipeline.compile import CompilePipeline
-        from .diskstore import DiskArtifactStore
-
-        pipeline = CompilePipeline(
-            DiskArtifactStore(str(info["store_dir"])))
-        _SERVICE_PIPELINE = (endpoint, pipeline)
-        return pipeline
-
-
-def reset_service_pipeline() -> None:
-    """Drop the cached service-backed pipeline (tests, daemon restarts)."""
-    global _SERVICE_PIPELINE
-    with _SERVICE_LOCK:
-        _SERVICE_PIPELINE = None

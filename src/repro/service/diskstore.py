@@ -1,9 +1,9 @@
-"""The cross-process artifact store shared by daemon, workers and shims.
+"""The cross-process artifact store shared by daemon and workers.
 
 :class:`DiskArtifactStore` implements the ``(stage, key)`` protocol of
 :class:`repro.pipeline.store.SupportsArtifactStore` on top of a shared
 directory, so every process pointed at the same root — the daemon, its
-worker pool, a CLI session, the deprecation shims — sees one
+worker pool, a CLI session — sees one
 compile/trace/evaluation cache.  It extends the in-process
 :class:`~repro.pipeline.store.ArtifactStore` (which stays the private
 fast path: memory LRU in front, per-process counters) with:

@@ -6,8 +6,7 @@ Covers, per the PR-4 acceptance criteria:
   for all six request kinds and for responses;
 * request validation errors (the service rejects malformed work at the
   boundary);
-* Session isolation (separate artifact stores) and the deprecated
-  global-pipeline shims;
+* Session isolation (separate artifact stores);
 * bit-identical equivalence between ``Session.submit`` execution and the
   direct ``Toolchain`` / ``Explorer`` / ``run_matrix`` /
   ``WorkloadPopulation`` call paths;
@@ -16,12 +15,16 @@ Covers, per the PR-4 acceptance criteria:
   budget);
 * the engine selector threaded through ``run_matrix`` and the
   ``to_json``/``to_rows`` export helpers;
-* the ``python -m repro`` CLI (flags and request-file modes).
+* the ``python -m repro`` CLI (flags and request-file modes);
+* the package importing without NumPy.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -36,7 +39,7 @@ from repro.arch import dsp_core, risc_baseline, vliw4
 from repro.dse import DesignSpace, Evaluator, Explorer
 from repro.frontend.c_frontend import CFrontendError
 from repro.gen import WorkloadPopulation
-from repro.pipeline import CompilePipeline, global_compile_pipeline
+from repro.pipeline import CompilePipeline
 from repro.toolchain import Toolchain, run_matrix
 from repro.workloads import get_kernel, get_mix
 
@@ -222,6 +225,12 @@ class TestRequestValidation:
         with pytest.raises(ValueError):
             RunRequest()
 
+    @pytest.mark.parametrize("batch", [2.5, "3", True, False, [2]])
+    def test_run_rejects_non_integer_batch_at_decode(self, batch):
+        with pytest.raises(ValueError, match="batch must be an integer"):
+            request_from_dict({"kind": "run", "kernel": "crc32",
+                               "engine": "native", "batch": batch})
+
     def test_customize_rejects_infeasible_budget(self):
         with pytest.raises(ValueError, match="[Ii]nfeasible"):
             CustomizeRequest(kernel="sad16", area_budget_kgates=0.0)
@@ -292,11 +301,6 @@ class TestSessionIsolation:
         assert default_session() is session
         toolchain = Toolchain(vliw4())
         assert toolchain.pipeline is session.pipeline
-
-    def test_global_pipeline_shim_is_deprecated_but_working(self):
-        with pytest.deprecated_call():
-            pipeline = global_compile_pipeline()
-        assert pipeline is default_session().pipeline
 
     def test_session_rejects_mismatched_store_and_pipeline(self):
         pipeline = CompilePipeline()
@@ -631,3 +635,25 @@ class TestCli:
                          "--budget", "-1"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestPackageImports:
+    def test_imports_and_econ_run_without_numpy(self):
+        """``repro`` and its service/econ layers never need NumPy."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import repro, repro.api, repro.service, repro.econ\n"
+            "premium = repro.econ.analyze_premium()\n"
+            "assert premium.price_performance_exponent > 1.0\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [env.get("PYTHONPATH")] if p])
+        completed = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   timeout=120)
+        assert completed.returncode == 0, completed.stderr

@@ -1,12 +1,12 @@
-"""The native (generated-C) engine and the vectorized batch fallback.
+"""The native (generated-C) engine and batched runs.
 
 Differential harness: :class:`repro.exec.NativeSimulator` must be
 bit-identical to the :class:`repro.sim.FunctionalSimulator` oracle —
 return values, memory write-backs and full execution profiles — over the
 builtin workload suite, the customized (CUSTOM-op) variants on every
-machine preset, and the fixed-seed generated population.  The same
-contract is enforced for the NumPy-lockstep
-:class:`repro.exec.VectorizedSimulator`, lane by lane.
+machine preset, and the fixed-seed generated population.
+:func:`repro.exec.run_batch` must return the per-set values on whichever
+engine ran (native, or compiled on a host without a C compiler).
 
 Failure modes have defined semantics, tested here: a missing C compiler
 degrades to the compiled engine with a single process-wide warning; a
@@ -28,7 +28,7 @@ from repro.exec import (
     CODE_STAGE, NATIVE_STAGE, CodeCache, CompiledSimulator, NativeCodeCache,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
     global_native_cache, make_functional_simulator, native_available,
-    numpy_available, reset_global_native_cache, reset_native_fallback_warning,
+    reset_global_native_cache, reset_native_fallback_warning,
     reset_native_toolchain, run_batch,
 )
 from repro.exec.native import CC_ENV, NativeCompileError
@@ -45,8 +45,6 @@ from _shared import arg_copies, build_kernel_module
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C compiler on this host")
-requires_numpy = pytest.mark.skipif(not numpy_available(),
-                                    reason="NumPy not installed")
 
 #: argument size for the generated-population differential (keeps the
 #: interpreter side of each comparison fast).
@@ -177,8 +175,12 @@ class TestMissingCompilerFallback:
         result = run_batch(module, kernel.entry,
                            [arg_copies(a) for a in arg_sets])
         assert result.values == expected
-        assert result.engine_used == ("vector" if numpy_available()
-                                      else "compiled")
+        assert result.engine_used == "compiled"
+        per_set = [CompiledSimulator(module) for _ in arg_sets]
+        for simulator, args in zip(per_set, arg_sets):
+            simulator.run(kernel.entry, *arg_copies(args))
+        assert result.instructions == [
+            s.profile.instructions_executed for s in per_set]
 
 
 class TestCompileErrorQuarantine:
@@ -273,40 +275,8 @@ class TestUnloadAcrossSessions:
 
 
 # ----------------------------------------------------------------------
-# Vectorized batch fallback.
+# Batched runs.
 # ----------------------------------------------------------------------
-
-@requires_numpy
-class TestVectorizedSimulator:
-    LANES = 8
-
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_lockstep_lanes_match_interpreter(self, name):
-        from repro.exec import VectorizedSimulator
-
-        kernel, module = build_kernel_module(name)
-        arg_sets = [kernel.arguments(None, seed=100 + lane)
-                    for lane in range(self.LANES)]
-        vec_args = [arg_copies(a) for a in arg_sets]
-        simulator = VectorizedSimulator(module, self.LANES)
-        values = simulator.run_many(kernel.entry, vec_args)
-        for lane, args in enumerate(arg_sets):
-            ref_args = arg_copies(args)
-            interp = FunctionalSimulator(module)
-            assert values[lane] == interp.run(kernel.entry, *ref_args)
-            assert vec_args[lane] == ref_args          # write-backs
-            assert simulator.profiles[lane] == interp.profile
-
-    def test_max_steps_trap_matches_interpreter_message(self):
-        from repro.exec import VectorizedSimulator
-
-        kernel, module = build_kernel_module("dot_product")
-        arg_sets = [arg_copies(kernel.arguments(None, seed=s))
-                    for s in range(4)]
-        simulator = VectorizedSimulator(module, 4, max_steps=10)
-        with pytest.raises(SimulationError, match="maximum step count"):
-            simulator.run_many(kernel.entry, arg_sets)
-
 
 class TestRunBatchCascade:
     def _sets(self, kernel, n=4, size=16):
@@ -330,21 +300,6 @@ class TestRunBatchCascade:
         result = run_batch(module, kernel.entry,
                            [arg_copies(a) for a in arg_sets], engine=engine)
         assert result.engine_used == engine
-        assert result.values == expected
-
-    @requires_numpy
-    def test_vector_tier_matches_per_set_results(self, monkeypatch):
-        kernel, module = build_kernel_module("viterbi_acs")
-        arg_sets, expected = self._sets(kernel, n=6, size=12)
-        monkeypatch.setenv(CC_ENV, "none")
-        reset_native_toolchain()
-        try:
-            result = run_batch(module, kernel.entry,
-                               [arg_copies(a) for a in arg_sets])
-        finally:
-            monkeypatch.delenv(CC_ENV)
-            reset_native_toolchain()
-        assert result.engine_used == "vector"
         assert result.values == expected
 
 
@@ -430,8 +385,7 @@ class TestCodeCacheEvictionCounter:
             _k2, m2 = build_kernel_module("crc32")
             session.code_cache.get_or_translate(m1)
             session.code_cache.get_or_translate(m2)
-            # Session.stats() is a deprecated view over the registry now;
-            # the old dict shape (and the single-counted eviction) holds.
-            with pytest.warns(DeprecationWarning):
-                stats = session.stats()
+            # One counter, counted once: the store's view of the code
+            # cache shows the single eviction.
+            stats = session.store.stats_dict()
             assert stats[CODE_STAGE]["evictions"] == 1

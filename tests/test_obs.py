@@ -512,13 +512,17 @@ class TestSessionObs:
         assert "session.run" in names and "stage.backend" in names
         assert span_depth(spans) >= 3
 
-    def test_stats_shim_warns_and_matches_store(self):
-        with Session(name="obs-shim") as session:
+    def test_store_stats_match_registry(self):
+        with Session(name="obs-store") as session:
             session.execute(RunRequest(kernel="dot_product",
                                        machine="vliw4", size=16))
-            with pytest.warns(DeprecationWarning):
-                stats = session.stats()
-            assert stats == session.store.stats_dict()
+            stats = session.store.stats_dict()
+            snapshot = session.metrics()
+        assert stats
+        for stage, counters in stats.items():
+            for field in ("hits", "misses"):
+                assert counters[field] == snapshot_value(
+                    snapshot, f"store_{field}", stage=stage)
 
     def test_journal_env_default(self, tmp_path, monkeypatch):
         path = str(tmp_path / "env.jsonl")

@@ -13,7 +13,6 @@ import os
 import socket
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.service import (
     cell_key, merge_matrix, shard_matrix,
 )
 from repro.service import protocol
-from repro.service.client import reset_service_pipeline
 from repro.service.diskstore import QUARANTINE_DIR
 from repro.service.tasks import shard_population
 
@@ -681,56 +679,6 @@ class TestDaemonRestart:
         # Detected, quarantined for post-mortem, recomputed.
         assert any(name.startswith(CELL_STAGE + "__")
                    for name in os.listdir(quarantine))
-
-
-# ----------------------------------------------------------------------
-# The deprecation shims route through a configured daemon.
-# ----------------------------------------------------------------------
-
-class TestShimRouting:
-
-    def test_global_pipeline_uses_daemon_store(self, tmp_path, monkeypatch):
-        from repro.pipeline.compile import (
-            global_compile_pipeline, reset_global_compile_pipeline,
-        )
-        from repro.workloads.kernels import get_kernel
-
-        with ServiceDaemon(str(tmp_path / "svc"), workers=0,
-                           name="shimd") as daemon:
-            monkeypatch.setenv("REPRO_SERVICE_SOCKET", daemon.endpoint)
-            reset_service_pipeline()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pipeline = global_compile_pipeline()
-            assert isinstance(pipeline.store, DiskArtifactStore)
-            assert pipeline.store.root == daemon.store_dir
-            kernel = get_kernel("crc32")
-            pipeline.front(kernel.source, kernel.name)
-            # Round trip: artifacts written through the shim are visible
-            # to the daemon's own store handle.
-            assert daemon.store.disk_len() > 0
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                reset_global_compile_pipeline()
-
-        monkeypatch.delenv("REPRO_SERVICE_SOCKET")
-        reset_service_pipeline()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            fallback = global_compile_pipeline()
-        assert not isinstance(fallback.store, DiskArtifactStore)
-
-    def test_unreachable_daemon_falls_back(self, tmp_path, monkeypatch):
-        from repro.pipeline.compile import global_compile_pipeline
-
-        monkeypatch.setenv("REPRO_SERVICE_SOCKET",
-                           "unix:" + str(tmp_path / "nobody-home.sock"))
-        reset_service_pipeline()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pipeline = global_compile_pipeline()
-        assert not isinstance(pipeline.store, DiskArtifactStore)
-        reset_service_pipeline()
 
 
 # ----------------------------------------------------------------------
