@@ -10,7 +10,11 @@ for a slice of the kernel suite it times
   (translation included) and warm (served by the code cache);
 * the generated-C native engine (:class:`NativeSimulator`), warm (the
   ``.so`` compiled once, runs timed with fresh simulators) — skipped
-  when the host has no C compiler.
+  when the host has no C compiler;
+* native batches (:func:`run_batch`): every builtin kernel over 32
+  argument sets with its ``.so`` already loaded, so the per-set figure
+  is setup plus run with no compile.  Its ceiling catches any return of
+  per-set simulator construction.
 
 Results are written to ``BENCH_compiled_engine.json`` at the repository
 root so the perf trajectory of the engines is tracked over time.  Run
@@ -25,12 +29,12 @@ from pathlib import Path
 
 from repro.exec import (
     CodeCache, CompiledSimulator, NativeCodeCache, NativeSimulator,
-    native_available,
+    native_available, run_batch,
 )
 from repro.frontend import compile_c
 from repro.opt import optimize
 from repro.sim import FunctionalSimulator
-from repro.workloads import get_kernel
+from repro.workloads import KERNELS, get_kernel
 
 from conftest import (
     bench_metric, print_table, run_once, shrink_knob, write_baseline,
@@ -44,6 +48,12 @@ CASES = [
     ("crc32", 256),
     ("viterbi_acs", 96),
 ]
+
+#: argument sets per native batch (what a ``RunRequest(batch=32)`` sends).
+BATCH_SETS = 32
+#: ceiling on ``native_batch_ms_per_set``: per-set simulator construction
+#: measured 0.77-0.97 ms per set, one reused simulator 0.18-0.25 ms.
+NATIVE_BATCH_CEILING_MS = 0.5
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled_engine.json"
 
@@ -59,6 +69,30 @@ def _best_time(make_simulator, module, entry, args, repeats):
         value = simulator.run(entry, *run_args)
         best = min(best, time.perf_counter() - start)
     return best, value
+
+
+def _native_batch_ms_per_set(repeats):
+    """Best-of-N ms per argument set of warm native batches, all kernels."""
+    cases = []
+    for name in sorted(KERNELS):
+        kernel = get_kernel(name)
+        module = compile_c(kernel.source, module_name=name)
+        optimize(module, level=2)
+        arg_sets = [kernel.arguments(None, seed=2026 + lane)
+                    for lane in range(BATCH_SETS)]
+        expected = [kernel.expected(a) for a in arg_sets]
+        run_batch(module, kernel.entry, arg_sets[:1])  # load the .so
+        cases.append((kernel.entry, module, arg_sets, expected))
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        results = [run_batch(module, entry, arg_sets)
+                   for entry, module, arg_sets, _expected in cases]
+        best = min(best, time.perf_counter() - start)
+        for result, case in zip(results, cases):
+            assert result.engine_used == "native"
+            assert result.values == case[3]
+    return best / (len(cases) * BATCH_SETS) * 1e3
 
 
 def test_e9_execution_tiers(benchmark, pytestconfig):
@@ -142,6 +176,11 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             sum(native_speedups) / len(native_speedups), 1)
         lines.append(f"native {max(native_speedups):.1f}x best over the "
                      f"interpreter")
+        # Best of at least 3 even under --shrink: the ceiling is asserted.
+        summary["native_batch_ms_per_set"] = round(
+            _native_batch_ms_per_set(max(repeats, 3)), 4)
+        lines.append(f"native batch {summary['native_batch_ms_per_set']:.3f}"
+                     f" ms/set over {len(KERNELS)} kernels x {BATCH_SETS}")
     print("\nE9 summary: " + "; ".join(lines) + ".")
 
     # Acceptance floors (env-overridable for noisy shared runners).
@@ -157,6 +196,9 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             summary["best_native_speedup"], band=4.0,
             floor=shrink_knob(pytestconfig, "E9_MIN_NATIVE_VS_INTERP",
                               25.0, 5.0, cast=float))
+        metrics["native_batch_ms_per_set"] = bench_metric(
+            summary["native_batch_ms_per_set"], direction="lower", band=4.0,
+            ceiling=NATIVE_BATCH_CEILING_MS)
     write_baseline(OUTPUT, "e9_execution_tiers", {
         "repeats": repeats,
         "native_available": has_native,
@@ -167,6 +209,11 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
 
     assert best >= warm_floor
     if has_native:
+        assert (summary["native_batch_ms_per_set"]
+                <= NATIVE_BATCH_CEILING_MS), (
+            f"native batches cost {summary['native_batch_ms_per_set']} ms "
+            f"per set (ceiling {NATIVE_BATCH_CEILING_MS}): is per-set setup "
+            f"back?")
         vs_compiled_floor = shrink_knob(
             pytestconfig, "E9_MIN_NATIVE_VS_COMPILED", 5.0, 2.0, cast=float)
         vs_interp_floor = shrink_knob(

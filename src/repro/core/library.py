@@ -41,7 +41,19 @@ class ExtensionLibrary:
     # ------------------------------------------------------------------
     def register(self, pattern: Pattern,
                  operation: Optional[CustomOperation] = None) -> ExtensionEntry:
-        """Register a pattern, deriving its machine-level cost if not given."""
+        """Register a pattern, deriving its machine-level cost if not given.
+
+        Re-registering a name with the same signature replaces the entry;
+        binding a name that is taken to a different signature raises
+        :class:`ValueError`, since simulators resolve custom ops by name.
+        """
+        name = operation.name if operation is not None else pattern.name
+        existing = self._by_name.get(name)
+        if (existing is not None
+                and existing.pattern.signature() != pattern.signature()):
+            raise ValueError(
+                f"custom op {name} is already bound to "
+                f"{existing.pattern.signature()}, not {pattern.signature()}")
         if operation is None:
             operation = CustomOperation(
                 name=pattern.name,

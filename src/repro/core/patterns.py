@@ -11,6 +11,7 @@ the simulators to give custom operations their semantics.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -78,7 +79,11 @@ class Pattern:
         self.nodes = nodes
         self.outputs = outputs
         self.num_inputs = num_inputs
-        self.name = name or f"cop_{abs(hash(self.signature())) % 100_000:05d}"
+        # Named from the signature's sha256 (not ``hash``, which is salted
+        # per process), so native-code keys of customized modules are
+        # stable across processes.
+        self.name = name or "cop_" + hashlib.sha256(
+            self.signature().encode()).hexdigest()[:12]
 
     # ------------------------------------------------------------------
     # Basic properties.

@@ -61,6 +61,18 @@ class CompiledSimulator:
         self._steps = 0
         self._retval = None
 
+    def reset(self) -> None:
+        """Return to the state of a freshly built simulator.
+
+        The memory is zeroed in place and the globals laid out again, so
+        the next run sees exactly what a new simulator would, without
+        re-translating the module or allocating a new memory image.
+        """
+        self.image.reset()
+        self.profile = ExecutionProfile()
+        self._steps = 0
+        self._retval = None
+
     # ------------------------------------------------------------------
     # Public API (mirrors FunctionalSimulator).
     # ------------------------------------------------------------------
@@ -239,37 +251,38 @@ def run_batch(module: Module, entry: str, arg_sets: Sequence[Sequence],
               engine: str = "native", store=None,
               memory_size: int = 1 << 20,
               max_steps: int = 50_000_000) -> BatchResult:
-    """Run ``entry`` once per argument set, one fresh simulator per set.
+    """Run ``entry`` once per argument set on one simulator.
 
-    ``engine="native"`` runs every set on the generated-C engine (all
-    simulators share one compile) and falls back to the compiled engine
-    when no C compiler is available; ``"compiled"`` and
-    ``"interpreter"`` run on that engine.  ``engine_used`` names the
-    engine that ran.  Values are bit-identical to the interpreter run one
-    set at a time.
+    The simulator is built once per batch (one translation lookup, one
+    native program lookup, one memory image) and reset between sets, so
+    each set starts from a zeroed memory with freshly laid-out globals
+    and an empty profile, exactly as a new simulator would.
+
+    ``engine="native"`` runs every set on the generated-C engine and
+    falls back to the compiled engine when no C compiler is available;
+    ``"compiled"`` and ``"interpreter"`` run on that engine.
+    ``engine_used`` names the engine that ran.  Values are bit-identical
+    to the interpreter run one set at a time.
     """
-    def per_set(make_simulator, engine_used: str) -> BatchResult:
-        values, instructions = [], []
-        for arg_set in arg_sets:
-            simulator = make_simulator()
-            run_args = tuple(list(a) if isinstance(a, list) else a
-                             for a in arg_set)
-            values.append(simulator.run(entry, *run_args))
-            instructions.append(simulator.profile.instructions_executed)
-        return BatchResult(values, engine_used, instructions)
-
+    simulator = None
     if engine == "native":
         from .native import NativeSimulator, NativeUnavailableError
 
         try:
-            return per_set(
-                lambda: NativeSimulator(module, memory_size=memory_size,
-                                        max_steps=max_steps, store=store),
-                "native")
+            simulator = NativeSimulator(module, memory_size=memory_size,
+                                        max_steps=max_steps, store=store)
         except NativeUnavailableError:
             engine = "compiled"
-    return per_set(
-        lambda: make_functional_simulator(module, engine=engine,
-                                          memory_size=memory_size,
-                                          max_steps=max_steps),
-        engine)
+    if simulator is None:
+        simulator = make_functional_simulator(
+            module, engine=engine, memory_size=memory_size,
+            max_steps=max_steps)
+    values, instructions = [], []
+    for index, arg_set in enumerate(arg_sets):
+        if index:
+            simulator.reset()
+        run_args = tuple(list(a) if isinstance(a, list) else a
+                         for a in arg_set)
+        values.append(simulator.run(entry, *run_args))
+        instructions.append(simulator.profile.instructions_executed)
+    return BatchResult(values, engine, instructions)

@@ -56,7 +56,8 @@ CC_ENV = "REPRO_NATIVE_CC"
 
 _CC_DISABLED = {"", "none", "off", "0", "disabled"}
 
-_BASE_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv", "-fno-strict-aliasing")
+_BASE_FLAGS = ("-O2", "-fPIC", "-shared", "-nostdlib", "-fwrapv",
+               "-fno-strict-aliasing")
 
 
 class NativeCompileError(Exception):
@@ -565,13 +566,18 @@ class NativeSimulator(CompiledSimulator):
         membuf = (ctypes.c_uint8 * self.memory.size).from_buffer(
             self.memory.data)
         ctx = _Ctx()
-        ctx.mem = ctypes.cast(membuf, ctypes.POINTER(ctypes.c_uint8))
+        # Cast bare addresses: casting a ctypes array itself stores it in
+        # a dict it shares with the result, a reference cycle that would
+        # keep the bytearray export alive until the next GC pass.
+        ctx.mem = ctypes.cast(ctypes.addressof(membuf),
+                              ctypes.POINTER(ctypes.c_uint8))
         ctx.mem_size = self.memory.size
         ctx.next_free = self.memory._next_free
         ctx.steps = self._steps
         ctx.max_steps = self.max_steps
         ctx.taken = 0
-        ctx.visits = ctypes.cast(visits, ctypes.POINTER(ctypes.c_int64))
+        ctx.visits = ctypes.cast(ctypes.addressof(visits),
+                                 ctypes.POINTER(ctypes.c_int64))
         ctx.fault_a = 0
         ctx.fault_b = 0
         ctx.status = 0
@@ -588,7 +594,6 @@ class NativeSimulator(CompiledSimulator):
         finally:
             # Release the buffer export before anything can resize/replace
             # the backing bytearray.
-            ctx.mem = ctypes.POINTER(ctypes.c_uint8)()
             del membuf
             self.memory._next_free = ctx.next_free
             self._steps = ctx.steps

@@ -1,15 +1,16 @@
 """C renderer for the native execution engine.
 
-Renders one IR module into a single self-contained C translation unit
-whose semantics are *bit-identical* to the functional interpreter on
-successful runs: every register is represented as ``int64_t`` (integers
-and pointers — every wrapped integer value the interpreter can produce
-fits) or ``double`` (floats — the interpreter stores Python floats and
-applies the f32 round only on destination writes, which the rendered
-code mirrors with ``(double)(float)`` casts).  Destination wraps inline
-the exact masks of :func:`repro.sim.functional._wrap`, memory accesses
-replicate :class:`repro.sim.Memory`'s guard/bounds checks and bump
-allocator, and global addresses are baked in as constants using the same
+Renders one IR module into a single freestanding C translation unit (no
+system header; linked with ``-nostdlib``) whose semantics are
+*bit-identical* to the functional interpreter on successful runs: every
+register is represented as ``int64_t`` (integers and pointers — every
+wrapped integer value the interpreter can produce fits) or ``double``
+(floats — the interpreter stores Python floats and applies the f32
+round only on destination writes, which the rendered code mirrors with
+``(double)(float)`` casts).  Destination wraps inline the exact masks of
+:func:`repro.sim.functional._wrap`, memory accesses replicate
+:class:`repro.sim.Memory`'s guard/bounds checks and bump allocator, and
+global addresses are baked in as constants using the same
 deterministic layout the threaded-code translator computes.
 
 Error paths trap with a status code instead of formatting messages; the
@@ -50,7 +51,7 @@ from ..sim.memory import Memory
 
 #: bump when the rendered C or the ctx/trap contract changes; part of the
 #: native cache key via the toolchain ABI id.
-RENDER_SCHEMA = 1
+RENDER_SCHEMA = 2
 
 # Trap status codes shared with the Python runtime (repro.exec.native).
 TRAP_OK = 0
@@ -100,10 +101,18 @@ class RenderedProgram:
     flat_blocks: Tuple[Tuple[str, str], ...]
 
 
+# Freestanding: the fixed-width types come from the compiler's predefined
+# macros and memcpy/fabs from its builtins, so the unit includes no system
+# header and links with -nostdlib.
 _PRELUDE = """\
-#include <stdint.h>
-#include <string.h>
-#include <math.h>
+typedef __INT8_TYPE__ int8_t;
+typedef __INT16_TYPE__ int16_t;
+typedef __INT32_TYPE__ int32_t;
+typedef __INT64_TYPE__ int64_t;
+typedef __UINT8_TYPE__ uint8_t;
+typedef __UINT16_TYPE__ uint16_t;
+typedef __UINT32_TYPE__ uint32_t;
+typedef __UINT64_TYPE__ uint64_t;
 
 typedef int32_t (*repro_custom_cb)(void *handle, int32_t op,
                                    const int64_t *in, int32_t n,
@@ -516,7 +525,8 @@ class _Renderer:
         if op is Opcode.ABS:
             ka, a = self._expr(inst.operands[0], ctx)
             if ka == "f":
-                return [self._assign(inst, ctx, "f", f"(fabs({a}))")]
+                return [self._assign(inst, ctx, "f",
+                                     f"(__builtin_fabs({a}))")]
             expr = f"(({a} < 0) ? (int64_t)(0 - (uint64_t){a}) : {a})"
             return [self._assign(inst, ctx, "i", expr)]
 
@@ -599,14 +609,16 @@ class _Renderer:
         lines = ["{", f"  int64_t _ad = {self._as_int(ka, addr)};",
                  "  " + self._bounds_check(nbytes)]
         if isinstance(dtype, FloatType) and dtype.bits == 32:
-            lines.append("  float _lf; memcpy(&_lf, ctx->mem + _ad, 4);")
+            lines.append("  float _lf; "
+                         "__builtin_memcpy(&_lf, ctx->mem + _ad, 4);")
             lines.append("  " + self._assign(inst, ctx, "f", "((double)_lf)"))
         elif isinstance(dtype, FloatType):
-            lines.append("  double _ld; memcpy(&_ld, ctx->mem + _ad, 8);")
+            lines.append("  double _ld; "
+                         "__builtin_memcpy(&_ld, ctx->mem + _ad, 8);")
             lines.append("  " + self._assign(inst, ctx, "f", "(_ld)"))
         elif isinstance(dtype, (IntType, PointerType)):
             lines.append(f"  uint64_t _lv = 0; "
-                         f"memcpy(&_lv, ctx->mem + _ad, {nbytes});")
+                         f"__builtin_memcpy(&_lv, ctx->mem + _ad, {nbytes});")
             lines.append("  " + self._assign(inst, ctx, "i", "((int64_t)_lv)"))
         else:
             raise UnsupportedNativeModule(f"load of unsupported type {dtype}")
@@ -622,13 +634,13 @@ class _Renderer:
                  "  " + self._bounds_check(nbytes)]
         if isinstance(stype, FloatType) and stype.bits == 32:
             lines.append(f"  float _sf = (float){self._as_double(kv, value)}; "
-                         "memcpy(ctx->mem + _ad, &_sf, 4);")
+                         "__builtin_memcpy(ctx->mem + _ad, &_sf, 4);")
         elif isinstance(stype, FloatType):
             lines.append(f"  double _sd = {self._as_double(kv, value)}; "
-                         "memcpy(ctx->mem + _ad, &_sd, 8);")
+                         "__builtin_memcpy(ctx->mem + _ad, &_sd, 8);")
         else:
             lines.append(f"  uint64_t _sv = (uint64_t){self._as_int(kv, value)}; "
-                         f"memcpy(ctx->mem + _ad, &_sv, {nbytes});")
+                         f"__builtin_memcpy(ctx->mem + _ad, &_sv, {nbytes});")
         lines.append("}")
         return lines
 

@@ -99,6 +99,12 @@ class FunctionalSimulator:
         self.profile = ExecutionProfile()
         self._steps = 0
 
+    def reset(self) -> None:
+        """Return to the state of a freshly built simulator."""
+        self.image.reset()
+        self.profile = ExecutionProfile()
+        self._steps = 0
+
     # ------------------------------------------------------------------
     # Public API.
     # ------------------------------------------------------------------

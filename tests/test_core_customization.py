@@ -3,6 +3,11 @@ selection, rewriting, end-to-end customizer)."""
 
 from __future__ import annotations
 
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from repro.arch import CustomOperation, risc_baseline, vliw4
@@ -66,6 +71,13 @@ class TestPatterns:
         add = Pattern([PatternNode(Opcode.ADD, (("in", 0), ("in", 1)))], [0], 2)
         sub = Pattern([PatternNode(Opcode.SUB, (("in", 0), ("in", 1)))], [0], 2)
         assert add.signature() != sub.signature()
+
+    def test_default_name_is_a_sha256_prefix_of_the_signature(self):
+        add = Pattern([PatternNode(Opcode.ADD, (("in", 0), ("in", 1)))], [0], 2)
+        assert re.fullmatch(r"cop_[0-9a-f]{12}", add.name)
+        swapped = Pattern([PatternNode(Opcode.ADD, (("in", 1), ("in", 0)))],
+                          [0], 2)
+        assert swapped.name == add.name
 
     def test_pattern_from_cut_round_trip(self, sad_module):
         function = sad_module.get_function("sad16")
@@ -277,3 +289,41 @@ class TestRewriteAndCustomizer:
             value = FunctionalSimulator(module).run(
                 kernel.entry, *[list(a) if isinstance(a, list) else a for a in args])
             assert value == expected
+
+
+class TestCustomOpNames:
+    def test_selected_names_do_not_depend_on_the_hash_seed(self):
+        """Native-code keys of customized modules hold across processes."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "from repro.api import Session\n"
+            "from repro.api.requests import CustomizeRequest\n"
+            "with Session() as session:\n"
+            "    response = session.execute(CustomizeRequest(\n"
+            "        kernel='crc32', machine='vliw4', opt_level=3))\n"
+            "print(','.join(response.selected_ops))\n"
+        )
+        names = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + [p for p in [env.get("PYTHONPATH")] if p])
+            completed = subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True,
+                                       timeout=120)
+            assert completed.returncode == 0, completed.stderr
+            names.append(completed.stdout.strip().splitlines()[-1])
+        assert names[0] and names[0] == names[1]
+
+    def test_register_rejects_a_name_bound_to_another_signature(self):
+        library = ExtensionLibrary()
+        library.register(make_mac_pattern())
+        library.register(make_mac_pattern())  # same signature: replaced
+        assert library.names() == ["mac"]
+        impostor = Pattern([PatternNode(Opcode.SUB, (("in", 0), ("in", 1)))],
+                           [0], 2, name="mac")
+        with pytest.raises(ValueError, match="already bound"):
+            library.register(impostor)
+        assert library.lookup("mac").signature() == make_mac_pattern().signature()

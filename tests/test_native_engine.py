@@ -6,7 +6,10 @@ return values, memory write-backs and full execution profiles — over the
 builtin workload suite, the customized (CUSTOM-op) variants on every
 machine preset, and the fixed-seed generated population.
 :func:`repro.exec.run_batch` must return the per-set values on whichever
-engine ran (native, or compiled on a host without a C compiler).
+engine ran (native, or compiled on a host without a C compiler), and its
+one reset-between-sets simulator must match a fresh simulator per set.
+The rendered C is freestanding: no ``#include`` and nothing left for libc
+to resolve in the built object.
 
 Failure modes have defined semantics, tested here: a missing C compiler
 degrades to the compiled engine with a single process-wide warning; a
@@ -18,6 +21,9 @@ leak mappings.
 
 from __future__ import annotations
 
+import gc
+import shutil
+import subprocess
 import warnings
 
 import pytest
@@ -31,11 +37,16 @@ from repro.exec import (
     reset_global_native_cache, reset_native_fallback_warning,
     reset_native_toolchain, run_batch,
 )
+from repro.exec import cache as cache_module
+from repro.exec import native as native_module
 from repro.exec.native import CC_ENV, NativeCompileError
+from repro.exec.nativegen import render_c_program
 from repro.exec.registry import (
     EVALUATION_ENGINES, FUNCTIONAL_ENGINES,
 )
+from repro.frontend import compile_c
 from repro.ir import Opcode
+from repro.opt import optimize
 from repro.pipeline import ArtifactStore
 from repro.sim import FunctionalSimulator, SimulationError
 from repro.toolchain import Toolchain
@@ -49,6 +60,43 @@ requires_cc = pytest.mark.skipif(not native_available(),
 #: argument size for the generated-population differential (keeps the
 #: interpreter side of each comparison fast).
 GEN_SIZE = 24
+
+#: a kernel whose loads and stores go through the float (memcpy) path.
+FLOAT_SOURCE = """
+float scale(float *x, int n, float k) {
+  float acc = 0.0;
+  int i;
+  for (i = 0; i < n; i = i + 1) { x[i] = x[i] * k; acc = acc + x[i]; }
+  return acc;
+}
+"""
+
+#: a kernel that updates its globals, so a reused simulator must lay
+#: them out again between sets.
+GLOBALS_SOURCE = """
+int table[4] = {1, 2, 3, 4};
+int total;
+int bump(int x) {
+  table[0] = table[0] + x;
+  total = total + table[0];
+  return table[0] * 100 + total;
+}
+"""
+
+
+def _module_from_source(source, name, opt_level=2):
+    module = compile_c(source, module_name=name)
+    optimize(module, level=opt_level)
+    return module
+
+
+def _customized_crc32():
+    """crc32 at O3 rewritten with vliw4 custom ops (exercises the callback)."""
+    kernel, module = build_kernel_module("crc32", opt_level=3)
+    Toolchain(vliw4()).customize(module, area_budget_kgates=40.0)
+    assert any(inst.opcode is Opcode.CUSTOM
+               for f in module for b in f.blocks for inst in b.instructions)
+    return kernel, module
 
 
 def _run_pair(module, entry, args, make_candidate):
@@ -301,6 +349,146 @@ class TestRunBatchCascade:
                            [arg_copies(a) for a in arg_sets], engine=engine)
         assert result.engine_used == engine
         assert result.values == expected
+
+
+native_or_compiled = pytest.mark.parametrize(
+    "engine", [pytest.param("native", marks=requires_cc), "compiled"])
+
+
+def _fresh_per_set(module, entry, arg_sets, engine):
+    """(values, instructions) from one new simulator per argument set."""
+    values, instructions = [], []
+    for args in arg_sets:
+        simulator = make_functional_simulator(module, engine=engine)
+        values.append(simulator.run(entry, *arg_copies(args)))
+        instructions.append(simulator.profile.instructions_executed)
+    return values, instructions
+
+
+class TestBatchSimulatorReuse:
+    """One simulator per batch, reset between sets, matches fresh ones."""
+
+    def _assert_matches_fresh(self, module, entry, arg_sets, engine):
+        result = run_batch(module, entry, [arg_copies(a) for a in arg_sets],
+                           engine=engine)
+        assert result.engine_used == engine
+        assert (result.values, result.instructions) == _fresh_per_set(
+            module, entry, arg_sets, engine)
+        return result
+
+    @native_or_compiled
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_builtin_kernel_matches_fresh_simulators(self, name, engine):
+        kernel, module = build_kernel_module(name)
+        arg_sets = [kernel.arguments(16, seed=s) for s in range(3)]
+        result = self._assert_matches_fresh(module, kernel.entry, arg_sets,
+                                            engine)
+        assert result.values == [kernel.expected(a) for a in arg_sets]
+
+    @native_or_compiled
+    def test_reset_lays_globals_out_again(self, engine):
+        module = _module_from_source(GLOBALS_SOURCE, "globals")
+        result = self._assert_matches_fresh(module, "bump",
+                                            [(1,), (2,), (3,)], engine)
+        assert result.values == [202, 303, 404]
+
+    @native_or_compiled
+    def test_customized_module_matches_fresh_simulators(self, engine):
+        kernel, module = _customized_crc32()
+        arg_sets = [kernel.arguments(32, seed=s) for s in range(3)]
+        result = self._assert_matches_fresh(module, kernel.entry, arg_sets,
+                                            engine)
+        assert result.values == [kernel.expected(a) for a in arg_sets]
+
+    @requires_cc
+    def test_batch_fingerprints_module_once_per_cache(self, monkeypatch):
+        counts = {"translation": 0, "native": 0}
+
+        def counting(label, real):
+            def fingerprint(*args, **kwargs):
+                counts[label] += 1
+                return real(*args, **kwargs)
+            return fingerprint
+
+        monkeypatch.setattr(cache_module, "module_fingerprint", counting(
+            "translation", cache_module.module_fingerprint))
+        monkeypatch.setattr(native_module, "module_fingerprint", counting(
+            "native", native_module.module_fingerprint))
+        kernel, module = build_kernel_module("fir_filter")
+        arg_sets = [kernel.arguments(16, seed=s) for s in range(8)]
+        result = run_batch(module, kernel.entry, arg_sets)
+        assert result.engine_used == "native"
+        assert counts == {"translation": 1, "native": 1}
+
+    @requires_cc
+    def test_native_call_releases_the_memory_export_without_gc(self):
+        kernel, module = build_kernel_module("dot_product")
+        simulator = NativeSimulator(module)
+        gc.disable()
+        try:
+            simulator.run(kernel.entry,
+                          *arg_copies(kernel.arguments(16, seed=1)))
+            # Resizing raises BufferError while a ctypes view is exported.
+            simulator.memory.data.extend(b"\0")
+            del simulator.memory.data[-1:]
+        finally:
+            gc.enable()
+
+
+# ----------------------------------------------------------------------
+# Freestanding C prelude.
+# ----------------------------------------------------------------------
+
+class TestFreestandingPrelude:
+    #: the flags in use before the unit went freestanding.
+    HOSTED_FLAGS = ("-O2", "-fPIC", "-shared", "-fwrapv",
+                    "-fno-strict-aliasing")
+
+    def test_rendered_unit_includes_no_header(self):
+        _kernel, module = build_kernel_module("fir_filter")
+        assert "#include" not in render_c_program(module).source
+        float_module = _module_from_source(FLOAT_SOURCE, "fscale")
+        assert "#include" not in render_c_program(float_module).source
+
+    def test_abi_id_moves_with_flags_and_schema(self, monkeypatch):
+        current = NativeToolchain().abi_id()
+        assert NativeToolchain(flags=self.HOSTED_FLAGS).abi_id() != current
+        monkeypatch.setattr(native_module, "RENDER_SCHEMA", 1)
+        assert NativeToolchain().abi_id() != current
+        assert NativeToolchain(flags=self.HOSTED_FLAGS).abi_id() != current
+
+    @requires_cc
+    def test_float_memory_kernel_runs_natively_like_compiled(self):
+        module = _module_from_source(FLOAT_SOURCE, "fscale")
+        args = ([0.5, 1.25, -3.0, 7.75, 1e-3], 5, 1.5)
+        native_args, compiled_args = arg_copies(args), arg_copies(args)
+        native = NativeSimulator(module)
+        compiled = CompiledSimulator(module)
+        assert (native.run("scale", *native_args)
+                == compiled.run("scale", *compiled_args))
+        assert native_args == compiled_args
+        assert native.profile == compiled.profile
+
+    @requires_cc
+    @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on this host")
+    def test_built_objects_leave_no_symbol_unresolved(self, tmp_path):
+        """-nostdlib holds only while the unit needs nothing from libc."""
+        assert "-nostdlib" in global_native_cache().toolchain.flags
+        modules = [build_kernel_module(name)[1] for name in sorted(KERNELS)]
+        modules.append(_module_from_source(FLOAT_SOURCE, "fscale"))
+        modules.append(_customized_crc32()[1])
+        cache = NativeCodeCache(lib_dir=str(tmp_path))
+        try:
+            for module in modules:
+                program = cache.get_or_compile(module)
+                assert program is not None, cache.quarantine_reason(
+                    cache.key_for(module))
+                undefined = subprocess.run(
+                    ["nm", "-D", "--undefined-only", program.path],
+                    capture_output=True, text=True, check=True).stdout
+                assert undefined.strip() == "", (module.name, undefined)
+        finally:
+            cache.clear()
 
 
 # ----------------------------------------------------------------------
