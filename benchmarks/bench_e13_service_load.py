@@ -9,8 +9,9 @@ runs — the "8 concurrent clients, one warm daemon" load shape of the
 ISSUE-6 acceptance test.
 
 Measured: per-request latency (p50/p99), end-to-end throughput, the
-number of ``result`` ops a client needs per request (one, since results
-are long-polled), and the cache economics of the shared store (warm
+job round trips (``submit`` + ``result`` ops) a client needs per
+executed request (one: ``execute`` submits and waits in a single op),
+and the cache economics of the shared store (warm
 matrix cells must be served from the cell memo, not recomputed).  Asserted: every concurrent matrix
 response is bit-identical to a single-process ``Session.execute`` of
 the same request, and the fleet-wide cell hit rate stays above the
@@ -116,7 +117,7 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
             warm_hits, warm_misses = _cell_economics(warm.stats())
 
         latencies = [[] for _ in range(clients)]
-        result_ops = [0] * clients
+        round_trips = [0] * clients
         matrix_responses = [[] for _ in range(clients)]
         errors = []
 
@@ -126,8 +127,8 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
                     call = client._call
 
                     def counted_call(message):
-                        if message.get("op") == "result":
-                            result_ops[client_index] += 1
+                        if message.get("op") in ("submit", "result"):
+                            round_trips[client_index] += 1
                         return call(message)
 
                     client._call = counted_call
@@ -168,7 +169,7 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
     p50 = _percentile(flat, 0.50)
     p99 = _percentile(flat, 0.99)
     throughput = total_requests / wall_seconds if wall_seconds else 0.0
-    result_ops_per_request = sum(result_ops) / total_requests
+    round_trips_per_request = sum(round_trips) / total_requests
     total_hits, total_misses = _cell_economics(stats)
     hits = total_hits - warm_hits
     misses = total_misses - warm_misses
@@ -198,7 +199,7 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
         "rps": round(throughput, 1),
         "p50_ms": round(p50 * 1e3, 1),
         "p99_ms": round(p99 * 1e3, 1),
-        "result_ops/req": round(result_ops_per_request, 2),
+        "round_trips/req": round(round_trips_per_request, 2),
         "qwait_p50_ms": round(queue_wait_p50 * 1e3, 1),
         "qwait_p99_ms": round(queue_wait_p99 * 1e3, 1),
         "cell_hit%": round(100 * hit_rate, 1),
@@ -228,7 +229,7 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
         "throughput_rps": round(throughput, 2),
         "latency_p50_s": round(p50, 5),
         "latency_p99_s": round(p99, 5),
-        "result_ops_per_request": round(result_ops_per_request, 3),
+        "round_trips_per_request": round(round_trips_per_request, 3),
         "queue_wait_p50_s": round(queue_wait_p50, 5),
         "queue_wait_p99_s": round(queue_wait_p99, 5),
         "jobs_done": int(jobs_done),
@@ -248,11 +249,11 @@ def test_e13_service_load(benchmark, tmp_path, pytestconfig):
         "throughput_rps": bench_metric(round(throughput, 2), band=10.0),
         "latency_p50_s": bench_metric(round(p50, 5), direction="lower",
                                       band=2.0),
-        # Long-polled results take one result op per request; a client
-        # that sleep-polls again needs several and trips the ceiling at
-        # any scale.
-        "result_ops_per_request": bench_metric(
-            round(result_ops_per_request, 3), direction="lower",
+        # A blocking execute is one submit-and-wait op; a client that
+        # goes back to submit-then-result (or sleep-polls) needs two or
+        # more and trips the ceiling at any scale.
+        "round_trips_per_request": bench_metric(
+            round(round_trips_per_request, 3), direction="lower",
             ceiling=1.5),
         "matrix_responses_checked": bench_metric(
             matrix_count, floor=1),

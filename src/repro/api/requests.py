@@ -89,8 +89,22 @@ def resolve_machine(spec) -> MachineDescription:
     )
 
 
+#: leaf types _plain returns as they are, matched by exact type (so an
+#: enum or other subclass still takes the general path).
+_PLAIN_LEAVES = frozenset((type(None), str, int, float, bool))
+
+
 def _plain(value):
     """Recursively reduce a message field to JSON-representable data."""
+    # Exact-type fast paths first: nearly every field is one of these,
+    # and the hasattr/Mapping checks below cost about a microsecond.
+    kind = type(value)
+    if kind in _PLAIN_LEAVES:
+        return value
+    if kind is dict:
+        return {key: _plain(item) for key, item in value.items()}
+    if kind is list:
+        return [_plain(item) for item in value]
     if hasattr(value, "to_dict"):
         return value.to_dict()
     if isinstance(value, Mapping):

@@ -490,14 +490,17 @@ class StageStats:
         return 0.0 if lookups == 0 else (self.hits + self.disk_hits) / lookups
 
     def as_dict(self) -> Dict[str, object]:
-        return {"hits": self.hits, "disk_hits": self.disk_hits,
-                "misses": self.misses, "puts": self.puts,
-                "evictions": self.evictions,
-                "disk_evictions": self.disk_evictions,
-                "corrupt": self.corrupt,
-                "hit_rate": round(self.hit_rate, 4),
-                "seconds_built": round(self.seconds_built, 6),
-                "seconds_saved": round(self.seconds_saved, 6)}
+        # Straight off the counters: each attribute read would be a
+        # failed slot lookup plus a __getattr__ call.
+        counters = self._counters
+        data: Dict[str, object] = {
+            name: int(counters[name].value) for name in STAGE_COUNT_FIELDS}
+        hits = data["hits"] + data["disk_hits"]
+        lookups = hits + data["misses"]
+        data["hit_rate"] = round(0.0 if lookups == 0 else hits / lookups, 4)
+        for name in STAGE_TIME_FIELDS:
+            data[name] = round(counters[name].value, 6)
+        return data
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StageStats({self.stage!r}, {self.as_dict()!r})"

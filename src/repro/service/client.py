@@ -10,9 +10,11 @@ dataclasses of :mod:`repro.api.requests` (or their dict form) and come
 back as the matching response dataclasses, so swapping a ``Session``
 for a ``ServiceClient`` is a one-line change.
 
-Waiting for a job costs no polling: :meth:`ServiceClient.result` sends
-a long-poll ``result`` op (``wait_s``) that the daemon answers as soon
-as the job settles, re-issuing it only when the daemon's wait cap
+Waiting for a job costs no polling.  :meth:`ServiceClient.execute` is
+one round trip: it submits with ``wait_s``, and the daemon replies once
+the job settles, response included.  :meth:`ServiceClient.result` sends
+a long-poll ``result`` op that the daemon answers the same way.  Either
+falls back to (re-)issuing ``result`` only when the daemon's wait cap
 (:data:`~repro.service.protocol.RESULT_WAIT_CAP_S`) runs out first.
 """
 
@@ -25,6 +27,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..obs import global_tracer, tracing_enabled
 from . import protocol
+from .queue import TERMINAL_STATES
 
 #: environment variable naming the daemon endpoint for implicit clients
 #: (the CLI's client subcommands).
@@ -47,14 +50,37 @@ class JobFailed(ServiceError):
         self.record = record or {}
 
 
+def _wait_s(deadline: Optional[float]) -> float:
+    """How long the daemon may hold the next reply."""
+    if deadline is None:
+        return protocol.RESULT_WAIT_CAP_S
+    return min(protocol.RESULT_WAIT_CAP_S,
+               max(0.0, deadline - time.monotonic()))
+
+
+def _outcome(job_id: str, reply: Dict[str, object]):
+    """The response object of a terminal job reply, or JobFailed."""
+    from ..api.requests import response_from_dict
+
+    state = reply["state"]
+    if state == "done":
+        return response_from_dict(reply["response"])
+    record = reply.get("job", {})
+    raise JobFailed(f"job {job_id} {state}: {record.get('error')}",
+                    record=record)
+
+
 class JobHandle:
     """Future-backed access to one submitted job."""
 
-    def __init__(self, client: "ServiceClient", record: Dict[str, object]
-                 ) -> None:
+    def __init__(self, client: "ServiceClient", record: Dict[str, object],
+                 settled: Optional[Dict[str, object]] = None) -> None:
         self.client = client
         self.id = str(record["id"])
         self._record = record
+        #: the daemon's terminal reply when the submit waited the job
+        #: out; result() then needs no wire call.
+        self._settled = settled
 
     @property
     def record(self) -> Dict[str, object]:
@@ -73,6 +99,8 @@ class JobHandle:
 
     def result(self, timeout: Optional[float] = None):
         """Block until terminal; the response object, or JobFailed."""
+        if self._settled is not None:
+            return _outcome(self.id, self._settled)
         return self.client.result(self.id, timeout=timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -173,15 +201,22 @@ class ServiceClient:
             return request.to_dict()
         return dict(request)
 
-    def submit(self, request, priority: int = 0,
-               max_attempts: int = 3) -> JobHandle:
-        """Queue one request on the daemon; returns a JobHandle."""
+    def submit(self, request, priority: int = 0, max_attempts: int = 3,
+               wait_s: float = 0.0) -> JobHandle:
+        """Queue one request on the daemon; returns a JobHandle.
+
+        With ``wait_s`` the daemon holds its reply until the job settles
+        or ``min(wait_s, RESULT_WAIT_CAP_S)`` passes; a handle that came
+        back settled answers :meth:`JobHandle.result` without a wire call.
+        """
         message: Dict[str, object] = {
             "op": "submit",
             "request": self._request_dict(request),
             "priority": priority,
             "max_attempts": max_attempts,
         }
+        if wait_s:
+            message["wait_s"] = wait_s
         if tracing_enabled():
             # Attach the caller's span context (additive wire field) so
             # the daemon's job span joins this trace.
@@ -189,7 +224,8 @@ class ServiceClient:
             if context is not None:
                 message["trace"] = dict(context)
         reply = self._call(message)
-        return JobHandle(self, reply["job"])
+        settled = reply if reply.get("state") in TERMINAL_STATES else None
+        return JobHandle(self, reply["job"], settled)
 
     def status(self, job_id: str) -> Dict[str, object]:
         return dict(self._call({"op": "status", "id": job_id})["job"])
@@ -204,38 +240,33 @@ class ServiceClient:
         :class:`ServiceError` on timeout, when the daemon stops first,
         or when a done job's stored result cannot be read.
         """
-        from ..api.requests import response_from_dict
-
         deadline = None if timeout is None else time.monotonic() + timeout
         while True:
-            wait_s = protocol.RESULT_WAIT_CAP_S
-            if deadline is not None:
-                wait_s = min(wait_s, max(0.0, deadline - time.monotonic()))
             reply = self._call({"op": "result", "id": job_id,
-                                "wait_s": wait_s})
-            state = reply["state"]
-            if state == "done":
-                return response_from_dict(reply["response"])
-            if state in ("failed", "cancelled"):
-                record = reply.get("job", {})
-                raise JobFailed(
-                    f"job {job_id} {state}: {record.get('error')}",
-                    record=record)
+                                "wait_s": _wait_s(deadline)})
+            if reply["state"] in TERMINAL_STATES:
+                return _outcome(job_id, reply)
             if deadline is not None and time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"timed out waiting for job {job_id} (state {state})")
+                raise ServiceError(f"timed out waiting for job {job_id} "
+                                   f"(state {reply['state']})")
 
     def execute(self, request, timeout: Optional[float] = None,
                 priority: int = 0):
-        """Session-shaped blocking execution of one request."""
+        """Session-shaped blocking execution of one request: one
+        submit-and-wait round trip, plus ``result`` polls only for a job
+        that outlasts the daemon's wait cap."""
         tracer = global_tracer()
+        deadline = None if timeout is None else time.monotonic() + timeout
         kind = getattr(request, "kind", None) or (
             request.get("kind", "request") if isinstance(request, dict)
             else "request")
         with tracer.span("client.execute", endpoint=self.endpoint,
                          kind=str(kind)) as span:
-            response = self.submit(
-                request, priority=priority).result(timeout=timeout)
+            handle = self.submit(request, priority=priority,
+                                 wait_s=_wait_s(deadline))
+            response = handle.result(
+                timeout=None if deadline is None
+                else max(0.0, deadline - time.monotonic()))
             trace_id = span.trace_id
         if trace_id:
             self._ship_spans(tracer, trace_id)

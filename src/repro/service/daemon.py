@@ -4,9 +4,9 @@
 It owns three durable things under one root directory:
 
 * ``queue/`` — the :class:`~repro.service.queue.DurableQueue`'s
-  append-only journal and result files, so submitted jobs survive
-  daemon restarts (running jobs are re-queued on recovery, finished
-  results stay fetchable);
+  append-only journal, whose ``done`` lines carry the job responses,
+  so submitted jobs survive daemon restarts (running jobs are re-queued
+  on recovery, finished results stay fetchable);
 * ``store/`` — the shared
   :class:`~repro.service.diskstore.DiskArtifactStore`, the **data
   plane**: workers persist compile artifacts, matrix cells and design
@@ -17,10 +17,12 @@ It owns three durable things under one root directory:
 
 Job results are pushed: a client's ``result`` op carrying ``wait_s``
 blocks on :meth:`DurableQueue.wait` until the job settles (or
-:data:`~repro.service.protocol.RESULT_WAIT_CAP_S` passes), so one round
-trip usually fetches a finished job.  :meth:`ServiceDaemon.stop` closes
-the queue first, which answers blocked long polls with an error instead
-of leaving clients to their timeouts.
+:data:`~repro.service.protocol.RESULT_WAIT_CAP_S` passes).  A ``submit``
+op carrying ``wait_s`` queues the job and then answers exactly as that
+``result`` op would, so a blocking execute is one round trip.
+:meth:`ServiceDaemon.stop` closes the queue first, which answers
+blocked long polls with an error instead of leaving clients to their
+timeouts.
 
 Fan-out requests are sharded over a pool of N workers (separate
 processes by default; in-process threads for tests and zero-install
@@ -681,11 +683,15 @@ class ServiceDaemon:
         if not isinstance(request, dict):
             return {"ok": False, "error": "submit needs a request dict"}
         request_from_dict(request)  # validate kind + schema before queueing
+        wait_s = float(message.get("wait_s") or 0.0)
         trace = message.get("trace")
         record = self.queue.submit(
             request, priority=int(message.get("priority", 0)),
             max_attempts=int(message.get("max_attempts", 3)),
             trace=trace if isinstance(trace, dict) else None)
+        if wait_s > 0:
+            # Submit-and-wait: one round trip for a blocking execute.
+            return self._op_result({"id": record.id, "wait_s": wait_s})
         return {"ok": True, "job": record.to_dict()}
 
     def _op_obs_spans(self, message: Dict[str, object]) -> Dict[str, object]:

@@ -25,7 +25,11 @@ Results are pushed, not polled: the client op ``{"op": "result", "id":
 until the job reaches a terminal state or ``min(wait_s,``
 :data:`RESULT_WAIT_CAP_S` ``)`` seconds pass, so a client usually
 fetches a job with one round trip.  Without ``wait_s`` the daemon
-answers at once with the job's current state.
+answers at once with the job's current state.  ``submit`` accepts the
+same ``wait_s``: the daemon queues the job, then replies as the
+``result`` op would (state, job record, and the response once done),
+so a blocking execute needs a single round trip; without ``wait_s`` the
+reply is the queued job record alone.
 """
 
 from __future__ import annotations
@@ -41,8 +45,9 @@ from typing import Dict, Optional, Tuple, Union
 #: stay far below this, bulk artifacts travel through the disk store.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
-#: longest a ``result`` op is held server-side before the daemon answers
-#: with the job's current state; clients re-issue the op after that.
+#: longest a ``result`` op (or a ``submit`` with ``wait_s``) is held
+#: server-side before the daemon answers with the job's current state;
+#: clients re-issue a ``result`` op after that.
 RESULT_WAIT_CAP_S = 5.0
 
 _HEADER = struct.Struct(">I")

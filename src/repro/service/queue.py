@@ -7,12 +7,16 @@ crash or restart loses nothing:
 
 * ``journal.jsonl`` — an append-only log, opened once in append mode,
   with one :class:`JobRecord` line per state transition.  Opening the
-  queue replays it (the last line per job id wins).  A crash mid-append
-  can tear only the unterminated last line: it is cut off on open, and
-  any other undecodable line is skipped on replay;
-* ``results/<id>.json`` — the response JSON of a finished job, written
-  atomically (temp file + ``os.replace``) before the job's ``done``
-  line is appended, so a ``done`` state always has a fetchable result.
+  queue replays it (the last line per job id wins) and compacts it to
+  that last line per job (temp file + ``os.replace``).  A crash
+  mid-append can tear only the unterminated last line: it is dropped on
+  open, and any other undecodable line is skipped on replay.
+* A finished job's response rides in its ``done`` line (a
+  ``"response"`` key beside the record fields), so the result is
+  durable in the same write as the state: a ``done`` job always has a
+  fetchable result, and a torn ``done`` line leaves the job re-queued.
+  :meth:`DurableQueue.result` reads that line back with one
+  ``os.pread`` at the ``(offset, length)`` recorded on append or replay.
 
 States move ``queued → running → done|failed``, with ``cancelled``
 reachable from ``queued`` and ``running → queued`` on recovery (a job
@@ -23,11 +27,10 @@ counter ticking so a poison job cannot crash-loop forever — after
 
 The queue is the daemon's private state machine; it is process-local
 (one daemon owns one queue root) but thread-safe.  Journal appends
-happen under the queue lock, so log order is transition order; only
-the result-file write runs outside it.  Job runners block cheaply on
-:meth:`claim`, result long-polls block on :meth:`wait` (every terminal
-transition wakes them), and :meth:`close` releases both when the
-daemon stops.
+happen under the queue lock, so log order is transition order.  Job
+runners block cheaply on :meth:`claim`, result long-polls block on
+:meth:`wait` (every terminal transition wakes them), and :meth:`close`
+releases both when the daemon stops.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 #: version of the job-record wire/journal format; bump on breaking change.
 JOB_SCHEMA_VERSION = 1
@@ -90,11 +93,20 @@ class JobRecord:
         return self.state in TERMINAL_STATES
 
     def to_dict(self) -> Dict[str, object]:
-        data: Dict[str, object] = {
+        # Field by field: dataclasses.asdict recurses and deep-copies
+        # the request (~60x slower), and this runs five times per job.
+        return {
             "kind": "job", "schema_version": JOB_SCHEMA_VERSION,
+            "id": self.id, "request": dict(self.request),
+            "priority": self.priority, "state": self.state,
+            "seq": self.seq, "attempts": self.attempts,
+            "max_attempts": self.max_attempts,
+            "submitted_at": self.submitted_at,
+            "started_at": self.started_at,
+            "finished_at": self.finished_at, "worker": self.worker,
+            "error": self.error, "recovered": self.recovered,
+            "trace": None if self.trace is None else dict(self.trace),
         }
-        data.update(asdict(self))
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "JobRecord":
@@ -120,9 +132,12 @@ class DurableQueue:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         self.journal_path = os.path.join(self.root, JOURNAL_NAME)
-        self.results_dir = os.path.join(self.root, "results")
-        os.makedirs(self.results_dir, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
         self._records: Dict[str, JobRecord] = {}
+        #: job id -> ``(offset, length)`` of its ``done`` journal line.
+        self._done_lines: Dict[str, Tuple[int, int]] = {}
+        #: bytes in the journal, i.e. the offset of the next append.
+        self._size = 0
         #: (-priority, seq, id) min-heap of claimable jobs.
         self._heap: List[tuple] = []
         self._seq = 0
@@ -136,62 +151,83 @@ class DurableQueue:
     # ------------------------------------------------------------------
     # Journal I/O.
     # ------------------------------------------------------------------
-    def _result_path(self, job_id: str) -> str:
-        return os.path.join(self.results_dir, f"{job_id}.json")
+    @staticmethod
+    def _line(record: JobRecord,
+              response: Optional[Mapping[str, object]] = None) -> bytes:
+        data = record.to_dict()
+        if response is not None:
+            data["response"] = response
+        return (json.dumps(data, sort_keys=True) + "\n").encode("utf-8")
 
-    def _append(self, record: JobRecord) -> None:
+    def _write(self, handle, record: JobRecord, line: bytes) -> None:
+        if record.state == "done":
+            self._done_lines[record.id] = (self._size, len(line))
+        handle.write(line)
+        self._size += len(line)
+
+    def _append(self, record: JobRecord,
+                response: Optional[Mapping[str, object]] = None) -> None:
         # Caller holds the lock.  One unbuffered write per line, so a
         # crash tears at most the last line.
-        line = (json.dumps(record.to_dict(), sort_keys=True)
-                + "\n").encode("utf-8")
+        line = self._line(record, response)
         if self._closed:
             # A job still in flight when the queue closed lands anyway.
             with open(self.journal_path, "ab") as handle:
-                handle.write(line)
+                self._write(handle, record, line)
         else:
-            self._journal.write(line)
-
-    def _write_result(self, job_id: str,
-                      response: Mapping[str, object]) -> None:
-        path = self._result_path(job_id)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        data = json.dumps(dict(response), sort_keys=True)
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(data)
-        os.replace(tmp, path)
+            self._write(self._journal, record, line)
 
     def _recover(self) -> List[str]:
-        """Replay the journal; re-queue jobs that died mid-flight."""
+        """Replay the journal, re-queue jobs that died mid-flight, and
+        compact the journal to one line per job."""
         try:
             with open(self.journal_path, "rb") as handle:
-                data = handle.read()
+                chunks = handle.read().split(b"\n")
         except FileNotFoundError:
-            data = b""
-        end = data.rfind(b"\n") + 1
-        if end < len(data):
-            # A torn last append: cut it so the next line is not glued
-            # onto garbage.
-            os.truncate(self.journal_path, end)
-        for line in data[:end].splitlines():
+            chunks = [b""]
+        # The last chunk is empty or a torn, unterminated append; the
+        # compacted journal leaves it out.
+        lines: Dict[str, bytes] = {}
+        for chunk in chunks[:-1]:
             try:
-                record = JobRecord.from_dict(json.loads(line))
+                record = JobRecord.from_dict(json.loads(chunk))
             except (ValueError, TypeError, QueueError):
                 continue
             self._records[record.id] = record
-        self._journal = open(self.journal_path, "ab", buffering=0)
+            lines[record.id] = chunk + b"\n"
         recovered: List[str] = []
-        for record in sorted(self._records.values(), key=lambda r: r.seq):
-            self._seq = max(self._seq, record.seq)
-            if record.state == "running":
-                record.state = "queued"
-                record.recovered = True
-                record.worker = ""
-                self._append(record)
-                recovered.append(record.id)
-            if record.state == "queued":
-                heapq.heappush(self._heap,
-                               (-record.priority, record.seq, record.id))
+        compacted = self.journal_path + ".tmp"
+        with open(compacted, "wb") as handle:
+            for record in sorted(self._records.values(),
+                                 key=lambda r: r.seq):
+                self._seq = max(self._seq, record.seq)
+                line = lines[record.id]
+                if record.state == "running":
+                    record.state = "queued"
+                    record.recovered = True
+                    record.worker = ""
+                    line = self._line(record)
+                    recovered.append(record.id)
+                if record.state == "queued":
+                    heapq.heappush(self._heap,
+                                   (-record.priority, record.seq, record.id))
+                self._write(handle, record, line)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(compacted, self.journal_path)
+        self._journal = open(self.journal_path, "ab", buffering=0)
+        #: read side of the journal for result(): open until close(), so
+        #: a fetch is one pread.
+        self._reader = open(self.journal_path, "rb", buffering=0)
         return recovered
+
+    def _pread(self, offset: int, length: int) -> bytes:
+        # Caller holds the lock, so close() cannot close the fd mid-read.
+        if self._closed:
+            # A fetch after close (a stopping daemon) opens the file.
+            with open(self.journal_path, "rb") as handle:
+                return os.pread(handle.fileno(), length, offset)
+        return os.pread(self._reader.fileno(), length, offset)
 
     def close(self) -> None:
         """Stop handing out work and wake every blocked caller.
@@ -205,6 +241,7 @@ class DurableQueue:
                 return
             self._closed = True
             self._journal.close()
+            self._reader.close()
             self._available.notify_all()
             self._settled.notify_all()
 
@@ -285,27 +322,22 @@ class DurableQueue:
                 f"cannot {verb} job {job_id} in state {record.state!r}")
         return record
 
-    def _settle(self, record: JobRecord, state: str,
-                error: Optional[str]) -> JobRecord:
+    def _settle(self, record: JobRecord, state: str, error: Optional[str],
+                response: Optional[Mapping[str, object]] = None
+                ) -> JobRecord:
         # Caller holds the lock: journal the terminal state, wake waiters.
         record.state = state
         record.finished_at = time.time()
         record.error = error
-        self._append(record)
+        self._append(record, response)
         self._settled.notify_all()
         return record
 
     def finish(self, job_id: str, response: Mapping[str, object]) -> JobRecord:
-        """Store the response, then flip the job to ``done``."""
-        with self._lock:
-            self._require_running(job_id, "finish")
-        # Result first, and outside the lock: a 'done' journal line must
-        # always have a fetchable result, even if the daemon dies in
-        # between.
-        self._write_result(job_id, response)
+        """Flip the job to ``done``; its journal line stores the response."""
         with self._lock:
             return self._settle(self._require_running(job_id, "finish"),
-                                "done", None)
+                                "done", None, response)
 
     def fail(self, job_id: str, error: str) -> JobRecord:
         """Flip a running job to ``failed`` (terminal)."""
@@ -361,13 +393,22 @@ class DurableQueue:
             return record
 
     def result(self, job_id: str) -> Optional[Dict[str, object]]:
-        """The stored response dict of a ``done`` job, else None."""
-        path = self._result_path(job_id)
+        """The response stored in a ``done`` job's journal line; None if
+        the job is not done or the line holds no readable response."""
+        with self._lock:
+            where = self._done_lines.get(job_id)
+            if where is None:
+                return None
+            try:
+                line = self._pread(*where)
+            except OSError:
+                return None
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                return json.load(handle)
-        except (OSError, ValueError):
+            data = json.loads(line)
+        except ValueError:
             return None
+        response = data.get("response") if isinstance(data, dict) else None
+        return response if isinstance(response, dict) else None
 
     def list(self, states: Optional[Sequence[str]] = None) -> List[JobRecord]:
         with self._lock:

@@ -21,10 +21,12 @@ Covers, per the PR-4 acceptance criteria:
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 import subprocess
 import sys
+from typing import Mapping
 
 import pytest
 
@@ -34,7 +36,12 @@ from repro.api import (
     Session, default_session, request_from_dict, request_from_json,
     resolve_machine, response_from_json,
 )
+from repro.api import requests as requests_module
 from repro.api.cli import main as cli_main
+from repro.api.requests import (
+    CompileResponse, CustomizeResponse, ExploreResponse, MatrixResponse,
+    PopulationResponse, RunResponse,
+)
 from repro.arch import dsp_core, risc_baseline, vliw4
 from repro.dse import DesignSpace, Evaluator, Explorer
 from repro.frontend.c_frontend import CFrontendError
@@ -210,6 +217,79 @@ class TestRequestRoundTrips:
                                "schema_version": 99})
         with pytest.raises(SchemaError):
             MatrixRequest.from_dict({"kind": "run", "kernel": "crc32"})
+
+
+def _reference_plain(value):
+    """``requests._plain`` before its exact-type fast paths."""
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, Mapping):
+        return {key: _reference_plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_plain(item) for item in value]
+    return value
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Mode(str, enum.Enum):
+    FAST = "fast"
+
+
+def _odd_provenance() -> Provenance:
+    return Provenance(
+        session="s", engine="compiled", elapsed_s=0.25,
+        stages=[{"stage": "frontend", "key": "k", "hit": True,
+                 "seconds": 0.1}],
+        cache={"store": {"hits": 3, "ratio": 0.5, "tags": ("a", "b"),
+                         "mode": _Mode.FAST},
+               "levels": [_Level.LOW, None, True, 2.5]})
+
+
+ALL_RESPONSES = [
+    CompileResponse(module="m", machine="vliw4", functions=2,
+                    provenance=_odd_provenance()),
+    RunResponse(kernel="crc32", value=(1, 2), expected=[1, 2],
+                values=[(3, _Level.LOW), {"x": (4,)}, None],
+                provenance=_odd_provenance()),
+    CustomizeResponse(kernel="sad16", selected_ops=("op_a", "op_b"),
+                      speedup=1.5, provenance=_odd_provenance()),
+    ExploreResponse(best={"point": ("a", 1)}, rows=[{"n": _Mode.FAST}],
+                    pareto=["p"], provenance=_odd_provenance()),
+    MatrixResponse(machines=["vliw4"], rows=[{"cycles": 10,
+                                              "cells": (1, 2)}],
+                   provenance=_odd_provenance()),
+    PopulationResponse(count=2, report={"families": ("a",),
+                                        "nested": {"deep": [(1,)]}},
+                       provenance=_odd_provenance()),
+    AppResponse(application="app", window_latencies_us=[9.0, 10.0],
+                nodes=[{"node": "n0", "cycles_total": 400}],
+                provenance=_odd_provenance()),
+]
+
+
+class TestPlainFastPath:
+    """``Message.to_dict`` is unchanged by ``_plain``'s fast paths:
+    tuples still become lists, enums pass through, nested messages
+    serialise through their own ``to_dict``."""
+
+    @pytest.mark.parametrize("message", ALL_REQUESTS + ALL_RESPONSES,
+                             ids=[m.kind for m in ALL_REQUESTS
+                                  + ALL_RESPONSES])
+    def test_to_dict_matches_reference(self, message, monkeypatch):
+        fast = message.to_dict()
+        monkeypatch.setattr(requests_module, "_plain", _reference_plain)
+        reference = message.to_dict()
+        # repr tells a tuple from a list and an enum from its value.
+        assert repr(fast) == repr(reference)
+
+    def test_leaf_and_container_types(self):
+        value = {"t": (1, "a"), "e": _Level.LOW, "m": _Mode.FAST,
+                 "l": [None, True, 1.5, {"p": Provenance(session="x")}]}
+        assert repr(requests_module._plain(value)) == \
+            repr(_reference_plain(value))
 
 
 class TestRequestValidation:

@@ -240,6 +240,30 @@ class TestStageStatsView:
         assert isinstance(stats.hits, int)
         assert stats.as_dict()["hits"] == 2
 
+    def test_as_dict_matches_attribute_view(self):
+        stats = StageStats(MetricsRegistry(), "backend")
+
+        def by_attribute():
+            return {"hits": stats.hits, "disk_hits": stats.disk_hits,
+                    "misses": stats.misses, "puts": stats.puts,
+                    "evictions": stats.evictions,
+                    "disk_evictions": stats.disk_evictions,
+                    "corrupt": stats.corrupt,
+                    "hit_rate": round(stats.hit_rate, 4),
+                    "seconds_built": round(stats.seconds_built, 6),
+                    "seconds_saved": round(stats.seconds_saved, 6)}
+
+        # repr pins key order and int-vs-float as well as the values.
+        assert repr(stats.as_dict()) == repr(by_attribute())
+        stats.hits += 3
+        stats.disk_hits += 1
+        stats.misses += 2
+        stats.puts += 2
+        stats.seconds_built += 0.1234567
+        stats.seconds_saved += 0.5
+        assert repr(stats.as_dict()) == repr(by_attribute())
+        assert stats.as_dict()["hit_rate"] == round(4 / 6, 4)
+
     def test_store_stats_backed_by_registry(self):
         store = ArtifactStore(capacity=4)
         store.put("stage", "k1", "v1", seconds=0.1)

@@ -8,9 +8,11 @@ their own (slower) tests at the bottom.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -308,6 +310,159 @@ class TestDurableQueue:
         with pytest.raises(QueueError):
             queue.submit({"kind": "c"})
 
+    def test_done_line_carries_the_response(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        record = queue.submit({"kind": "run"})
+        queue.claim(timeout=1.0)
+        response = {"kind": "run.response", "value": [1, 2], "correct": True}
+        queue.finish(record.id, response)
+        with open(queue.journal_path, encoding="utf-8") as handle:
+            last = json.loads(handle.read().splitlines()[-1])
+        assert last["state"] == "done" and last["response"] == response
+        assert JobRecord.from_dict(last) == queue.get(record.id)
+        # Results live in the journal: the queue root holds nothing else.
+        assert sorted(os.listdir(str(tmp_path))) == ["journal.jsonl"]
+        queue.close()
+
+    def test_reopened_queue_reads_result_at_recorded_offset(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        record = queue.submit({"kind": "run"})
+        queue.claim(timeout=1.0)
+        queue.finish(record.id, {"kind": "run.response", "value": 11})
+        queue.close()
+
+        reborn = DurableQueue(str(tmp_path))
+        offset, length = reborn._done_lines[record.id]
+        with open(reborn.journal_path, "rb") as handle:
+            line = handle.read()[offset:offset + length]
+        assert line.endswith(b"\n")
+        assert json.loads(line)["response"] == {"kind": "run.response",
+                                                "value": 11}
+        assert reborn.result(record.id) == {"kind": "run.response",
+                                            "value": 11}
+        reborn.close()
+
+    def test_done_line_without_response_reads_as_missing(self, tmp_path):
+        # A root journaled before responses moved into done lines.
+        old = JobRecord(id="job-000001", request={"kind": "run"},
+                        state="done", seq=1, attempts=1)
+        with open(tmp_path / "journal.jsonl", "w", encoding="utf-8") as f:
+            f.write(json.dumps(old.to_dict(), sort_keys=True) + "\n")
+        queue = DurableQueue(str(tmp_path))
+        assert queue.get(old.id).state == "done"
+        assert queue.result(old.id) is None
+        queue.close()
+
+    def test_torn_done_line_requeues_the_job(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        record = queue.submit({"kind": "a"})
+        queue.claim(timeout=1.0, worker="dead-daemon")
+        queue.finish(record.id, {"kind": "a.response", "value": 5})
+        _offset, length = queue._done_lines[record.id]
+        queue.close()
+        # The daemon died halfway through writing the done line.
+        size = os.path.getsize(queue.journal_path)
+        os.truncate(queue.journal_path, size - length // 2)
+
+        reborn = DurableQueue(str(tmp_path))
+        revived = reborn.get(record.id)
+        assert revived.state == "queued" and revived.recovered
+        assert revived.attempts == 1
+        assert reborn.result(record.id) is None
+        assert reborn.recovered == [record.id]
+        reborn.close()
+
+    def test_open_compacts_journal_to_one_line_per_job(self, tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        ids = []
+        for index in range(5):
+            record = queue.submit({"kind": "run", "index": index})
+            queue.claim(timeout=1.0)
+            queue.finish(record.id, {"kind": "run.response", "value": index})
+            ids.append(record.id)
+        queue.close()
+        with open(queue.journal_path, "rb") as handle:
+            assert len(handle.read().splitlines()) == 15
+        # A torn tail is dropped along with the superseded lines.
+        with open(queue.journal_path, "ab") as handle:
+            handle.write(b'{"kind": "job", "id": "job-0000')
+
+        reborn = DurableQueue(str(tmp_path))
+        with open(reborn.journal_path, "rb") as handle:
+            data = handle.read()
+        lines = data.splitlines()
+        assert data.endswith(b"\n") and len(lines) == 5
+        assert [json.loads(line)["id"] for line in lines] == ids
+        assert all(json.loads(line)["state"] == "done" for line in lines)
+        for index, job_id in enumerate(ids):
+            assert reborn.result(job_id) == {"kind": "run.response",
+                                             "value": index}
+        assert not os.path.exists(reborn.journal_path + ".tmp")
+        # Appends after compaction land at offsets result() can read.
+        late = reborn.submit({"kind": "run"})
+        reborn.claim(timeout=1.0)
+        reborn.finish(late.id, {"kind": "run.response", "value": 99})
+        assert reborn.result(late.id)["value"] == 99
+        reborn.close()
+        third = DurableQueue(str(tmp_path))
+        assert third.result(late.id)["value"] == 99
+        assert third.result(ids[0])["value"] == 0
+        third.close()
+
+    def test_concurrent_finishes_read_back_their_own_results(self,
+                                                             tmp_path):
+        queue = DurableQueue(str(tmp_path))
+        errors = []
+
+        def work(thread_index):
+            for _ in range(25):
+                queue.submit({"kind": "run", "thread": thread_index})
+                record = queue.claim(timeout=5.0, worker=str(thread_index))
+                response = {"kind": "run.response", "job": record.id}
+                queue.finish(record.id, response)
+                if queue.result(record.id) != response:
+                    errors.append(record.id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        done = queue.list(["done"])
+        assert len(done) == 200
+        queue.close()
+        # Every offset recorded under contention survives a reopen,
+        # and a fetch after close still reads the journal.
+        assert all(queue.result(r.id) == {"kind": "run.response",
+                                          "job": r.id} for r in done)
+        reborn = DurableQueue(str(tmp_path))
+        assert all(reborn.result(r.id) == {"kind": "run.response",
+                                           "job": r.id} for r in done)
+        reborn.close()
+
+    def test_job_record_to_dict_matches_asdict(self):
+        records = [
+            JobRecord(id="j", request={}),
+            JobRecord(id="job-000004", request={
+                "kind": "matrix", "machines": ["vliw4", {"issue_width": 2}],
+                "size": 16}, priority=2, state="done", seq=4, attempts=2,
+                max_attempts=5, submitted_at=1.5, started_at=2.5,
+                finished_at=3.5, worker="w1", error="boom", recovered=True,
+                trace={"trace_id": "t", "span_id": "s"}),
+        ]
+        for record in records:
+            expected = {"kind": "job", "schema_version": 1,
+                        **dataclasses.asdict(record)}
+            assert repr(record.to_dict()) == repr(expected)
+
     def test_job_record_rejects_bad_schema(self):
         good = JobRecord(id="j", request={}).to_dict()
         for corruption in ({"kind": "nope"}, {"schema_version": 99},
@@ -526,7 +681,21 @@ class TestDaemon:
         handle = client.submit(RunRequest(kernel="crc32", machine="vliw4",
                                           engine="compiled"))
         handle.result(timeout=120)
-        os.remove(thread_daemon.queue._result_path(handle.id))
+        # Clobber the job's done line in place: same length, no JSON.
+        path = thread_daemon.queue.journal_path
+        with open(path, "rb") as journal:
+            data = journal.read()
+        marker = f'"id": "{handle.id}"'.encode()
+        start = 0
+        for line in data.splitlines(keepends=True):
+            if marker in line and b'"state": "done"' in line:
+                break
+            start += len(line)
+        else:
+            pytest.fail(f"no done line for {handle.id}")
+        with open(path, "r+b") as journal:
+            journal.seek(start)
+            journal.write(b"#" * (len(line) - 1))
         with pytest.raises(ServiceError, match="result is missing"):
             client.result(handle.id, timeout=10)
 
@@ -547,17 +716,22 @@ def _svc_threads():
 
 class TestLongPollAndStop:
 
-    def test_slow_job_fetched_with_one_result_op(self, tmp_path,
-                                                 monkeypatch):
-        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "0.3")
-        ops = []
+    @staticmethod
+    def _record_ops(monkeypatch):
+        messages = []
         call = ServiceClient._call
 
-        def counting_call(client, message):
-            ops.append(message["op"])
+        def recording_call(client, message):
+            messages.append(dict(message))
             return call(client, message)
 
-        monkeypatch.setattr(ServiceClient, "_call", counting_call)
+        monkeypatch.setattr(ServiceClient, "_call", recording_call)
+        return messages
+
+    def test_slow_job_executes_in_one_round_trip(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "0.3")
+        messages = self._record_ops(monkeypatch)
         with ServiceDaemon(str(tmp_path / "svc"), workers=1,
                            worker_mode="thread", name="longpoll") as daemon:
             with ServiceClient(daemon.endpoint) as c:
@@ -569,7 +743,41 @@ class TestLongPollAndStop:
                 elapsed = time.monotonic() - started
         assert response.correct
         assert elapsed >= 0.3
-        assert ops.count("result") == 1, ops
+        ops = [message["op"] for message in messages]
+        assert ops == ["submit"], ops
+
+    def test_execute_outlasting_wait_cap_falls_back_to_result(
+            self, tmp_path, monkeypatch):
+        request = RunRequest(kernel="crc32", machine="vliw4",
+                             engine="compiled")
+        with Session(name="oracle") as session:
+            expected = _strip_provenance(session.execute(request))
+        monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "0.4")
+        monkeypatch.setattr(protocol, "RESULT_WAIT_CAP_S", 0.1)
+        messages = self._record_ops(monkeypatch)
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="capped") as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                response = c.execute(request, timeout=120)
+        ops = [message["op"] for message in messages]
+        assert ops[0] == "submit" and ops.count("submit") == 1, ops
+        assert ops.count("result") >= 2, ops
+        assert _strip_provenance(response) == expected
+
+    def test_run_batch_submits_without_waiting(self, tmp_path, monkeypatch):
+        messages = self._record_ops(monkeypatch)
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="batch") as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                responses = c.run_batch(
+                    [RunRequest(kernel=kernel, machine="vliw4",
+                                engine="compiled") for kernel in KERNELS],
+                    timeout=120)
+        assert all(response.correct for response in responses)
+        ops = [message["op"] for message in messages]
+        assert ops == ["submit", "submit", "result", "result"], ops
+        assert not any("wait_s" in message for message in messages
+                       if message["op"] == "submit")
 
     def test_stop_wakes_blocked_result(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "3.0")
