@@ -14,7 +14,11 @@ for a slice of the kernel suite it times
 * native batches (:func:`run_batch`): every builtin kernel over 32
   argument sets with its ``.so`` already loaded, so the per-set figure
   is setup plus run with no compile.  Its ceiling catches any return of
-  per-set simulator construction.
+  per-set simulator construction;
+* native build cost: the mean :meth:`NativeToolchain.compile` time of
+  the builtin kernels' units over that of an empty one-function unit.
+  The ratio cancels host speed; its ceiling catches a return of
+  optimizer time that cold requests, which run short inputs, never repay.
 
 Results are written to ``BENCH_compiled_engine.json`` at the repository
 root so the perf trajectory of the engines is tracked over time.  Run
@@ -29,8 +33,9 @@ from pathlib import Path
 
 from repro.exec import (
     CodeCache, CompiledSimulator, NativeCodeCache, NativeSimulator,
-    native_available, run_batch,
+    global_native_toolchain, native_available, run_batch,
 )
+from repro.exec.nativegen import render_c_program
 from repro.frontend import compile_c
 from repro.opt import optimize
 from repro.sim import FunctionalSimulator
@@ -54,6 +59,11 @@ BATCH_SETS = 32
 #: ceiling on ``native_batch_ms_per_set``: per-set simulator construction
 #: measured 0.77-0.97 ms per set, one reused simulator 0.18-0.25 ms.
 NATIVE_BATCH_CEILING_MS = 0.5
+#: ceiling on ``native_compile_floor_ratio``: built at -O2 the kernels
+#: read 2.1-2.6 times the empty unit, at -O0 1.35-1.5.
+NATIVE_COMPILE_FLOOR_CEILING = 1.8
+#: the compile floor: what cc costs for a unit with nothing in it.
+EMPTY_UNIT = "long repro_empty(void) { return 0; }\n"
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled_engine.json"
 
@@ -93,6 +103,33 @@ def _native_batch_ms_per_set(repeats):
             assert result.engine_used == "native"
             assert result.values == case[3]
     return best / (len(cases) * BATCH_SETS) * 1e3
+
+
+def _native_compile_ms(repeats):
+    """(kernel ms, empty ms) per unit compiled, best of N rounds.
+
+    Each round interleaves the two: an empty unit before every kernel
+    unit, so both means see the same host phase.
+    """
+    toolchain = global_native_toolchain()
+    sources = []
+    for name in sorted(KERNELS):
+        module = compile_c(get_kernel(name).source, module_name=name)
+        optimize(module, level=2)
+        sources.append(render_c_program(module).source)
+    best_kernel = best_empty = float("inf")
+    for _ in range(repeats):
+        kernel_s = empty_s = 0.0
+        for source in sources:
+            start = time.perf_counter()
+            toolchain.compile(EMPTY_UNIT)
+            middle = time.perf_counter()
+            toolchain.compile(source)
+            kernel_s += time.perf_counter() - middle
+            empty_s += middle - start
+        best_kernel = min(best_kernel, kernel_s / len(sources))
+        best_empty = min(best_empty, empty_s / len(sources))
+    return best_kernel * 1e3, best_empty * 1e3
 
 
 def test_e9_execution_tiers(benchmark, pytestconfig):
@@ -181,6 +218,14 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             _native_batch_ms_per_set(max(repeats, 3)), 4)
         lines.append(f"native batch {summary['native_batch_ms_per_set']:.3f}"
                      f" ms/set over {len(KERNELS)} kernels x {BATCH_SETS}")
+        kernel_ms, empty_ms = _native_compile_ms(max(repeats, 3))
+        summary["native_compile_ms_per_unit"] = round(kernel_ms, 2)
+        summary["native_compile_empty_ms"] = round(empty_ms, 2)
+        summary["native_compile_floor_ratio"] = round(kernel_ms / empty_ms,
+                                                      3)
+        lines.append(f"native compile {kernel_ms:.1f} ms/unit, "
+                     f"{summary['native_compile_floor_ratio']:.2f}x the "
+                     f"{empty_ms:.1f} ms empty unit")
     print("\nE9 summary: " + "; ".join(lines) + ".")
 
     # Acceptance floors (env-overridable for noisy shared runners).
@@ -199,6 +244,9 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
         metrics["native_batch_ms_per_set"] = bench_metric(
             summary["native_batch_ms_per_set"], direction="lower", band=4.0,
             ceiling=NATIVE_BATCH_CEILING_MS)
+        metrics["native_compile_floor_ratio"] = bench_metric(
+            summary["native_compile_floor_ratio"], direction="lower",
+            ceiling=NATIVE_COMPILE_FLOOR_CEILING)
     write_baseline(OUTPUT, "e9_execution_tiers", {
         "repeats": repeats,
         "native_available": has_native,
@@ -214,6 +262,12 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             f"native batches cost {summary['native_batch_ms_per_set']} ms "
             f"per set (ceiling {NATIVE_BATCH_CEILING_MS}): is per-set setup "
             f"back?")
+        assert (summary["native_compile_floor_ratio"]
+                <= NATIVE_COMPILE_FLOOR_CEILING), (
+            f"a native unit compiles in "
+            f"{summary['native_compile_floor_ratio']}x the empty unit "
+            f"(ceiling {NATIVE_COMPILE_FLOOR_CEILING}): is the optimizer "
+            f"back in the build flags?")
         vs_compiled_floor = shrink_knob(
             pytestconfig, "E9_MIN_NATIVE_VS_COMPILED", 5.0, 2.0, cast=float)
         vs_interp_floor = shrink_knob(

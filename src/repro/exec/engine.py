@@ -35,7 +35,10 @@ from typing import List, Optional, Sequence
 
 from ..ir import Module, PointerType
 from ..ir.types import I32
-from ..sim.functional import ExecutionProfile, SimulationError, _wrap
+from ..sim.functional import (
+    CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, ExecutionProfile, SimulationError,
+    _wrap,
+)
 from ..sim.memory import Memory, ProgramImage
 from .cache import CodeCache, global_code_cache
 from .registry import FUNCTIONAL_ENGINES, validate_engine
@@ -59,6 +62,7 @@ class CompiledSimulator:
         self.max_steps = max_steps
         self.profile = ExecutionProfile()
         self._steps = 0
+        self._depth = 0
         self._retval = None
 
     def reset(self) -> None:
@@ -127,6 +131,9 @@ class CompiledSimulator:
     # Execution core.
     # ------------------------------------------------------------------
     def _call(self, function: TranslatedFunction, args):
+        depth = self._depth
+        if depth >= MAX_CALL_DEPTH:
+            raise SimulationError(CALL_DEPTH_MESSAGE)
         regs = {}
         for reg_id, value in zip(function.arg_ids, args):
             regs[reg_id] = value
@@ -136,6 +143,7 @@ class CompiledSimulator:
             raise SimulationError(f"function {function.name} has no blocks")
         visits = [0] * len(blocks)
         index = 0
+        self._depth = depth + 1
         try:
             while True:
                 block = blocks[index]
@@ -152,6 +160,7 @@ class CompiledSimulator:
             raise SimulationError(
                 f"read of undefined register in {function.name}") from None
         finally:
+            self._depth = depth
             self._flush(function, visits)
         result = self._retval
         self._retval = None

@@ -31,20 +31,23 @@ import subprocess
 import sys
 import tempfile
 import threading
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import Module
 from ..pipeline.fingerprints import NATIVE_SCHEMA, native_fingerprint
-from ..sim.functional import SimulationError
+from ..sim.functional import (
+    CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError,
+)
 from ..sim.memory import MemoryError_
 from .cache import CodeCache, module_fingerprint
 from .engine import CompiledSimulator
 from .nativegen import (
-    RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_CUSTOM, TRAP_DIV0,
-    TRAP_FDIV0, TRAP_FELL_OFF, TRAP_OOB, TRAP_OOM, TRAP_REM0, TRAP_STEPS,
-    UnsupportedNativeModule, render_c_program,
+    RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_CUSTOM, TRAP_DEPTH,
+    TRAP_DIV0, TRAP_FDIV0, TRAP_FELL_OFF, TRAP_OOB, TRAP_OOM, TRAP_REM0,
+    TRAP_STEPS, UnsupportedNativeModule, render_c_program,
 )
 
 #: artifact-store stage name under which shared objects are persisted.
@@ -56,7 +59,11 @@ CC_ENV = "REPRO_NATIVE_CC"
 
 _CC_DISABLED = {"", "none", "off", "0", "disabled"}
 
-_BASE_FLAGS = ("-O2", "-fPIC", "-shared", "-nostdlib", "-fwrapv",
+# -O0: served inputs are short, so compile time dominates.  A unit costs
+# about 23 ms to build at -O0 against 42 ms at -O2, close to the 17 ms an
+# empty unit costs (cc1 start-up, as, ld); the run itself is a fraction
+# of a millisecond at every level.
+_BASE_FLAGS = ("-O0", "-fPIC", "-shared", "-nostdlib", "-fwrapv",
                "-fno-strict-aliasing")
 
 
@@ -89,6 +96,8 @@ class _Ctx(ctypes.Structure):
         ("visits", ctypes.POINTER(ctypes.c_int64)),
         ("fault_a", ctypes.c_int64),
         ("fault_b", ctypes.c_int64),
+        ("depth", ctypes.c_int64),
+        ("max_depth", ctypes.c_int64),
         ("status", ctypes.c_int32),
         ("ret_flag", ctypes.c_int32),
         ("custom", CUSTOM_CB),
@@ -108,6 +117,10 @@ class NativeToolchain:
     compatibility (compiler, version, flags, platform, renderer schema),
     and :meth:`compile` turns C source into ``.so`` bytes, raising
     :class:`NativeCompileError` on failure.
+
+    The default flags build at ``-O0``: a served request compiles its
+    unit cold and runs it on short inputs, so the compile dominates its
+    latency and the optimizer's start-up is not repaid by faster code.
     """
 
     def __init__(self, cc: Optional[str] = None,
@@ -271,6 +284,13 @@ def _dlclose(lib: ctypes.CDLL) -> None:
         pass
 
 
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 class NativeCodeCache:
     """LRU of loaded native programs, with store-backed ``.so`` sharing.
 
@@ -280,10 +300,13 @@ class NativeCodeCache:
     ``None`` immediately (the engine falls back to threaded code) and the
     bad artifact is never re-loaded.
 
-    ``clear()`` / eviction ``dlclose`` the shared objects; callers must
-    not clear while :class:`NativeSimulator` instances built from the
-    evicted programs are still in use (same caveat as
-    :func:`repro.exec.reset_global_code_cache`).
+    ``clear()`` / eviction ``dlclose`` the shared objects and delete
+    their files; callers must not clear while :class:`NativeSimulator`
+    instances built from the evicted programs are still in use (same
+    caveat as :func:`repro.exec.reset_global_code_cache`).  A ``lib_dir``
+    the cache made itself is removed by ``clear()`` (and when the cache
+    is collected or the process exits); a caller-supplied one is left in
+    place, emptied of the cache's files.
     """
 
     def __init__(self, capacity: Optional[int] = 64,
@@ -296,6 +319,8 @@ class NativeCodeCache:
         self._entries: "OrderedDict[str, NativeProgram]" = OrderedDict()
         self._quarantine: Dict[str, str] = {}
         self._lib_dir = lib_dir
+        #: removes the lib_dir this cache made itself (None: caller's dir).
+        self._lib_dir_finalizer: Optional[weakref.finalize] = None
         self._lock = threading.RLock()
 
     @property
@@ -307,6 +332,8 @@ class NativeCodeCache:
     def lib_dir(self) -> str:
         if self._lib_dir is None:
             self._lib_dir = tempfile.mkdtemp(prefix="repro-native-libs-")
+            self._lib_dir_finalizer = weakref.finalize(
+                self, shutil.rmtree, self._lib_dir, ignore_errors=True)
         return self._lib_dir
 
     # ------------------------------------------------------------------
@@ -368,9 +395,8 @@ class NativeCodeCache:
             if (self.capacity is not None
                     and len(self._entries) > self.capacity):
                 _evicted_key, evicted = self._entries.popitem(last=False)
-                _dlclose(evicted.lib)
+                self._unload(evicted)
                 self.stats.evictions += 1
-                self.stats.unloads += 1
             return program
 
     def _obtain_bytes(self, module: Module, rendered: RenderedProgram,
@@ -419,11 +445,22 @@ class NativeCodeCache:
 
     @staticmethod
     def _materialize(path: str, so_bytes: bytes) -> ctypes.CDLL:
+        """Write and load ``path``; the file exists only while loaded."""
         tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            handle.write(so_bytes)
-        os.replace(tmp, path)
-        return ctypes.CDLL(path)
+        try:
+            with open(tmp, "wb") as handle:
+                handle.write(so_bytes)
+            os.replace(tmp, path)
+            return ctypes.CDLL(path)
+        except OSError:
+            _unlink(tmp)
+            _unlink(path)
+            raise
+
+    def _unload(self, program: NativeProgram) -> None:
+        _dlclose(program.lib)
+        _unlink(program.path)
+        self.stats.unloads += 1
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -433,12 +470,16 @@ class NativeCodeCache:
         return key in self._entries
 
     def clear(self, forget_quarantine: bool = False) -> None:
-        """Unload every library (see the class docstring's caveat)."""
+        """Unload every library and delete its file (see the class
+        docstring's caveat); remove the lib_dir if the cache made it."""
         with self._lock:
             for program in self._entries.values():
-                _dlclose(program.lib)
-                self.stats.unloads += 1
+                self._unload(program)
             self._entries.clear()
+            if self._lib_dir_finalizer is not None:
+                self._lib_dir_finalizer()
+                self._lib_dir_finalizer = None
+                self._lib_dir = None
             if forget_quarantine:
                 self._quarantine.clear()
 
@@ -580,6 +621,8 @@ class NativeSimulator(CompiledSimulator):
                                  ctypes.POINTER(ctypes.c_int64))
         ctx.fault_a = 0
         ctx.fault_b = 0
+        ctx.depth = 1  # the entry function's own activation
+        ctx.max_depth = MAX_CALL_DEPTH
         ctx.status = 0
         ctx.ret_flag = 0
         if self._custom_cb is not None:
@@ -637,6 +680,8 @@ class NativeSimulator(CompiledSimulator):
             fn, block = self.native.rendered.flat_blocks[ctx.fault_a]
             raise SimulationError(
                 f"fell off the end of block {block} in {fn}")
+        if status == TRAP_DEPTH:
+            raise SimulationError(CALL_DEPTH_MESSAGE)
         if status == TRAP_BAD_CALL:
             name = self.native.rendered.bad_calls[ctx.fault_a]
             raise SimulationError(

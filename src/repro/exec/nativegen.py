@@ -51,7 +51,7 @@ from ..sim.memory import Memory
 
 #: bump when the rendered C or the ctx/trap contract changes; part of the
 #: native cache key via the toolchain ABI id.
-RENDER_SCHEMA = 2
+RENDER_SCHEMA = 3
 
 # Trap status codes shared with the Python runtime (repro.exec.native).
 TRAP_OK = 0
@@ -64,6 +64,7 @@ TRAP_OOM = 6
 TRAP_FELL_OFF = 7
 TRAP_BAD_CALL = 8
 TRAP_CUSTOM = 9
+TRAP_DEPTH = 10
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -128,6 +129,8 @@ typedef struct {
     int64_t *visits;
     int64_t fault_a;
     int64_t fault_b;
+    int64_t depth;
+    int64_t max_depth;
     int32_t status;
     int32_t ret_flag;
     repro_custom_cb custom;
@@ -694,13 +697,18 @@ class _Renderer:
         callee_index = self._fn_index[inst.callee]
         callee_class = self._return_class(callee)
         call = f"fn_{callee_index}(ctx{''.join(', ' + a for a in args)})"
+        # ctx->depth counts active calls, the entry function included.
+        enter = ["{",
+                 "  if (ctx->depth >= ctx->max_depth) "
+                 + self._trap(TRAP_DEPTH),
+                 "  ctx->depth += 1;"]
         if inst.dest is None:
-            return ["{", f"  (void){call};",
-                    "  if (ctx->status) return 0;", "}"]
+            return enter + [f"  (void){call};", "  ctx->depth -= 1;",
+                            "  if (ctx->status) return 0;", "}"]
         ctype = "double" if callee_class == "f" else "int64_t"
-        return [
-            "{",
+        return enter + [
             f"  {ctype} _cv = {call};",
+            "  ctx->depth -= 1;",
             "  if (ctx->status) return 0;",
             f"  {self._assign(inst, ctx, callee_class, '(_cv)')}",
             "}",

@@ -2,12 +2,15 @@
 
 from .memory import Memory, MemoryError_, ProgramImage
 from .cache import Cache, CacheStatistics, make_cache
-from .functional import ExecutionProfile, FunctionalSimulator, SimulationError
+from .functional import (
+    MAX_CALL_DEPTH, ExecutionProfile, FunctionalSimulator, SimulationError,
+)
 from .cycle import CycleSimulator, CycleStatistics, SimulationResult, simulate
 
 __all__ = [
     "Memory", "MemoryError_", "ProgramImage",
     "Cache", "CacheStatistics", "make_cache",
-    "ExecutionProfile", "FunctionalSimulator", "SimulationError",
+    "MAX_CALL_DEPTH", "ExecutionProfile", "FunctionalSimulator",
+    "SimulationError",
     "CycleSimulator", "CycleStatistics", "SimulationResult", "simulate",
 ]

@@ -43,7 +43,9 @@ from ..backend.mcode import CompiledModule, MachineOp, ScheduledBlock
 from ..ir import Module, Opcode
 from ..ir.types import I32, PointerType
 from .cache import Cache, CacheStatistics, make_cache
-from .functional import SimulationError, _wrap
+from .functional import (
+    CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError, _wrap,
+)
 from .memory import Memory, ProgramImage
 
 #: base address of the code image the i-cache model fetches from.
@@ -219,6 +221,7 @@ class CycleSimulator:
         self._retval = None
         self._pj = 0.0
         self._steps = 0
+        self._depth = 0
         self._activations = 0
 
     # ------------------------------------------------------------------
@@ -286,6 +289,9 @@ class CycleSimulator:
     def _call(self, function, args):
         """Run one activation of a translated function (the translator's
         CALL closures re-enter here)."""
+        depth = self._depth
+        if depth >= MAX_CALL_DEPTH:
+            raise SimulationError(CALL_DEPTH_MESSAGE)
         timed = self._timed.get(function.name)
         if timed is None:
             timed = self._translate(function.name)
@@ -294,6 +300,7 @@ class CycleSimulator:
         regs = dict(zip(function.arg_ids, args))
         fetch = self.icache.access if self.icache is not None else None
         max_steps = self.max_steps
+        self._depth = depth + 1
         try:
             while index is not None:
                 block = blocks[index]
@@ -312,6 +319,8 @@ class CycleSimulator:
         except KeyError:
             raise SimulationError(
                 f"read of undefined register in {function.name}") from None
+        finally:
+            self._depth = depth
         result = self._retval
         self._retval = None
         return result

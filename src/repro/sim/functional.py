@@ -26,6 +26,17 @@ class SimulationError(Exception):
     """Raised when the simulated program performs an illegal operation."""
 
 
+#: the deepest chain of active calls, the entry function included, that
+#: every functional and cycle engine runs.  The Python engines spend two
+#: or three interpreter frames per simulated call, so the limit stays well
+#: inside Python's recursion limit even from a deep caller's stack, and the
+#: native engine traps at the same depth instead of overflowing its stack.
+MAX_CALL_DEPTH = 128
+
+#: the message of the :class:`SimulationError` one call past the limit.
+CALL_DEPTH_MESSAGE = "maximum call depth exceeded"
+
+
 @dataclass
 class ExecutionProfile:
     """Dynamic statistics of one functional-simulation run."""
@@ -98,6 +109,7 @@ class FunctionalSimulator:
         self.max_steps = max_steps
         self.profile = ExecutionProfile()
         self._steps = 0
+        self._depth = 0
 
     def reset(self) -> None:
         """Return to the state of a freshly built simulator."""
@@ -156,30 +168,37 @@ class FunctionalSimulator:
     # Interpreter core.
     # ------------------------------------------------------------------
     def _call(self, function: Function, args: Sequence):
+        depth = self._depth
+        if depth >= MAX_CALL_DEPTH:
+            raise SimulationError(CALL_DEPTH_MESSAGE)
+        self._depth = depth + 1
         frame = _Frame(function)
         for formal, actual in zip(function.arguments, args):
             frame.registers[formal.id] = actual
 
         block = function.entry
-        while True:
-            self.profile.record_block(function.name, block.name)
-            next_block = None
-            for inst in block.instructions:
-                self._steps += 1
-                if self._steps > self.max_steps:
-                    raise SimulationError("maximum step count exceeded")
-                self.profile.record_opcode(inst.opcode)
-                outcome = self._execute(inst, frame)
-                if inst.opcode is Opcode.RETURN:
-                    return outcome
-                if inst.is_terminator():
-                    next_block = outcome
-                    break
-            if next_block is None:
-                raise SimulationError(
-                    f"fell off the end of block {block.name} in {function.name}"
-                )
-            block = next_block
+        try:
+            while True:
+                self.profile.record_block(function.name, block.name)
+                next_block = None
+                for inst in block.instructions:
+                    self._steps += 1
+                    if self._steps > self.max_steps:
+                        raise SimulationError("maximum step count exceeded")
+                    self.profile.record_opcode(inst.opcode)
+                    outcome = self._execute(inst, frame)
+                    if inst.opcode is Opcode.RETURN:
+                        return outcome
+                    if inst.is_terminator():
+                        next_block = outcome
+                        break
+                if next_block is None:
+                    raise SimulationError(
+                        f"fell off the end of block {block.name} in "
+                        f"{function.name}")
+                block = next_block
+        finally:
+            self._depth = depth
 
     def _value(self, operand, frame: _Frame):
         if isinstance(operand, Constant):

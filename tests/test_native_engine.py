@@ -15,21 +15,28 @@ Failure modes have defined semantics, tested here: a missing C compiler
 degrades to the compiled engine with a single process-wide warning; a
 module whose compile fails is quarantined and never retried; a corrupt
 stored ``.so`` is recompiled from source exactly once; clearing a native
-cache ``dlclose``\\ s its libraries so repeated session lifetimes cannot
-leak mappings.
+cache ``dlclose``\\ s its libraries and deletes their files, so repeated
+session lifetimes leak neither mappings nor disk; a call chain past
+``MAX_CALL_DEPTH`` raises the same error on every engine.
 """
 
 from __future__ import annotations
 
 import gc
+import os
 import shutil
 import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.arch import vliw4
 from repro.arch.presets import PRESETS, get_preset
+from repro.backend import compile_module
 from repro.exec import (
     CODE_STAGE, NATIVE_STAGE, CodeCache, CompiledSimulator, NativeCodeCache,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
@@ -48,7 +55,9 @@ from repro.frontend import compile_c
 from repro.ir import Opcode
 from repro.opt import optimize
 from repro.pipeline import ArtifactStore
-from repro.sim import FunctionalSimulator, SimulationError
+from repro.sim import (
+    MAX_CALL_DEPTH, CycleSimulator, FunctionalSimulator, SimulationError,
+)
 from repro.toolchain import Toolchain
 from repro.workloads import KERNELS, get_kernel
 
@@ -82,6 +91,30 @@ int bump(int x) {
   return table[0] * 100 + total;
 }
 """
+
+
+#: f(n) keeps n + 1 calls active: the entry and n nested ones.
+DEEP_SOURCE = ("int f(int n) { if (n == 0) { return 0; }"
+               " return 1 + f(n - 1); }")
+
+#: runs the native f(2_000_000) in a child process and prints the error.
+DEEP_NATIVE_SCRIPT = f"""
+from repro.exec import NativeSimulator
+from repro.frontend import compile_c
+from repro.opt import optimize
+from repro.sim import SimulationError
+module = compile_c({DEEP_SOURCE!r}, module_name="deep")
+optimize(module, level=2)
+try:
+    print(NativeSimulator(module).run("f", 2_000_000))
+except SimulationError as exc:
+    print(type(exc).__name__, exc)
+"""
+
+
+def _nested(frames, thunk):
+    """``thunk()`` called from ``frames`` extra Python frames down."""
+    return thunk() if frames == 0 else _nested(frames - 1, thunk)
 
 
 def _module_from_source(source, name, opt_level=2):
@@ -162,13 +195,9 @@ class TestNativeDifferential:
                 _assert_native_matches(module, kernel.entry, args)
 
     def test_recursion_and_error_messages_match(self):
-        from repro.frontend import compile_c
-        from repro.opt import optimize
-
-        module = compile_c(
+        module = _module_from_source(
             "int fib(int n) { if (n < 2) { return n; }"
-            " return fib(n - 1) + fib(n - 2); }", module_name="fib")
-        optimize(module, level=2)
+            " return fib(n - 1) + fib(n - 2); }", "fib")
         assert NativeSimulator(module).run("fib", 12) == 144
 
         div = compile_c("int f(int a) { return 100 / a; }", module_name="d")
@@ -177,6 +206,35 @@ class TestNativeDifferential:
         with pytest.raises(SimulationError) as interp_exc:
             FunctionalSimulator(div).run("f", 0)
         assert str(native_exc.value) == str(interp_exc.value)
+
+        # One call-depth limit: every engine runs the deepest allowed
+        # chain, even from a caller 300 Python frames down, and raises the
+        # same typed error one call past it.
+        deep = _module_from_source(DEEP_SOURCE, "deep")
+        compiled, _ = compile_module(deep, vliw4())
+        engines = {
+            "interpreter": lambda n: FunctionalSimulator(deep).run("f", n),
+            "compiled": lambda n: CompiledSimulator(deep).run("f", n),
+            "cycle": lambda n: CycleSimulator(compiled).run("f", n).value,
+            "native": lambda n: NativeSimulator(deep).run("f", n),
+        }
+        at_limit = MAX_CALL_DEPTH - 1
+        for name, run in engines.items():
+            assert _nested(300, lambda: run(at_limit)) == at_limit, name
+            with pytest.raises(SimulationError) as exc:
+                run(at_limit + 1)
+            assert str(exc.value) == "maximum call depth exceeded", name
+
+        # Far past the limit the native engine traps instead of
+        # overflowing the C stack and killing the process.
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        child = subprocess.run([sys.executable, "-c", DEEP_NATIVE_SCRIPT],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert (child.stdout.strip()
+                == "SimulationError maximum call depth exceeded")
 
     def test_max_steps_enforced_with_interpreter_message(self):
         kernel, module = build_kernel_module("dot_product")
@@ -320,6 +378,33 @@ class TestUnloadAcrossSessions:
             after = second.execute(request)
         assert after.correct and after.value == before.value
         reset_global_native_cache()
+
+
+@requires_cc
+class TestLibraryFileCleanup:
+    def test_evicted_and_cleared_libraries_leave_no_files(self, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        cache = NativeCodeCache(capacity=1)
+        first = cache.get_or_compile(build_kernel_module("crc32")[1])
+        assert Path(cache.lib_dir).parent == tmp_path
+        assert os.path.exists(first.path)
+        second = cache.get_or_compile(build_kernel_module("dot_product")[1])
+        assert cache.stats.evictions == 1
+        assert not os.path.exists(first.path)
+        assert os.path.exists(second.path)
+        cache.clear()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_caller_lib_dir_is_emptied_not_removed(self, tmp_path):
+        lib_dir = tmp_path / "libs"
+        lib_dir.mkdir()
+        cache = NativeCodeCache(lib_dir=str(lib_dir))
+        for name in ("crc32", "dot_product"):
+            assert cache.get_or_compile(build_kernel_module(name)[1])
+        assert len(list(lib_dir.iterdir())) == 2
+        cache.clear()
+        assert lib_dir.is_dir() and list(lib_dir.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
