@@ -7,7 +7,8 @@ for a slice of the kernel suite it times
 
 * the reference interpreter (:class:`FunctionalSimulator`);
 * the threaded-code engine (:class:`CompiledSimulator`), cold
-  (translation included) and warm (served by the code cache);
+  (translation included) and warm (the translation served by the
+  ``exec.code`` stage of an artifact store);
 * the generated-C native engine (:class:`NativeSimulator`), warm (the
   ``.so`` compiled once, runs timed with fresh simulators) — skipped
   when the host has no C compiler;
@@ -32,12 +33,13 @@ import time
 from pathlib import Path
 
 from repro.exec import (
-    CodeCache, CompiledSimulator, NativeCodeCache, NativeSimulator,
-    global_native_toolchain, native_available, run_batch,
+    CODE_STAGE, CompiledSimulator, NativeCodeCache, NativeSimulator,
+    global_native_toolchain, native_available, run_batch, translate,
 )
 from repro.exec.nativegen import render_c_program
 from repro.frontend import compile_c
 from repro.opt import optimize
+from repro.pipeline import ArtifactStore
 from repro.sim import FunctionalSimulator
 from repro.workloads import KERNELS, get_kernel
 
@@ -150,17 +152,17 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             interp_s, interp_value = _best_time(
                 FunctionalSimulator, module, kernel.entry, args, repeats)
 
-            # Cold: private cache, first construction pays translation.
-            cold_cache = CodeCache()
+            # Cold: private store, first construction pays translation.
+            cold_store = ArtifactStore()
             cold_s, cold_value = _best_time(
-                lambda m: CompiledSimulator(m, cache=cold_cache),
+                lambda m: CompiledSimulator(m, store=cold_store),
                 module, kernel.entry, args, repeats=1)
 
-            # Warm: every run after the first hits the code cache.
-            warm_cache = CodeCache()
-            warm_cache.get_or_translate(module)
+            # Warm: every construction hits the translation in the store.
+            warm_store = ArtifactStore()
+            translate(module, warm_store)
             warm_s, warm_value = _best_time(
-                lambda m: CompiledSimulator(m, cache=warm_cache),
+                lambda m: CompiledSimulator(m, store=warm_store),
                 module, kernel.entry, args, repeats)
 
             assert interp_value == expected
@@ -174,7 +176,7 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
                 "warm_ms": round(warm_s * 1e3, 3),
                 "cold_speedup": round(interp_s / cold_s, 2),
                 "warm_speedup": round(interp_s / warm_s, 2),
-                "cache_hit_rate": warm_cache.stats.hit_rate,
+                "cache_hit_rate": warm_store.stats(CODE_STAGE).hit_rate,
             }
 
             if has_native:
@@ -297,14 +299,14 @@ def test_e9_obs_off_overhead(benchmark, pytestconfig):
     optimize(module, level=2)
     args = kernel.arguments(256, seed=2026)
     expected = kernel.expected(args)
-    cache = CodeCache()
-    cache.get_or_translate(module)
+    store = ArtifactStore()
+    translate(module, store)
 
     def timed_run(mode):
         with obs_override(mode):
             best = float("inf")
             for _ in range(repeats):
-                simulator = CompiledSimulator(module, cache=cache)
+                simulator = CompiledSimulator(module, store=store)
                 run_args = tuple(list(a) if isinstance(a, list) else a
                                  for a in args)
                 start = time.perf_counter()

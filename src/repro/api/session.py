@@ -40,7 +40,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..exec.cache import CodeCache
 from ..exec.registry import validate_engine
 from ..obs import (
     ObsJournal, default_journal_path, global_tracer, metrics_enabled,
@@ -80,7 +79,6 @@ class Session:
     def __init__(self, name: Optional[str] = None, *,
                  pipeline: Optional[CompilePipeline] = None,
                  store: Optional[ArtifactStore] = None,
-                 cache_dir: Optional[str] = None,
                  engine: Optional[str] = None,
                  evaluation_engine: str = "cycle",
                  fidelity: str = "cycle",
@@ -104,13 +102,11 @@ class Session:
                     "ones: the session's store is its pipeline's store")
             self.pipeline = pipeline
         else:
-            store = store if store is not None else ArtifactStore(
-                cache_dir=cache_dir)
-            self.pipeline = CompilePipeline(store)
+            self.pipeline = CompilePipeline(
+                store if store is not None else ArtifactStore())
+        #: compile artifacts, native ``.so`` bytes and threaded-code
+        #: translations (stage ``exec.code``) of this session.
         self.store = self.pipeline.store
-        #: session-scoped threaded-code cache, bound to the store so its
-        #: eviction pressure shows up in the per-stage stats tables.
-        self.code_cache = CodeCache(store=self.store)
         self.name = name or f"session-{next(_SESSION_COUNTER)}"
         #: default functional engine (run_reference, matrix cross-checks).
         self.engine = engine
@@ -220,14 +216,13 @@ class Session:
             fidelity=fidelity if fidelity is not None else self.fidelity,
             pipeline=self.pipeline)
 
-    def batch_evaluator(self, evaluator, *, workers: Optional[int] = None,
-                        cache_dir: Optional[str] = None):
+    def batch_evaluator(self, evaluator, *, workers: Optional[int] = None):
         """A :class:`~repro.exec.BatchEvaluator` over this session's store."""
         from ..exec.batch import BatchEvaluator
 
         return BatchEvaluator(
             evaluator, workers=self.workers if workers is None else workers,
-            cache_dir=cache_dir, store=self.store)
+            store=self.store)
 
     def explorer(self, evaluator, *, objective: str = "perf_per_area",
                  workers: Optional[int] = None,
@@ -487,8 +482,7 @@ class Session:
                 provenance=self._provenance(request.engine, started, records))
 
         simulator = make_functional_simulator(
-            module, engine=request.engine, cache=self.code_cache,
-            store=self.store)
+            module, engine=request.engine, store=self.store)
         value = simulator.run(kernel.entry, *_run_args(args))
         return RunResponse(
             kernel=kernel.name, machine=machine.name, engine=request.engine,

@@ -305,7 +305,6 @@ class Explorer:
                 return self
             evaluator = self.evaluator.with_fidelity(fidelity)
             batch = BatchEvaluator(evaluator, workers=self.batch.workers,
-                                   cache_dir=self.batch.cache_dir,
                                    store=self.batch.store)
             return Explorer(evaluator, objective=self.objective, batch=batch,
                             seed=self.seed)
@@ -332,7 +331,6 @@ class Explorer:
         # earlier sweeps into the accounting).
         rescore_batch = BatchEvaluator(self.evaluator.with_fidelity("cycle"),
                                        workers=self.batch.workers,
-                                       cache_dir=self.batch.cache_dir,
                                        store=self.batch.store)
         rescored = rescore_batch.evaluate_many(points)
         by_key = {point.cache_key(): evaluation

@@ -11,8 +11,9 @@ This package is the performance tier of the simulation stack:
 * :mod:`repro.exec.native` — :class:`NativeSimulator`, the generated-C
   JIT tier: modules rendered to C, compiled on the fly and driven via
   ctypes, with ``.so`` artifacts shared through the artifact store;
-* :mod:`repro.exec.cache` — a content-addressed code cache so structurally
-  identical modules are translated once;
+* :mod:`repro.exec.cache` — translation as a stage of the artifact
+  store, keyed by module structure, so identical modules are translated
+  once;
 * :mod:`repro.exec.batch` — :class:`BatchEvaluator`, parallel and
   persistently cached design-point evaluation for the explorer;
 * :mod:`repro.exec.registry` — the single registry of engine names used
@@ -31,8 +32,7 @@ from .registry import (
 )
 from .batch import BatchEvaluator, BatchStats, EvaluatorSpec
 from .cache import (
-    CODE_STAGE, CodeCache, CodeCacheStats, global_code_cache,
-    module_fingerprint, reset_global_code_cache,
+    CODE_STAGE, module_fingerprint, reset_global_code_cache, translate,
 )
 from .engine import (
     BatchResult, CompiledSimulator, make_functional_simulator,
@@ -51,8 +51,8 @@ __all__ = [
     "FUNCTIONAL_ENGINES",
     "validate_engine",
     "BatchEvaluator", "BatchStats", "EvaluatorSpec",
-    "CODE_STAGE", "CodeCache", "CodeCacheStats", "global_code_cache",
-    "module_fingerprint", "reset_global_code_cache",
+    "CODE_STAGE", "module_fingerprint", "reset_global_code_cache",
+    "translate",
     "BatchResult", "CompiledSimulator", "make_functional_simulator",
     "reset_native_fallback_warning", "run_batch",
     "NATIVE_STAGE", "NativeCacheStats", "NativeCodeCache",

@@ -13,9 +13,9 @@ and completely deterministic given the evaluator configuration.
   :class:`repro.pipeline.ArtifactStore` (the same content-addressed store
   the staged compile pipeline uses) under the ``"evaluation"`` stage,
   keyed by a SHA-256 of the full evaluation recipe (workload mix, problem
-  size, optimization level, seed, engine, design point); when
-  ``cache_dir`` is given the store's disk layer makes repeated
-  explorations of the same space nearly free even across processes.
+  size, optimization level, seed, engine, design point); with a
+  :class:`~repro.service.DiskArtifactStore` as ``store``, repeated
+  explorations of the same space are nearly free even across processes.
 
 Worker processes are primed by fork inheritance when the platform allows
 it (the parent's evaluator, with its pre-compiled kernel IR, is reused
@@ -36,12 +36,11 @@ from ..obs import global_tracer
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.store import ArtifactStore, SupportsArtifactStore
 
-#: bump when the evaluation recipe or on-disk format changes incompatibly
-#: (2: the memo moved into ArtifactStore — cache_dir/evaluation/<key>.pkl
-#: holding a (payload, seconds) tuple; 3: the recipe gained the fidelity
-#: selector and evaluations carry fidelity/point fields; 4: the recipe
-#: gained the application-mix serialization so application evaluations
-#: are content-addressed).
+#: bump when the evaluation recipe or the evaluation payload changes
+#: incompatibly (2: the memo moved into the artifact store; 3: the recipe
+#: gained the fidelity selector and evaluations carry fidelity/point
+#: fields; 4: the recipe gained the application-mix serialization so
+#: application evaluations are content-addressed).
 _CACHE_SCHEMA = 4
 
 #: artifact-store stage name under which evaluations are memoized.
@@ -190,18 +189,17 @@ class BatchEvaluator:
     """Evaluates design points in parallel with persistent memoization."""
 
     def __init__(self, evaluator, workers: int = 0,
-                 cache_dir: Optional[str] = None,
                  store: Optional[SupportsArtifactStore] = None) -> None:
         self.evaluator = evaluator
         self.workers = workers
-        self.cache_dir = cache_dir
         self.spec = EvaluatorSpec.from_evaluator(evaluator)
         self.stats = BatchStats()
         #: evaluations live in the same kind of content-addressed store as
-        #: compile artifacts; pass one in to share it (and its disk layer)
-        #: with a compile pipeline or another batch evaluator.
+        #: compile artifacts; pass one in to share it with a compile
+        #: pipeline or another batch evaluator (a DiskArtifactStore also
+        #: shares it across processes).
         self.store = (store if store is not None
-                      else ArtifactStore(capacity=None, cache_dir=cache_dir))
+                      else ArtifactStore(capacity=None))
 
     # ------------------------------------------------------------------
     # Cache keys.
@@ -244,7 +242,7 @@ class BatchEvaluator:
             if key in missing:
                 self.stats.memory_hits += 1
                 continue
-            artifact = self.store.get(EVALUATION_STAGE, key, persist=True)
+            artifact = self.store.get(EVALUATION_STAGE, key)
             if artifact is not None:
                 if artifact.source == "disk":
                     self.stats.disk_hits += 1
@@ -258,7 +256,7 @@ class BatchEvaluator:
             evaluated = self._evaluate_missing(list(missing.items()))
             for key, evaluation in evaluated:
                 results[key] = evaluation
-                self.store.put(EVALUATION_STAGE, key, evaluation, persist=True)
+                self.store.put(EVALUATION_STAGE, key, evaluation)
             self.stats.evaluated += len(evaluated)
 
         # Remember which design point each evaluation answers (same point

@@ -1,4 +1,4 @@
-"""Content-addressed code cache for translated modules.
+"""Threaded-code translations as a stage of the artifact store.
 
 Design-space exploration re-compiles and re-simulates structurally
 identical IR over and over (every candidate machine starts from a clone of
@@ -13,36 +13,36 @@ normalized to per-function sequence numbers (clones allocate fresh global
 ids, so raw ids would never match).  CUSTOM operations additionally hash
 the *signature* of the pattern currently bound to their name, so the same
 IR under different registered semantics maps to different cache entries.
+
+:class:`TranslationStage` stores translations under :data:`CODE_STAGE`
+in the store a simulator is given (a session's store), or in one
+process-wide store when it is given none; its hit, miss and eviction
+counters are that store's ``exec.code`` stage stats.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ir import (
-    Argument, Constant, GlobalVariable, Module, Opcode, UndefValue,
-    VirtualRegister,
+    Argument, Constant, GlobalVariable, Module, UndefValue, VirtualRegister,
 )
-from ..obs import global_tracer
-from ..obs.metrics import StageStats
+from ..pipeline.stage import Stage
+from ..pipeline.store import ArtifactStore
 from .translator import TranslatedProgram, translate_module
 
 
-def module_fingerprint(module: Module, library=None) -> str:
+def module_fingerprint(module: Module) -> str:
     """A structural content hash of ``module``.
 
     Two modules have equal fingerprints iff they are clones of each other
     (same functions, blocks, instructions, operands, globals) with the same
-    custom-op semantics visible in ``library`` (the process-wide extension
-    library by default).
+    custom-op semantics visible in the process-wide extension library.
     """
-    if library is None:
-        from ..core.library import global_extension_library
+    from ..core.library import global_extension_library
 
-        library = global_extension_library()
+    library = global_extension_library()
 
     parts = []
 
@@ -99,145 +99,44 @@ def module_fingerprint(module: Module, library=None) -> str:
     return digest.hexdigest()
 
 
-#: artifact-store stage name under which a bound CodeCache keeps its
-#: counters (so ``pipeline.stats()`` shows threaded-code cache pressure
-#: next to the staged-compilation stages).
+#: artifact-store stage name of threaded-code translations.
 CODE_STAGE = "exec.code"
 
 
-class CodeCacheStats:
-    """Hit/miss counters of one :class:`CodeCache`.
+class TranslationStage(Stage):
+    """IR module → threaded-code translation.
 
-    A view over a :class:`~repro.obs.metrics.StageStats` (itself a view
-    over registry counters): an unbound cache counts into a private
-    registry, a store-bound cache counts *directly* into the store's
-    ``exec.code`` stage — one counter, no mirror to drift.
+    Keyed by :func:`module_fingerprint`, so every clone of a module
+    shares one translation.  The payload is immutable and handed out as
+    is; its closures do not pickle, so a
+    :class:`~repro.service.DiskArtifactStore` keeps it in memory only.
     """
 
-    _FIELDS = ("hits", "misses", "evictions")
+    name = CODE_STAGE
 
-    __slots__ = ("_backing",)
+    def key(self, module: Module) -> str:
+        return module_fingerprint(module)
 
-    def __init__(self, backing: Optional[StageStats] = None) -> None:
-        object.__setattr__(self, "_backing",
-                           backing if backing is not None
-                           else StageStats(stage=CODE_STAGE))
-
-    def __getattr__(self, name: str):
-        if name in CodeCacheStats._FIELDS:
-            return getattr(object.__getattribute__(self, "_backing"), name)
-        raise AttributeError(name)
-
-    def __setattr__(self, name: str, value) -> None:
-        if name in CodeCacheStats._FIELDS:
-            setattr(object.__getattribute__(self, "_backing"), name, value)
-            return
-        object.__setattr__(self, name, value)
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return 0.0 if self.lookups == 0 else self.hits / self.lookups
-
-    def as_dict(self) -> Dict[str, object]:
-        return {"hits": self.hits, "misses": self.misses,
-                "evictions": self.evictions,
-                "hit_rate": round(self.hit_rate, 4)}
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CodeCacheStats({self.as_dict()!r})"
+    def build(self, module: Module) -> TranslatedProgram:
+        return translate_module(module)
 
 
-class CodeCache:
-    """An LRU cache mapping module fingerprints to translated programs.
+_TRANSLATION = TranslationStage()
 
-    When bound to an artifact store (``store=`` or :meth:`bind_store`),
-    counters live on the owning store's ``exec.code`` stage stats — one
-    source of truth shared by ``cache.stats`` and ``store.stats_dict()``,
-    so the eviction counts that used to be mirrored (and could drift)
-    are now literally the same number.
-    """
-
-    def __init__(self, capacity: Optional[int] = 256, store=None) -> None:
-        self.capacity = capacity
-        self.stats = CodeCacheStats()
-        self.store = None
-        self._entries: "OrderedDict[str, TranslatedProgram]" = OrderedDict()
-        self._lock = threading.Lock()
-        if store is not None:
-            self.bind_store(store)
-
-    def bind_store(self, store) -> None:
-        """Count into ``store``'s ``exec.code`` stage stats from now on.
-
-        Counts accumulated while unbound migrate into the store's stage
-        so nothing is lost; the existing ``stats`` view object is
-        rebound in place, keeping held references valid.
-        """
-        self.store = store
-        if store is None:
-            return
-        target = store.stats(CODE_STAGE)
-        old = object.__getattribute__(self.stats, "_backing")
-        if old is target:
-            return
-        with self._lock:
-            for name in CodeCacheStats._FIELDS:
-                count = getattr(old, name)
-                if count:
-                    setattr(target, name, getattr(target, name) + count)
-            object.__setattr__(self.stats, "_backing", target)
-
-    def get_or_translate(self, module: Module, library=None) -> TranslatedProgram:
-        """Return the cached translation of ``module``, translating on miss."""
-        fingerprint = module_fingerprint(module, library=library)
-        with self._lock:
-            program = self._entries.get(fingerprint)
-            if program is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(fingerprint)
-                return program
-            self.stats.misses += 1
-        # Translate outside the lock: translation is pure and an occasional
-        # duplicate translation is cheaper than serializing translators.
-        with global_tracer().span("engine.translate",
-                                  fingerprint=fingerprint[:16]):
-            program = translate_module(module, library=library)
-        program.fingerprint = fingerprint
-        with self._lock:
-            self._entries[fingerprint] = program
-            self._entries.move_to_end(fingerprint)
-            if self.capacity is not None and len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-        return program
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return fingerprint in self._entries
-
-    def clear(self) -> None:
-        """Drop entries and zero the counters (in place — views survive)."""
-        with self._lock:
-            self._entries.clear()
-            for name in CodeCacheStats._FIELDS:
-                setattr(self.stats, name, 0)
+#: translations of simulators built without a store.
+_GLOBAL_CODE_STORE = ArtifactStore(capacity=256)
 
 
-#: process-wide cache used by CompiledSimulator unless one is supplied.
-_GLOBAL_CODE_CACHE = CodeCache()
-
-
-def global_code_cache() -> CodeCache:
-    """Return the process-wide code cache."""
-    return _GLOBAL_CODE_CACHE
+def translate(module: Module, store=None) -> TranslatedProgram:
+    """The translation of ``module``, built on a miss in ``store``
+    (default: the process-wide translation store)."""
+    if store is None:
+        store = _GLOBAL_CODE_STORE
+    program, _record = _TRANSLATION.run(store, module)
+    return program
 
 
 def reset_global_code_cache() -> None:
-    """Clear the process-wide code cache (used by tests and benchmarks)."""
-    _GLOBAL_CODE_CACHE.clear()
+    """Empty the process-wide translation store and zero its counters
+    (tests and benchmarks start cold passes with it)."""
+    _GLOBAL_CODE_STORE.clear()

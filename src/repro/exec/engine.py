@@ -2,9 +2,10 @@
 
 :class:`CompiledSimulator` exposes the same ``run`` / ``run_profiled`` /
 ``profile`` contract as :class:`repro.sim.FunctionalSimulator` but executes
-threaded code produced by :mod:`repro.exec.translator` and cached by
-:mod:`repro.exec.cache`.  On successful runs it produces bit-identical
-return values, memory write-backs and :class:`ExecutionProfile` counters;
+threaded code produced by :mod:`repro.exec.translator` and cached as
+the ``exec.code`` stage of an artifact store (:mod:`repro.exec.cache`).
+On successful runs it produces bit-identical return values, memory
+write-backs and :class:`ExecutionProfile` counters;
 the interpreter remains the semantic oracle and the differential tests in
 ``tests/test_exec_engine.py`` enforce the equivalence over the whole
 workload suite.
@@ -31,7 +32,7 @@ Known, deliberate divergences from the interpreter (error paths only):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..ir import Module, PointerType
 from ..ir.types import I32
@@ -40,7 +41,7 @@ from ..sim.functional import (
     _wrap,
 )
 from ..sim.memory import Memory, ProgramImage
-from .cache import CodeCache, global_code_cache
+from .cache import translate
 from .registry import FUNCTIONAL_ENGINES, validate_engine
 from .translator import TranslatedFunction, TranslatedProgram
 
@@ -49,11 +50,11 @@ class CompiledSimulator:
     """Executes translated (threaded-code) modules with a flat memory."""
 
     def __init__(self, module: Module, memory_size: int = 1 << 20,
-                 max_steps: int = 50_000_000,
-                 cache: Optional[CodeCache] = None) -> None:
+                 max_steps: int = 50_000_000, store=None) -> None:
         self.module = module
-        self.cache = cache if cache is not None else global_code_cache()
-        self.program: TranslatedProgram = self.cache.get_or_translate(module)
+        #: translations come from ``store`` (a session's artifact store)
+        #: or, without one, from the process-wide translation store.
+        self.program: TranslatedProgram = translate(module, store)
         # ProgramImage performs the same deterministic bump allocation the
         # translator baked into the code, so the global addresses it assigns
         # to *this* module match the translated constants.
@@ -220,7 +221,6 @@ def make_functional_simulator(module: Module, engine: str = "interpreter",
     if engine == "interpreter":
         from ..sim.functional import FunctionalSimulator
 
-        kwargs.pop("cache", None)
         kwargs.pop("native_cache", None)
         kwargs.pop("store", None)
         return FunctionalSimulator(module, **kwargs)
@@ -240,7 +240,6 @@ def make_functional_simulator(module: Module, engine: str = "interpreter",
             engine = "compiled"
     if engine == "compiled":
         kwargs.pop("native_cache", None)
-        kwargs.pop("store", None)
         return CompiledSimulator(module, **kwargs)
     raise ValueError(
         f"engine '{engine}' is registered but has no constructor here; "
@@ -285,7 +284,7 @@ def run_batch(module: Module, entry: str, arg_sets: Sequence[Sequence],
     if simulator is None:
         simulator = make_functional_simulator(
             module, engine=engine, memory_size=memory_size,
-            max_steps=max_steps)
+            max_steps=max_steps, store=store)
     values, instructions = [], []
     for index, arg_set in enumerate(arg_sets):
         if index:

@@ -10,7 +10,7 @@ produces bit-identical return values, memory write-backs and execution
 profiles on successful runs.
 
 Build artifacts flow through the content-addressed
-:class:`~repro.pipeline.ArtifactStore` under the persisted ``"native"``
+:class:`~repro.pipeline.ArtifactStore` under the ``"native"``
 stage, so a service's shared :class:`DiskArtifactStore` lets every worker
 reuse one compile.  Failures are *quarantined* by cache key: a module
 whose render or compile fails once is never retried in this process, and
@@ -42,7 +42,7 @@ from ..sim.functional import (
     CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError,
 )
 from ..sim.memory import MemoryError_
-from .cache import CodeCache, module_fingerprint
+from .cache import module_fingerprint
 from .engine import CompiledSimulator
 from .nativegen import (
     RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_CUSTOM, TRAP_DEPTH,
@@ -50,7 +50,7 @@ from .nativegen import (
     TRAP_STEPS, UnsupportedNativeModule, render_c_program,
 )
 
-#: artifact-store stage name under which shared objects are persisted.
+#: artifact-store stage name of shared-object bytes.
 NATIVE_STAGE = "native"
 
 #: environment override for the compiler ("none"/"off"/"0"/"disabled"
@@ -300,10 +300,14 @@ class NativeCodeCache:
     ``None`` immediately (the engine falls back to threaded code) and the
     bad artifact is never re-loaded.
 
+    The ``.so`` bytes live in the artifact store (stage ``"native"``),
+    but the loaded programs keep their own LRU: they own ``dlopen``
+    handles and files, which a store eviction could not unload.
     ``clear()`` / eviction ``dlclose`` the shared objects and delete
-    their files; callers must not clear while :class:`NativeSimulator`
-    instances built from the evicted programs are still in use (same
-    caveat as :func:`repro.exec.reset_global_code_cache`).  A ``lib_dir``
+    their files, so callers must not clear while :class:`NativeSimulator`
+    instances built from the evicted programs are still in use (a
+    cleared translation store has no such hazard: live simulators keep
+    their translation objects).  A ``lib_dir``
     the cache made itself is removed by ``clear()`` (and when the cache
     is collected or the process exits); a caller-supplied one is left in
     place, emptied of the cache's files.
@@ -356,7 +360,7 @@ class NativeCodeCache:
         ``None`` means "use the fallback": no compiler, unsupported
         module, or a quarantined key.  ``store`` (any
         :class:`SupportsArtifactStore`) shares ``.so`` bytes across
-        processes under the persisted ``"native"`` stage.
+        processes under the ``"native"`` stage.
         """
         if not self.toolchain.available:
             return None
@@ -433,7 +437,7 @@ class NativeCodeCache:
                     so_bytes = self.toolchain.compile(rendered.source)
                     self.stats.builds += 1
                     if store is not None:
-                        store.put(NATIVE_STAGE, key, so_bytes, persist=True)
+                        store.put(NATIVE_STAGE, key, so_bytes)
                     lib = self._materialize(path, so_bytes)
                 except (NativeCompileError, OSError) as exc2:
                     self._quarantine_key(key, f"load failed: {exc2}")
@@ -528,12 +532,11 @@ class NativeSimulator(CompiledSimulator):
 
     def __init__(self, module: Module, memory_size: int = 1 << 20,
                  max_steps: int = 50_000_000,
-                 cache: Optional[CodeCache] = None,
                  native_cache: Optional[NativeCodeCache] = None,
                  store=None,
                  program: Optional[NativeProgram] = None) -> None:
         super().__init__(module, memory_size=memory_size,
-                         max_steps=max_steps, cache=cache)
+                         max_steps=max_steps, store=store)
         self.native_cache = (native_cache if native_cache is not None
                              else global_native_cache())
         if program is None:

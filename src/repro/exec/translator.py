@@ -32,14 +32,14 @@ The translated program is an immutable snapshot: it captures values (not
 live IR nodes) wherever later passes could mutate the module, so a cached
 :class:`TranslatedProgram` stays valid even if its source module is
 rewritten afterwards (the rewrite changes the module's fingerprint and
-therefore misses the code cache).
+therefore misses the stored translation).
 """
 
 from __future__ import annotations
 
 import operator
 import struct
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..ir import (
     Argument, Constant, Function, GlobalVariable, Instruction, IntType, Module,
@@ -231,7 +231,7 @@ class TranslatedProgram:
     """An immutable compiled snapshot of one module."""
 
     __slots__ = ("module_name", "functions", "globals_layout", "data_break",
-                 "fingerprint", "static_instructions")
+                 "static_instructions")
 
     def __init__(self, module_name: str) -> None:
         self.module_name = module_name
@@ -239,7 +239,6 @@ class TranslatedProgram:
         self.globals_layout: List[GlobalSlot] = []
         #: first free memory address after the globals are loaded.
         self.data_break = Memory.GUARD
-        self.fingerprint: Optional[str] = None
         self.static_instructions = 0
 
 

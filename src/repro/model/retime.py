@@ -112,15 +112,14 @@ class RetimingModel:
         if cached is not None:
             return cached
         if self.store is not None:
-            artifact = self.store.get(REPLAY_STAGE, "|".join(key),
-                                      persist=True)
+            artifact = self.store.get(REPLAY_STAGE, "|".join(key))
             if artifact is not None:
                 self._replays[key] = artifact.payload
                 return artifact.payload
         counts = _replay_dcache(trace.memory_accesses, config)
         self._replays[key] = counts
         if self.store is not None:
-            self.store.put(REPLAY_STAGE, "|".join(key), counts, persist=True)
+            self.store.put(REPLAY_STAGE, "|".join(key), counts)
         return counts
 
     # ------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 The registry is the single source of truth for every counter the system
 used to keep ad hoc: the artifact store's per-stage hit/miss/eviction
-counts, the code cache's pressure counters, request/engine latencies,
-the daemon's queue economics.  Three things make it fleet-friendly:
+counts (translations included, as stage ``exec.code``), request/engine
+latencies, the daemon's queue economics.  Three things make it fleet-friendly:
 
 * **snapshots** — :meth:`MetricsRegistry.snapshot` reduces the registry
   to a plain-JSON list, so worker processes can ship their counters to
@@ -443,16 +443,12 @@ class StageStats:
     ``misses``, ... readable and assignable, ``hit_rate``, ``as_dict``)
     while the numbers live in a :class:`MetricsRegistry` as
     ``store_<field>{stage=...}`` counters — one source of truth shared
-    by the store, the code cache mirror, ``store.stats_dict()`` and the
-    Prometheus export.
+    by the store, ``store.stats_dict()`` and the Prometheus export.
     """
 
     __slots__ = ("stage", "_counters")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 stage: str = "") -> None:
-        if registry is None:
-            registry = MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry, stage: str) -> None:
         self.stage = stage
         labels = {"stage": stage}
         self._counters = {

@@ -144,7 +144,7 @@ class NativeStage(Stage):
     The build artifact of the generated-C execution engine
     (:mod:`repro.exec.native`): the module is rendered to one C source
     file and compiled into a ``.so`` whose raw bytes are the payload —
-    plain data, persisted, so a service's shared
+    plain data, so a service's shared
     :class:`~repro.service.DiskArtifactStore` lets every worker reuse
     one compile.  Keyed by the structural module fingerprint times the
     toolchain's ABI digest (compiler identity/version/flags/platform and
@@ -158,7 +158,6 @@ class NativeStage(Stage):
     """
 
     name = "native"
-    persist = True
 
     def __init__(self, toolchain=None, rendered=None,
                  key: Optional[str] = None) -> None:
@@ -199,11 +198,10 @@ class TraceStage(Stage):
     serializable :class:`~repro.model.trace.KernelTrace`.  Keyed by the
     structural module fingerprint and the argument recipe — no machine
     axis, so the artifact is shared by every design point of a sweep.
-    Persisted: traces are plain data and survive across processes.
+    Traces are plain data, so a disk store keeps them across processes.
     """
 
     name = "trace"
-    persist = True
 
     def key(self, module: Module, entry: str, args, args_key: str) -> str:
         return trace_fingerprint(module_fingerprint(module), entry, args_key)

@@ -5,7 +5,7 @@ that can change its output, so artifacts are reused whenever those inputs
 are unchanged — across toolchains, evaluators and processes sharing one
 :class:`~repro.pipeline.store.ArtifactStore`.  The structural module
 fingerprint is :func:`repro.exec.cache.module_fingerprint` (shared with
-the threaded-code cache); this module adds the source-text and
+the threaded-code translation stage); this module adds the source-text and
 machine-axis halves.
 
 Machine-axis → stage dependency table

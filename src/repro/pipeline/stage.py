@@ -47,9 +47,6 @@ class Stage:
 
     #: namespace inside the artifact store.
     name: str = "stage"
-    #: whether this stage's payloads may use the store's disk layer
-    #: (requires a picklable payload).
-    persist: bool = False
 
     def key(self, *inputs) -> str:
         """Content fingerprint of ``inputs``; equal keys ⇒ equal outputs."""
@@ -73,7 +70,7 @@ class Stage:
         """Look up or build the artifact for ``inputs``."""
         with global_tracer().span(f"stage.{self.name}") as span:
             key = self.key(*inputs)
-            artifact = store.get(self.name, key, persist=self.persist)
+            artifact = store.get(self.name, key)
             if artifact is not None:
                 span.note(key=key[:16], hit=True, source=artifact.source)
                 return (self.replicate(artifact.payload, *inputs),
@@ -82,8 +79,7 @@ class Stage:
             start = time.perf_counter()
             payload = self.build(*inputs)
             seconds = time.perf_counter() - start
-            store.put(self.name, key, payload, seconds=seconds,
-                      persist=self.persist)
+            store.put(self.name, key, payload, seconds=seconds)
             span.note(key=key[:16], hit=False)
             return (self.replicate(payload, *inputs),
                     StageRecord(stage=self.name, key=key, hit=False,

@@ -1,14 +1,12 @@
 """The content-addressed artifact store shared by all pipeline stages.
 
 An :class:`ArtifactStore` maps ``(stage, key)`` to a
-:class:`StageArtifact` through two layers:
-
-* an in-memory LRU (always on; ``capacity`` bounds the entry count), and
-* an optional on-disk pickle layer (``cache_dir``), used only for lookups
-  and puts that ask for persistence — live IR graphs stay in memory, while
-  plain-data artifacts such as design-point evaluations survive across
-  processes.  Disk I/O is best effort: a corrupt or unpicklable entry is
-  simply a miss.
+:class:`StageArtifact` in an in-memory LRU (``capacity`` bounds the
+entry count across all stages).  Every cached artifact of the stack
+lives in one: compile stages, design-point evaluations, native ``.so``
+bytes and threaded-code translations (stage ``exec.code``).  Artifacts
+that must survive the process go to the subclass
+:class:`repro.service.DiskArtifactStore`, the one disk format.
 
 Cache statistics live in the store's :class:`~repro.obs.MetricsRegistry`
 as ``store_*{stage=...}`` counters; :class:`StageStats` (defined in
@@ -21,8 +19,6 @@ numbers as Prometheus text — one source of truth.
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
@@ -66,12 +62,11 @@ class SupportsArtifactStore(Protocol):
     :class:`~repro.api.Session`.
     """
 
-    def get(self, stage: str, key: str,
-            persist: bool = False) -> Optional["StageArtifact"]:
+    def get(self, stage: str, key: str) -> Optional["StageArtifact"]:
         """The artifact for ``(stage, key)``, or None on a miss."""
 
     def put(self, stage: str, key: str, payload: object,
-            seconds: float = 0.0, persist: bool = False) -> "StageArtifact":
+            seconds: float = 0.0) -> "StageArtifact":
         """Insert a freshly built payload; returns its artifact record."""
 
     def stats(self, stage: str) -> StageStats:
@@ -82,15 +77,11 @@ class SupportsArtifactStore(Protocol):
 
 
 class ArtifactStore:
-    """Two-layer (memory LRU + optional disk) content-addressed store."""
+    """In-memory LRU content-addressed store."""
 
     def __init__(self, capacity: Optional[int] = 1024,
-                 cache_dir: Optional[str] = None,
                  registry: Optional[MetricsRegistry] = None) -> None:
         self.capacity = capacity
-        self.cache_dir = cache_dir
-        if cache_dir is not None:
-            os.makedirs(cache_dir, exist_ok=True)
         #: where the counters actually live (``store_*{stage=...}``).
         self.registry = registry if registry is not None else MetricsRegistry()
         self._entries: "OrderedDict[tuple, StageArtifact]" = OrderedDict()
@@ -125,48 +116,36 @@ class ArtifactStore:
     # ------------------------------------------------------------------
     # Lookup / insert.
     # ------------------------------------------------------------------
-    def get(self, stage: str, key: str,
-            persist: bool = False) -> Optional[StageArtifact]:
-        """Return the artifact for ``(stage, key)`` or None on a miss.
+    def get(self, stage: str, key: str) -> Optional[StageArtifact]:
+        """Return the artifact for ``(stage, key)`` or None on a miss."""
+        with self._lock:
+            stats = self._stage_stats(stage)
+            artifact = self._lookup(stage, key, stats)
+            if artifact is None:
+                stats.misses += 1
+            return artifact
 
-        ``persist`` enables the disk layer for this lookup; a disk hit is
-        promoted into the memory layer.
-        """
-        stats = self.stats(stage)
-        with self._lock:
-            artifact = self._entries.get((stage, key))
-            if artifact is not None:
-                stats.hits += 1
-                stats.seconds_saved += artifact.seconds
-                self._entries.move_to_end((stage, key))
-                return replace(artifact, source="memory")
-        if persist:
-            artifact = self._load_disk(stage, key)
-            if artifact is not None:
-                # ``artifact`` is this call's private object; the stored
-                # copy is never mutated after insertion.
-                artifact.source = "disk"
-                with self._lock:
-                    stats.disk_hits += 1
-                    stats.seconds_saved += artifact.seconds
-                    self._insert(stage, key, artifact, stats)
-                return artifact
-        with self._lock:
-            stats.misses += 1
-        return None
+    def _lookup(self, stage: str, key: str,
+                stats: StageStats) -> Optional[StageArtifact]:
+        # Caller holds the lock; a hit is counted, a miss is not.
+        artifact = self._entries.get((stage, key))
+        if artifact is None:
+            return None
+        stats.hits += 1
+        stats.seconds_saved += artifact.seconds
+        self._entries.move_to_end((stage, key))
+        return replace(artifact, source="memory")
 
     def put(self, stage: str, key: str, payload: object,
-            seconds: float = 0.0, persist: bool = False) -> StageArtifact:
+            seconds: float = 0.0) -> StageArtifact:
         """Insert a freshly built payload; returns its artifact record."""
         artifact = StageArtifact(stage=stage, key=key, payload=payload,
                                  seconds=seconds, source="built")
-        stats = self.stats(stage)
         with self._lock:
+            stats = self._stage_stats(stage)
             stats.puts += 1
             stats.seconds_built += seconds
             self._insert(stage, key, artifact, stats)
-        if persist:
-            self._store_disk(stage, key, artifact)
         return artifact
 
     def _insert(self, stage: str, key: str, artifact: StageArtifact,
@@ -186,48 +165,12 @@ class ArtifactStore:
         return stage_key in self._entries
 
     def clear(self) -> None:
-        """Drop the memory layer and zero counters (disk entries kept).
+        """Drop every entry and zero the counters.
 
-        Counters are zeroed *in place* so existing :class:`StageStats`
-        views (e.g. a bound :class:`~repro.exec.cache.CodeCache`) keep
-        pointing at live series.
+        Counters are zeroed *in place*, so :class:`StageStats` views
+        held by callers keep pointing at live series.
         """
         with self._lock:
             self._entries.clear()
             self._stats.clear()
         self.registry.reset(prefix="store_")
-
-    # ------------------------------------------------------------------
-    # Disk layer (best effort).
-    # ------------------------------------------------------------------
-    def _disk_path(self, stage: str, key: str) -> Optional[str]:
-        if self.cache_dir is None:
-            return None
-        return os.path.join(self.cache_dir, stage, f"{key}.pkl")
-
-    def _load_disk(self, stage: str, key: str) -> Optional[StageArtifact]:
-        path = self._disk_path(stage, key)
-        if path is None or not os.path.exists(path):
-            return None
-        try:
-            with open(path, "rb") as handle:
-                payload, seconds = pickle.load(handle)
-            return StageArtifact(stage=stage, key=key, payload=payload,
-                                 seconds=seconds, source="disk")
-        except Exception:  # noqa: BLE001 - a corrupt entry is a miss
-            return None
-
-    def _store_disk(self, stage: str, key: str,
-                    artifact: StageArtifact) -> None:
-        path = self._disk_path(stage, key)
-        if path is None:
-            return
-        tmp = f"{path}.tmp.{os.getpid()}"
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            with open(tmp, "wb") as handle:
-                pickle.dump((artifact.payload, artifact.seconds), handle)
-            os.replace(tmp, path)
-        except Exception:  # noqa: BLE001 - the disk layer is best effort
-            if os.path.exists(tmp):
-                os.remove(tmp)

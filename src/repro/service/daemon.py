@@ -355,7 +355,7 @@ class ShardedBatch(BatchEvaluator):
         self.pool.run_many(tasks, timeout=self.task_timeout)
         evaluated = []
         for key, point in items:
-            artifact = self.store.get(EVALUATION_STAGE, key, persist=True)
+            artifact = self.store.get(EVALUATION_STAGE, key)
             if artifact is not None:
                 evaluated.append((key, artifact.payload))
             else:
@@ -432,15 +432,13 @@ class ServiceDaemon:
         class DaemonSession(Session):
             """A Session whose design-point batches fan out to the pool."""
 
-            def batch_evaluator(self, evaluator, *, workers=None,
-                                cache_dir=None):
+            def batch_evaluator(self, evaluator, *, workers=None):
                 if daemon.workers > 0:
                     return ShardedBatch(
                         evaluator, daemon.pool, daemon.store,
                         chunk=daemon.evaluate_chunk,
                         task_timeout=daemon.task_timeout)
-                return super().batch_evaluator(evaluator, workers=workers,
-                                               cache_dir=cache_dir)
+                return super().batch_evaluator(evaluator, workers=workers)
 
         return DaemonSession(name=self.name, store=self.store)
 

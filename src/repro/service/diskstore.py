@@ -4,14 +4,15 @@
 :class:`repro.pipeline.store.SupportsArtifactStore` on top of a shared
 directory, so every process pointed at the same root — the daemon, its
 worker pool, a CLI session — sees one
-compile/trace/evaluation cache.  It extends the in-process
-:class:`~repro.pipeline.store.ArtifactStore` (which stays the private
-fast path: memory LRU in front, per-process counters) with:
+compile/trace/evaluation cache.  It is the only on-disk store format and
+extends the in-process :class:`~repro.pipeline.store.ArtifactStore`
+(which stays the private fast path: memory LRU in front, per-process
+counters) with:
 
-* **forced persistence** — every get/put consults the disk layer, not
-  just the stages that opt in, so any picklable artifact crosses
-  process boundaries (unpicklable payloads degrade to memory-only,
-  exactly like the parent's best-effort disk layer);
+* **persistence of every stage** — each memory miss consults the disk
+  and each put writes through, so any picklable artifact crosses
+  process boundaries; a payload that does not pickle (threaded-code
+  translations are closures) stays in memory only and leaves no file;
 * **content fingerprints** — each entry file carries a SHA-256 of its
   pickle body; a mismatch (truncation, corruption, torn write from a
   dying process) is *detected*, the entry is quarantined under
@@ -59,29 +60,41 @@ class DiskArtifactStore(ArtifactStore):
     """Disk-backed, file-locked, fingerprinted ``(stage, key)`` store."""
 
     def __init__(self, root: str, capacity: Optional[int] = 1024,
-                 size_budget_bytes: Optional[int] = None,
-                 force_persist: bool = True) -> None:
-        root = os.path.abspath(root)
-        super().__init__(capacity=capacity, cache_dir=root)
-        self.root = root
+                 size_budget_bytes: Optional[int] = None) -> None:
+        super().__init__(capacity=capacity)
+        self.root = os.path.abspath(root)
         self.size_budget_bytes = size_budget_bytes
-        #: when True (the default), every lookup and insert uses the
-        #: disk layer so all stages — not just those that opt in — are
-        #: shared across processes.
-        self.force_persist = force_persist
-        os.makedirs(root, exist_ok=True)
+        os.makedirs(self.root, exist_ok=True)
 
     # ------------------------------------------------------------------
-    # (stage, key) protocol — force the disk layer on.
+    # (stage, key) protocol — memory first, then the disk.
     # ------------------------------------------------------------------
-    def get(self, stage: str, key: str,
-            persist: bool = False) -> Optional[StageArtifact]:
-        return super().get(stage, key, persist or self.force_persist)
+    def get(self, stage: str, key: str) -> Optional[StageArtifact]:
+        """The artifact from memory, else from disk (promoted into
+        memory), else None."""
+        with self._lock:
+            stats = self._stage_stats(stage)
+            artifact = self._lookup(stage, key, stats)
+        if artifact is not None:
+            return artifact
+        # ``artifact`` is this call's private object; the stored copy is
+        # never mutated after insertion.
+        artifact = self._load_disk(stage, key)
+        with self._lock:
+            if artifact is None:
+                stats.misses += 1
+                return None
+            stats.disk_hits += 1
+            stats.seconds_saved += artifact.seconds
+            self._insert(stage, key, artifact, stats)
+        return artifact
 
     def put(self, stage: str, key: str, payload: object,
-            seconds: float = 0.0, persist: bool = False) -> StageArtifact:
-        return super().put(stage, key, payload, seconds=seconds,
-                           persist=persist or self.force_persist)
+            seconds: float = 0.0) -> StageArtifact:
+        """Insert into memory and write the entry through to disk."""
+        artifact = super().put(stage, key, payload, seconds=seconds)
+        self._store_disk(stage, key, artifact)
+        return artifact
 
     # ------------------------------------------------------------------
     # Disk layout and locking.
@@ -223,7 +236,6 @@ class DiskArtifactStore(ArtifactStore):
             "entries": self.disk_len(),
             "bytes": self.disk_bytes(),
             "size_budget_bytes": self.size_budget_bytes,
-            "force_persist": self.force_persist,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -16,12 +16,15 @@ import pytest
 from repro.arch import vliw4
 from repro.dse import DesignPoint, DesignSpace, Evaluator, Explorer
 from repro.exec import (
-    BatchEvaluator, CodeCache, CompiledSimulator, global_code_cache,
-    make_functional_simulator, module_fingerprint, reset_global_code_cache,
+    CODE_STAGE, BatchEvaluator, CompiledSimulator, make_functional_simulator,
+    module_fingerprint, reset_global_code_cache, translate,
 )
+from repro.exec import cache as cache_module
 from repro.frontend import compile_c
 from repro.ir import Opcode
 from repro.opt import optimize
+from repro.pipeline import ArtifactStore
+from repro.service import DiskArtifactStore
 from repro.sim import FunctionalSimulator, SimulationError
 from repro.toolchain import Toolchain
 from repro.workloads import KERNELS, get_kernel, get_mix, run_kernel, validate_suite
@@ -145,11 +148,12 @@ class TestCodeCache:
 
     def test_structurally_identical_modules_share_translation(self):
         kernel, module = build_kernel_module("dot_product")
-        cache = CodeCache()
-        first = CompiledSimulator(module, cache=cache)
-        second = CompiledSimulator(module.clone(), cache=cache)
+        store = ArtifactStore()
+        first = CompiledSimulator(module, store=store)
+        second = CompiledSimulator(module.clone(), store=store)
         assert first.program is second.program
-        assert cache.stats.misses == 1 and cache.stats.hits == 1
+        stats = store.stats(CODE_STAGE)
+        assert stats.misses == 1 and stats.hits == 1
         args = kernel.arguments(None, seed=11)
         run_args = tuple(list(a) if isinstance(a, list) else a for a in args)
         assert first.run(kernel.entry, *run_args) == kernel.expected(args)
@@ -158,24 +162,51 @@ class TestCodeCache:
 
     def test_mutated_module_misses_cache(self):
         _kernel, module = build_kernel_module("dot_product")
-        cache = CodeCache()
-        cache.get_or_translate(module)
+        store = ArtifactStore()
+        translate(module, store)
         clone = module.clone()
         # Mutate: renaming the entry function changes the structure.
         function = clone.functions.pop("dot_product")
         function.name = "renamed"
         clone.functions["renamed"] = function
-        cache.get_or_translate(clone)
-        assert cache.stats.misses == 2
+        translate(clone, store)
+        assert store.stats(CODE_STAGE).misses == 2
 
     def test_lru_eviction(self):
-        cache = CodeCache(capacity=1)
+        store = ArtifactStore(capacity=1)
         _k1, m1 = build_kernel_module("dot_product")
         _k2, m2 = build_kernel_module("crc32")
-        cache.get_or_translate(m1)
-        cache.get_or_translate(m2)
-        assert len(cache) == 1
-        assert cache.stats.evictions == 1
+        translate(m1, store)
+        translate(m2, store)
+        assert len(store) == 1
+        assert store.stats(CODE_STAGE).evictions == 1
+
+    def test_reset_empties_the_global_translation_store(self):
+        # No store given: simulators share the process-wide store.
+        stats = cache_module._GLOBAL_CODE_STORE.stats(CODE_STAGE)
+        _kernel, module = build_kernel_module("dot_product")
+        CompiledSimulator(module)
+        warm = CompiledSimulator(module.clone())
+        assert (stats.misses, stats.hits) == (1, 1)
+        reset_global_code_cache()
+        assert len(cache_module._GLOBAL_CODE_STORE) == 0
+        cold = CompiledSimulator(module.clone())
+        assert (stats.misses, stats.hits) == (1, 0)
+        assert cold.program is not warm.program
+
+    def test_disk_store_keeps_translations_in_memory(self, tmp_path):
+        from repro.api import RunRequest, Session
+
+        store = DiskArtifactStore(str(tmp_path))
+        with Session(store=store) as session:
+            response = session.execute(RunRequest(
+                kernel="dot_product", machine="vliw4", size=16,
+                engine="compiled"))
+        assert response.correct
+        stats = store.stats(CODE_STAGE)
+        assert stats.misses == 1 and stats.corrupt == 0
+        assert not (tmp_path / CODE_STAGE).exists()
+        assert store.disk_len() > 0  # the compile stages did persist
 
 
 class TestEngineSelector:
@@ -243,9 +274,11 @@ class TestBatchEvaluator:
 
     def test_disk_cache_round_trip(self, tmp_path):
         point = DesignPoint(issue_width=2)
-        cold = BatchEvaluator(self._evaluator(), cache_dir=str(tmp_path))
+        cold = BatchEvaluator(self._evaluator(),
+                              store=DiskArtifactStore(str(tmp_path)))
         before = cold.evaluate(point)
-        warm = BatchEvaluator(self._evaluator(), cache_dir=str(tmp_path))
+        warm = BatchEvaluator(self._evaluator(),
+                              store=DiskArtifactStore(str(tmp_path)))
         after = warm.evaluate(point)
         assert warm.stats.disk_hits == 1 and warm.stats.evaluated == 0
         assert after.summary_row() == before.summary_row()

@@ -38,7 +38,7 @@ from repro.arch import vliw4
 from repro.arch.presets import PRESETS, get_preset
 from repro.backend import compile_module
 from repro.exec import (
-    CODE_STAGE, NATIVE_STAGE, CodeCache, CompiledSimulator, NativeCodeCache,
+    CODE_STAGE, NATIVE_STAGE, CompiledSimulator, NativeCodeCache,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
     global_native_cache, make_functional_simulator, native_available,
     reset_global_native_cache, reset_native_fallback_warning,
@@ -341,8 +341,7 @@ class TestCorruptStoredArtifact:
         cache = NativeCodeCache(lib_dir=str(tmp_path))
         store = ArtifactStore()
         key = cache.key_for(module)
-        store.put(NATIVE_STAGE, key, b"this is not a shared object",
-                  persist=True)
+        store.put(NATIVE_STAGE, key, b"this is not a shared object")
 
         simulator = NativeSimulator(module, native_cache=cache, store=store)
         args = kernel.arguments(None, seed=8)
@@ -351,7 +350,7 @@ class TestCorruptStoredArtifact:
         # The bad artifact was rebuilt from source (exactly one compile)
         # and the store entry replaced with the working .so.
         assert cache.stats.builds == 1
-        repaired = store.get(NATIVE_STAGE, key, persist=True)
+        repaired = store.get(NATIVE_STAGE, key)
         assert repaired is not None
         assert repaired.payload[:4] == b"\x7fELF"
         cache.clear()
@@ -638,27 +637,24 @@ class TestEnginePlumbing:
 
 
 class TestCodeCacheEvictionCounter:
-    def test_eviction_mirrors_onto_store_stage_stats(self):
-        store = ArtifactStore()
-        cache = CodeCache(capacity=1, store=store)
+    def test_eviction_counts_on_store_stage_stats(self):
+        store = ArtifactStore(capacity=1)
         _k1, m1 = build_kernel_module("dot_product")
         _k2, m2 = build_kernel_module("crc32")
-        cache.get_or_translate(m1)
-        cache.get_or_translate(m2)
-        assert cache.stats.evictions == 1
+        CompiledSimulator(m1, store=store)
+        CompiledSimulator(m2, store=store)
         assert store.stats(CODE_STAGE).evictions == 1
         assert CODE_STAGE in store.stats_dict()
 
     def test_session_surfaces_code_cache_pressure(self):
         from repro.api import Session
 
-        with Session() as session:
-            session.code_cache.capacity = 1
+        with Session(store=ArtifactStore(capacity=1)) as session:
             _k1, m1 = build_kernel_module("dot_product")
             _k2, m2 = build_kernel_module("crc32")
-            session.code_cache.get_or_translate(m1)
-            session.code_cache.get_or_translate(m2)
-            # One counter, counted once: the store's view of the code
-            # cache shows the single eviction.
+            CompiledSimulator(m1, store=session.store)
+            CompiledSimulator(m2, store=session.store)
+            # One counter, counted once: the session store's stats show
+            # the single eviction of a translation.
             stats = session.store.stats_dict()
             assert stats[CODE_STAGE]["evictions"] == 1

@@ -17,7 +17,7 @@ import pytest
 from repro.api.cli import main as cli_main
 from repro.api.requests import MatrixRequest, RunRequest
 from repro.api.session import Session
-from repro.exec.cache import CODE_STAGE, CodeCache
+from repro.exec import CODE_STAGE, CompiledSimulator
 from repro.obs import (
     DEFAULT_BUCKETS, Histogram, JournalEncodeError, MetricsRegistry,
     ObsJournal, StageStats,
@@ -285,15 +285,12 @@ class TestStageStatsView:
         assert stats.misses == 1
 
     def test_code_cache_eviction_counted_once(self, dot_module, sad_module):
-        """The drift fix: one eviction ticks one counter, and the cache
-        view and the store's mirror stage are the same number."""
-        store = ArtifactStore(capacity=8)
-        cache = CodeCache(capacity=1, store=store)
-        cache.get_or_translate(dot_module)
-        cache.get_or_translate(sad_module)  # evicts the first entry
-        assert cache.stats.evictions == 1
-        mirrored = store.stats(CODE_STAGE)
-        assert mirrored.evictions == 1
+        """One eviction ticks one counter: the store's stage view and its
+        registry series are the same number."""
+        store = ArtifactStore(capacity=1)
+        CompiledSimulator(dot_module, store=store)
+        CompiledSimulator(sad_module, store=store)  # evicts the first entry
+        assert store.stats(CODE_STAGE).evictions == 1
         assert snapshot_value(store.metrics(), "store_evictions",
                               stage=CODE_STAGE) == 1.0
 

@@ -26,6 +26,7 @@ from repro.opt import pipeline as opt_pipeline
 from repro.pipeline import (
     ArtifactStore, CompilePipeline, machine_backend_fingerprint,
 )
+from repro.service import DiskArtifactStore
 from repro.sim.cycle import CycleSimulator
 from repro.toolchain import Toolchain
 from repro.workloads import KERNELS, get_kernel, get_mix
@@ -64,25 +65,6 @@ class TestArtifactStore:
         store.put("s2", "k", "two")
         assert store.get("s1", "k").payload == "one"
         assert store.get("s2", "k").payload == "two"
-
-    def test_disk_layer_roundtrip(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
-        store.put("s", "k", [1, 2, 3], seconds=0.25, persist=True)
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
-        artifact = fresh.get("s", "k", persist=True)
-        assert artifact is not None and artifact.payload == [1, 2, 3]
-        assert artifact.source == "disk"
-        assert fresh.stats("s").disk_hits == 1
-        # Promoted to memory: the next lookup is a memory hit.
-        assert fresh.get("s", "k", persist=True).source == "memory"
-
-    def test_corrupt_disk_entry_is_a_miss(self, tmp_path):
-        store = ArtifactStore(cache_dir=str(tmp_path))
-        store.put("s", "k", "payload", persist=True)
-        path = tmp_path / "s" / "k.pkl"
-        path.write_bytes(b"not a pickle")
-        fresh = ArtifactStore(cache_dir=str(tmp_path))
-        assert fresh.get("s", "k", persist=True) is None
 
 
 # ----------------------------------------------------------------------
@@ -441,9 +423,11 @@ class TestBatchEvaluatorStore:
 
     def test_disk_layer_still_works(self, tmp_path):
         point = DesignPoint(issue_width=2)
-        cold = BatchEvaluator(self._evaluator(), cache_dir=str(tmp_path))
+        cold = BatchEvaluator(self._evaluator(),
+                              store=DiskArtifactStore(str(tmp_path)))
         cold.evaluate(point)
-        warm = BatchEvaluator(self._evaluator(), cache_dir=str(tmp_path))
+        warm = BatchEvaluator(self._evaluator(),
+                              store=DiskArtifactStore(str(tmp_path)))
         result = warm.evaluate(point)
         assert warm.stats.disk_hits == 1 and warm.stats.evaluated == 0
         assert result.weighted_cycles > 0

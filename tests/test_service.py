@@ -121,10 +121,25 @@ class TestDiskStore:
         assert artifact.payload == {"code": [1, 2, 3]}
         assert artifact.seconds == 0.5
         assert artifact.source == "disk"
+        assert reader.stats("backend").disk_hits == 1
+        # Promoted to memory: the next lookup is a memory hit.
+        assert reader.get("backend", "k1").source == "memory"
+
+    def test_unpicklable_payload_stays_in_memory(self, tmp_path):
+        root = tmp_path / "s"
+        store = DiskArtifactStore(str(root))
+        payload = {"op": lambda value: value + 1}  # closures do not pickle
+        store.put("exec.code", "k", payload)
+        assert store.get("exec.code", "k").payload is payload
+        assert store.stats("exec.code").corrupt == 0
+        leftovers = [name for _dir, _subdirs, files in os.walk(root)
+                     for name in files
+                     if name.endswith(".art") or ".tmp." in name]
+        assert leftovers == []
+        assert DiskArtifactStore(str(root)).get("exec.code", "k") is None
 
     def test_force_persist_shares_unmarked_stages(self, tmp_path):
-        # Parent ArtifactStore only persists stages that opt in; the
-        # service store shares everything.
+        # Every stage persists: no stage has to opt in.
         store = DiskArtifactStore(str(tmp_path / "s"))
         store.put("frontend", "k", "payload")  # persist not requested
         fresh = DiskArtifactStore(str(tmp_path / "s"))
