@@ -4,9 +4,15 @@ Candidates are *convex cuts* of basic-block dataflow graphs containing only
 fusable operations (no memory accesses, calls or control flow), bounded by
 the register-file port constraints of the custom functional unit
 (``max_inputs`` read ports, ``max_outputs`` write ports).  Enumeration is
-the classic grow-from-seed search with convexity and I/O pruning, bounded
-by ``max_size`` and a per-block candidate cap so that even large unrolled
-blocks enumerate in reasonable time.
+the classic grow-from-seed search with convexity and I/O pruning
+(Atasu/Pozzi/Ienne, DAC 2003), bounded by ``max_size`` and a per-block
+candidate cap.  It runs on the block's bitset index
+(:class:`~repro.ir.dataflow.BlockIndex`): a cut is an int mask over
+block positions that carries its uses, definitions and reachability
+closures and grows by OR, convexity is one ``&`` against those closures,
+and a cut is deduplicated by its mask.  Seeds and growth follow block
+order, so the cuts found (and which survive the cap) depend only on the
+block, not on object addresses.
 
 Identical computations found at different sites (or in different programs)
 are merged by the patterns' canonical signatures, and each candidate
@@ -23,8 +29,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..arch.machine import MachineDescription
 from ..arch.operations import classify
 from ..ir import (
-    BasicBlock, Function, Instruction, Module, build_dataflow_graph,
-    estimate_block_frequencies,
+    BasicBlock, DataflowGraph, Function, Instruction, Module,
+    build_dataflow_graph, estimate_block_frequencies,
 )
 from .patterns import Pattern, pattern_from_cut
 
@@ -93,74 +99,93 @@ class EnumerationConfig:
     min_block_frequency: float = 0.0
 
 
-def _fusable_nodes(dfg) -> List[Instruction]:
-    return [inst for inst in dfg.nodes if inst.is_fusable() and inst.dest is not None]
+def _cut_masks(block: BasicBlock,
+               config: EnumerationConfig) -> Tuple[DataflowGraph, List[int]]:
+    """The dataflow graph of ``block`` and its feasible cuts as node masks
+    over ``dfg.index`` (see :func:`enumerate_block_cuts`)."""
+    dfg = build_dataflow_graph(block)
+    index = dfg.index
+    fusable = index.fusable
+    if fusable.bit_count() < config.min_size:
+        return dfg, []
+    adjacent, uses, defs = index.adjacent, index.uses, index.defs
+    desc, anc, variable = index.desc, index.anc, index.variable_keys
+    max_size, min_size = config.max_size, config.min_size
+    max_inputs, max_outputs = config.max_inputs, config.max_outputs
+    limit = config.max_candidates_per_block
+
+    # Inputs no fusable node defines, and outputs some reader that can
+    # never join a cut consumes, stay inputs and outputs of every larger
+    # cut.  A cut with too many of either has no feasible superset, so it
+    # is not grown; every cut it would have reached is a superset of it,
+    # so the feasible cuts and their order are unchanged.
+    fusable_defs = 0
+    for i in index.positions(fusable):
+        fusable_defs |= defs[i]
+    external_inputs = variable & ~fusable_defs
+    pinned_outputs = [defs[i] if index.escape[i] & ~fusable else 0
+                      for i in range(len(defs))]
+
+    masks: List[int] = []
+    seen: Set[int] = set()
+    seeds = fusable
+    while seeds and len(masks) < limit:
+        low = seeds & -seeds
+        seeds ^= low
+        seed = low.bit_length() - 1
+        # A cut: (mask, uses, defs, descendants, ancestors, pinned outputs,
+        # neighbours, size).
+        frontier = [(low, uses[seed], defs[seed], desc[seed], anc[seed],
+                     pinned_outputs[seed], adjacent[seed], 1)]
+        while frontier and len(masks) < limit:
+            (mask, cut_uses, cut_defs, cut_desc, cut_anc, cut_pinned,
+             neighbours, size) = frontier.pop()
+            if mask in seen:
+                continue
+            seen.add(mask)
+            if size > max_size:
+                continue
+            if cut_desc & cut_anc & ~mask:
+                continue  # a path leaves the cut and re-enters it
+            if ((cut_uses & external_inputs).bit_count() > max_inputs
+                    or cut_pinned.bit_count() > max_outputs):
+                continue
+            if (size >= min_size
+                    and (cut_uses & ~cut_defs & variable).bit_count() <= max_inputs
+                    and 1 <= len(index.output_positions(mask)) <= max_outputs):
+                masks.append(mask)
+            if size >= max_size:
+                continue
+            # Push the highest position first so growth pops in block order.
+            pending = neighbours
+            while pending:
+                node = pending.bit_length() - 1
+                bit = 1 << node
+                pending ^= bit
+                grown = mask | bit
+                if grown not in seen:
+                    frontier.append((
+                        grown, cut_uses | uses[node], cut_defs | defs[node],
+                        cut_desc | desc[node], cut_anc | anc[node],
+                        cut_pinned | pinned_outputs[node],
+                        (neighbours | adjacent[node]) & ~grown, size + 1))
+    return dfg, masks
 
 
 def enumerate_block_cuts(block: BasicBlock,
-                         config: EnumerationConfig) -> List[Tuple[Set[Instruction], object]]:
+                         config: EnumerationConfig) -> List[Tuple[Set[Instruction], DataflowGraph]]:
     """Enumerate convex, I/O-feasible cuts of one basic block.
 
     Returns ``(cut, dfg)`` tuples.  The search grows connected subgraphs
     from each seed node by repeatedly adding dataflow neighbours, pruning
-    non-convex or port-infeasible subgraphs, and deduplicating by node-id
-    frozensets.
+    non-convex subgraphs and keeping the port-feasible ones.  Cuts are
+    int masks over the block's :class:`~repro.ir.dataflow.BlockIndex`, so
+    each one is visited once and seeds and growth both follow block
+    order: the result depends only on the block, never on where its
+    instructions sit in memory.
     """
-    dfg = build_dataflow_graph(block)
-    fusable = _fusable_nodes(dfg)
-    if len(fusable) < config.min_size:
-        return []
-    fusable_set = set(fusable)
-
-    results: List[Tuple[Set[Instruction], object]] = []
-    seen: Set[frozenset] = set()
-
-    def io_feasible(cut: Set[Instruction]) -> bool:
-        inputs = dfg.subgraph_inputs(cut)
-        outputs = dfg.subgraph_outputs(cut)
-        return (len([v for v in inputs if not _is_constant(v)]) <= config.max_inputs
-                and len(outputs) <= config.max_outputs and len(outputs) >= 1)
-
-    def neighbours(cut: Set[Instruction]) -> Set[Instruction]:
-        candidates: Set[Instruction] = set()
-        for inst in cut:
-            for pred in dfg.predecessors(inst):
-                if pred in fusable_set and pred not in cut:
-                    candidates.add(pred)
-            for succ in dfg.successors(inst):
-                if succ in fusable_set and succ not in cut:
-                    candidates.add(succ)
-        return candidates
-
-    for seed in fusable:
-        frontier: List[Set[Instruction]] = [{seed}]
-        while frontier and len(results) < config.max_candidates_per_block:
-            cut = frontier.pop()
-            key = frozenset(id(inst) for inst in cut)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(cut) > config.max_size:
-                continue
-            if not dfg.is_convex(cut):
-                continue
-            if len(cut) >= config.min_size and io_feasible(cut):
-                results.append((set(cut), dfg))
-            if len(cut) < config.max_size:
-                for extra in neighbours(cut):
-                    grown = cut | {extra}
-                    grown_key = frozenset(id(inst) for inst in grown)
-                    if grown_key not in seen:
-                        frontier.append(grown)
-        if len(results) >= config.max_candidates_per_block:
-            break
-    return results
-
-
-def _is_constant(value) -> bool:
-    from ..ir import Constant
-
-    return isinstance(value, Constant)
+    dfg, masks = _cut_masks(block, config)
+    return [(set(dfg.index.members(mask)), dfg) for mask in masks]
 
 
 def identify_candidates(module: Module,
@@ -188,20 +213,20 @@ def identify_candidates(module: Module,
         for block in function.blocks:
             if block.frequency < config.min_block_frequency:
                 continue
-            for cut, dfg in enumerate_block_cuts(block, config):
-                pattern, inputs, outputs = pattern_from_cut(
-                    [inst for inst in block.instructions if inst in cut], dfg
-                )
+            dfg, masks = _cut_masks(block, config)
+            for mask in masks:
+                instructions = dfg.index.members(mask)
+                pattern, inputs, outputs = pattern_from_cut(instructions, dfg)
                 if pattern.size < config.min_size:
                     continue
-                candidate = by_signature.get(pattern.signature())
+                signature = pattern.signature()
+                candidate = by_signature.get(signature)
                 if candidate is None:
-                    candidate = Candidate(pattern=pattern)
-                    by_signature[pattern.signature()] = candidate
+                    candidate = by_signature[signature] = Candidate(pattern=pattern)
                 candidate.occurrences.append(Occurrence(
                     function=function.name,
                     block=block.name,
-                    instructions=[inst for inst in block.instructions if inst in cut],
+                    instructions=instructions,
                     frequency=block.frequency,
                     input_values=inputs,
                     output_registers=outputs,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import (
     COMMUTATIVE_OPCODES, Constant, Instruction, IntType, Opcode, VirtualRegister,
@@ -79,6 +79,7 @@ class Pattern:
         self.nodes = nodes
         self.outputs = outputs
         self.num_inputs = num_inputs
+        self._signature: Optional[str] = None
         # Named from the signature's sha256 (not ``hash``, which is salted
         # per process), so native-code keys of customized modules are
         # stable across processes.
@@ -156,8 +157,11 @@ class Pattern:
         ``a*b + c`` and ``b*a + c`` share a signature.  Input leaves are
         rendered with their input index, which is itself assigned in first-
         appearance order when patterns are built, making signatures stable
-        across extraction sites.
+        across extraction sites.  Computed once per pattern (patterns are
+        not mutated after construction).
         """
+        if self._signature is not None:
+            return self._signature
         memo: Dict[int, str] = {}
 
         def render(index: int) -> str:
@@ -179,7 +183,8 @@ class Pattern:
             return text
 
         rendered_outputs = sorted(render(i) for i in self.outputs)
-        return f"{self.num_inputs}|" + ";".join(rendered_outputs)
+        self._signature = f"{self.num_inputs}|" + ";".join(rendered_outputs)
+        return self._signature
 
     # ------------------------------------------------------------------
     # Evaluation (semantics for the simulators).
@@ -274,7 +279,7 @@ def _evaluate_primitive(opcode: Opcode, ops: List[int]) -> int:
     raise PatternError(f"opcode {opcode} cannot appear in a pattern")
 
 
-def pattern_from_cut(instructions: Sequence[Instruction],
+def pattern_from_cut(instructions: Iterable[Instruction],
                      dfg) -> Tuple[Pattern, List, List[VirtualRegister]]:
     """Build a pattern from a convex cut of a dataflow graph.
 
@@ -283,9 +288,10 @@ def pattern_from_cut(instructions: Sequence[Instruction],
     input order) and ``output_registers`` the registers the cut defines for
     consumers outside it.
     """
-    cut: Set[Instruction] = set(instructions)
+    index = dfg.index
+    mask = index.mask_of(instructions)
     # Deterministic topological order within the cut: follow block order.
-    ordered = [inst for inst in dfg.block.instructions if inst in cut]
+    positions = index.positions(mask)
 
     node_index: Dict[int, int] = {}
     input_order: List = []
@@ -299,35 +305,31 @@ def pattern_from_cut(instructions: Sequence[Instruction],
             input_order.append(value)
         return input_keys[key]
 
-    producers = {inst.dest.id: inst for inst in ordered if inst.dest is not None}
+    # The last definition of each register in the cut; an operand reads
+    # it as a node only once that definition has been emitted.
+    producers = {index.instructions[p].dest.id: p for p in positions
+                 if index.instructions[p].dest is not None}
 
-    for inst in ordered:
+    for position in positions:
+        inst = index.instructions[position]
         operands: List[Tuple] = []
         for operand in inst.operands:
             if isinstance(operand, VirtualRegister):
                 producer = producers.get(operand.id)
-                if producer is not None and producer in cut and id(producer) in node_index:
-                    operands.append(("node", node_index[id(producer)]))
+                if producer in node_index:
+                    operands.append(("node", node_index[producer]))
                 else:
                     operands.append(("in", input_slot(operand)))
             elif isinstance(operand, Constant) and isinstance(operand.value, int):
                 operands.append(("const", operand.value))
             else:
                 operands.append(("in", input_slot(operand)))
-        node_index[id(inst)] = len(nodes)
+        node_index[position] = len(nodes)
         nodes.append(PatternNode(inst.opcode, tuple(operands)))
 
-    output_registers = dfg.subgraph_outputs(cut)
-    # Preserve definition order for outputs.
-    output_registers.sort(key=lambda reg: next(
-        i for i, inst in enumerate(ordered) if inst.dest is not None and inst.dest.id == reg.id
-    ))
-    outputs = []
-    for reg in output_registers:
-        for inst in reversed(ordered):
-            if inst.dest is not None and inst.dest.id == reg.id:
-                outputs.append(node_index[id(inst)])
-                break
+    output_positions = index.output_positions(mask)
+    outputs = [node_index[p] for p in output_positions]
+    output_registers = [index.instructions[p].dest for p in output_positions]
 
     pattern = Pattern(nodes, outputs, num_inputs=len(input_order))
     return pattern, input_order, output_registers

@@ -108,11 +108,12 @@ class TranslationStage(Stage):
 
     Keyed by :func:`module_fingerprint`, so every clone of a module
     shares one translation.  The payload is immutable and handed out as
-    is; its closures do not pickle, so a
-    :class:`~repro.service.DiskArtifactStore` keeps it in memory only.
+    is; its closures do not pickle, so the stage is memory-only and a
+    :class:`~repro.service.DiskArtifactStore` never touches the disk for it.
     """
 
     name = CODE_STAGE
+    memory_only = True
 
     def key(self, module: Module) -> str:
         return module_fingerprint(module)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Tuple
 
 from ..obs import global_tracer
-from .store import ArtifactStore
+from .store import MEMORY_ONLY_STAGES, ArtifactStore
 
 
 @dataclass
@@ -47,6 +47,14 @@ class Stage:
 
     #: namespace inside the artifact store.
     name: str = "stage"
+    #: payloads that cannot leave the process (closures): a disk-backed
+    #: store keeps them in memory and never reads or writes a file for them.
+    memory_only: bool = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if cls.memory_only:
+            MEMORY_ONLY_STAGES.add(cls.name)
 
     def key(self, *inputs) -> str:
         """Content fingerprint of ``inputs``; equal keys ⇒ equal outputs."""

@@ -22,9 +22,13 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Protocol, runtime_checkable
+from typing import Dict, Optional, Protocol, Set, runtime_checkable
 
 from ..obs.metrics import MetricsRegistry, StageStats
+
+#: names of stages whose payloads never leave the process (see
+#: :attr:`repro.pipeline.stage.Stage.memory_only`).
+MEMORY_ONLY_STAGES: Set[str] = set()
 
 
 @dataclass

@@ -11,8 +11,9 @@ counters) with:
 
 * **persistence of every stage** — each memory miss consults the disk
   and each put writes through, so any picklable artifact crosses
-  process boundaries; a payload that does not pickle (threaded-code
-  translations are closures) stays in memory only and leaves no file;
+  process boundaries; a payload that does not pickle stays in memory
+  only and leaves no file, and a stage declared ``memory_only``
+  (threaded-code translations are closures) skips the disk altogether;
 * **content fingerprints** — each entry file carries a SHA-256 of its
   pickle body; a mismatch (truncation, corruption, torn write from a
   dying process) is *detected*, the entry is quarantined under
@@ -40,7 +41,7 @@ import pickle
 import time
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..pipeline.store import ArtifactStore, StageArtifact
+from ..pipeline.store import MEMORY_ONLY_STAGES, ArtifactStore, StageArtifact
 
 try:  # file locking is POSIX-only; elsewhere the store degrades gracefully
     import fcntl
@@ -72,6 +73,8 @@ class DiskArtifactStore(ArtifactStore):
     def get(self, stage: str, key: str) -> Optional[StageArtifact]:
         """The artifact from memory, else from disk (promoted into
         memory), else None."""
+        if stage in MEMORY_ONLY_STAGES:
+            return super().get(stage, key)
         with self._lock:
             stats = self._stage_stats(stage)
             artifact = self._lookup(stage, key, stats)
@@ -93,7 +96,8 @@ class DiskArtifactStore(ArtifactStore):
             seconds: float = 0.0) -> StageArtifact:
         """Insert into memory and write the entry through to disk."""
         artifact = super().put(stage, key, payload, seconds=seconds)
-        self._store_disk(stage, key, artifact)
+        if stage not in MEMORY_ONLY_STAGES:
+            self._store_disk(stage, key, artifact)
         return artifact
 
     # ------------------------------------------------------------------

@@ -3,6 +3,7 @@ selection, rewriting, end-to-end customizer)."""
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -103,6 +104,7 @@ class TestIdentification:
                 v for v in dfg.subgraph_inputs(cut)
                 if not hasattr(v, "value") or not isinstance(getattr(v, "value", None), int)
             ]
+            assert len(non_const_inputs) <= 2
             assert len(dfg.subgraph_outputs(cut)) <= 1
             assert len(cut) <= 6
             assert dfg.is_convex(cut)
@@ -316,6 +318,37 @@ class TestCustomOpNames:
             assert completed.returncode == 0, completed.stderr
             names.append(completed.stdout.strip().splitlines()[-1])
         assert names[0] and names[0] == names[1]
+
+    def test_viterbi_customization_does_not_depend_on_the_hash_seed(self):
+        """The whole customization of the kernel with the most cuts —
+        identification order, selection, rewrite and the customized run —
+        is the same in processes with different hash seeds."""
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import json\n"
+            "from repro.api import Session\n"
+            "from repro.api.requests import CustomizeRequest\n"
+            "with Session() as session:\n"
+            "    response = session.execute(CustomizeRequest(\n"
+            "        kernel='viterbi_acs', machine='vliw4', opt_level=3))\n"
+            "print(json.dumps([response.selected_ops, response.custom_cycles,\n"
+            "                  response.correct]))\n"
+        )
+        results = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [src] + [p for p in [env.get("PYTHONPATH")] if p])
+            completed = subprocess.run([sys.executable, "-c", code], env=env,
+                                       capture_output=True, text=True,
+                                       timeout=120)
+            assert completed.returncode == 0, completed.stderr
+            results.append(json.loads(completed.stdout.strip().splitlines()[-1]))
+        selected_ops, _cycles, correct = results[0]
+        assert selected_ops and correct
+        assert results[1] == results[0] and results[2] == results[0]
 
     def test_register_rejects_a_name_bound_to_another_signature(self):
         library = ExtensionLibrary()

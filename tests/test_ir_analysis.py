@@ -169,13 +169,16 @@ class TestDataflowGraph:
         function = sad_module.get_function("sad16")
         body = function.get_block("for.body")
         dfg = build_dataflow_graph(body)
-        nodes = [i for i in body.non_terminator_instructions() if i.is_fusable()]
-        assert dfg.is_convex(set(nodes[:1]))
-        # A producer and a transitive consumer without the middle node is
-        # non-convex whenever a path escapes and re-enters.
-        sub = next(i for i in nodes if i.opcode is Opcode.SUB)
-        select = next(i for i in nodes if i.opcode is Opcode.SELECT)
-        assert not dfg.is_convex({sub, select}) or dfg.is_convex({sub, select})
+        # |a - b|: sub feeds select directly and through cmplt and neg.
+        sub, cmplt, neg, select = (
+            next(i for i in body.instructions if i.opcode is opcode)
+            for opcode in (Opcode.SUB, Opcode.CMPLT, Opcode.NEG, Opcode.SELECT))
+        assert dfg.is_convex({sub})
+        # The producer and its transitive consumer without the middle
+        # nodes: the paths through cmplt and neg leave and re-enter.
+        assert not dfg.is_convex({sub, select})
+        assert not dfg.is_convex({sub, cmplt, select})
+        assert dfg.is_convex({sub, cmplt, neg, select})
 
     def test_inputs_and_outputs_of_cut(self, sad_module):
         function = sad_module.get_function("sad16")

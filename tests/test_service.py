@@ -138,6 +138,24 @@ class TestDiskStore:
         assert leftovers == []
         assert DiskArtifactStore(str(root)).get("exec.code", "k") is None
 
+    def test_translation_miss_touches_no_file(self, tmp_path, monkeypatch):
+        from repro.exec.cache import CODE_STAGE, translate
+        from repro.frontend import compile_c
+
+        store = DiskArtifactStore(str(tmp_path / "s"))
+        touched = []
+        monkeypatch.setattr(store, "_load_disk",
+                            lambda *args: touched.append(("load", args)))
+        monkeypatch.setattr(store, "_store_disk",
+                            lambda *args: touched.append(("store", args)))
+        module = compile_c("int f(int x) { return x + 1; }")
+        translate(module, store=store)  # miss: built and put
+        translate(module, store=store)  # memory hit
+        assert touched == []
+        stats = store.stats(CODE_STAGE)
+        assert (stats.misses, stats.puts, stats.hits) == (1, 1, 1)
+        assert os.listdir(store.root) == []
+
     def test_force_persist_shares_unmarked_stages(self, tmp_path):
         # Every stage persists: no stage has to opt in.
         store = DiskArtifactStore(str(tmp_path / "s"))
