@@ -25,15 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import networkx as nx
-
 from ..arch.machine import MachineDescription
 from ..arch.operations import OperationClass
 from ..ir import (
-    BasicBlock, Constant, Function, Instruction, Opcode, VirtualRegister,
+    BasicBlock, Constant, DataflowGraph, Instruction, Opcode, VirtualRegister,
     build_dataflow_graph,
 )
-from ..ir.types import I32, PTR
+from ..ir.types import I32
 from .isel import select_instruction
 from .mcode import Bundle, MachineOp, ScheduledBlock
 from .regalloc import SpillPlan
@@ -61,11 +59,25 @@ class ScheduleStatistics:
 # Cluster assignment.
 # ----------------------------------------------------------------------
 
-def assign_clusters(ops: List[MachineOp], graph: nx.DiGraph,
+def _release_order(dfg: DataflowGraph) -> List[Instruction]:
+    """The nodes of ``dfg`` in Kahn's generation order: sources in block
+    order, then each node when its last predecessor is taken, successors
+    in edge insertion order.  The greedy cluster choice depends on it."""
+    waiting = {inst: len(preds) for inst, preds in dfg.predecessors.items()}
+    order = [inst for inst, count in waiting.items() if not count]
+    for inst in order:  # grows while it is walked: a FIFO queue
+        for succ in dfg.successors[inst]:
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                order.append(succ)
+    return order
+
+
+def assign_clusters(ops: List[MachineOp], dfg: DataflowGraph,
                     machine: MachineDescription) -> int:
     """Assign each op to a register cluster; returns copies needed.
 
-    Greedy assignment in topological order: an operation goes to the
+    Greedy assignment in :func:`_release_order`: an operation goes to the
     cluster holding the majority of its register operands' producers,
     breaking ties towards the least-loaded cluster.  The number of flow
     edges that end up crossing clusters is returned (each will become an
@@ -79,15 +91,14 @@ def assign_clusters(ops: List[MachineOp], graph: nx.DiGraph,
     by_inst: Dict[int, MachineOp] = {id(op.inst): op for op in ops}
     load: List[int] = [0] * machine.num_clusters
 
-    order = list(nx.topological_sort(graph))
-    for inst in order:
+    for inst in _release_order(dfg):
         op = by_inst.get(id(inst))
         if op is None:
             continue
         votes = [0] * machine.num_clusters
-        for pred in graph.predecessors(inst):
+        for pred, kind in dfg.predecessors[inst].items():
             pred_op = by_inst.get(id(pred))
-            if pred_op is not None and graph.edges[pred, inst].get("kind") == "flow":
+            if pred_op is not None and kind == "flow":
                 votes[pred_op.cluster] += 1
         best = max(range(machine.num_clusters),
                    key=lambda c: (votes[c], -load[c]))
@@ -99,11 +110,8 @@ def assign_clusters(ops: List[MachineOp], graph: nx.DiGraph,
         load[best] += 1
 
     crossings = 0
-    for u, v, kind in graph.edges(data="kind"):
-        if kind != "flow":
-            continue
-        op_u = by_inst.get(id(u))
-        op_v = by_inst.get(id(v))
+    for u, v in dfg.flow_edges():
+        op_u, op_v = by_inst.get(id(u)), by_inst.get(id(v))
         if op_u is not None and op_v is not None and op_u.cluster != op_v.cluster:
             crossings += 1
     return crossings
@@ -152,13 +160,12 @@ def schedule_block(block: BasicBlock, machine: MachineDescription,
     """List-schedule one basic block for ``machine``."""
     stats = ScheduleStatistics(blocks=1)
     dfg = build_dataflow_graph(block, include_terminator=True)
-    graph = dfg.graph
 
     ops: List[MachineOp] = [select_instruction(inst, machine)
                             for inst in block.instructions]
     by_inst: Dict[int, MachineOp] = {id(op.inst): op for op in ops}
 
-    copies = assign_clusters(ops, graph, machine)
+    copies = assign_clusters(ops, dfg, machine)
     stats.copies_inserted += copies
 
     # Spill traffic for this block (timing-only operations with no
@@ -182,17 +189,11 @@ def schedule_block(block: BasicBlock, machine: MachineDescription,
 
     # Priority: critical-path height (longest latency path to any leaf).
     height: Dict[int, int] = {}
-    for inst in reversed(list(nx.topological_sort(graph))):
-        op = by_inst[id(inst)]
-        best = 0
-        for succ in graph.successors(inst):
-            edge_kind = graph.edges[inst, succ].get("kind", "flow")
-            succ_height = height[id(succ)]
-            if edge_kind == "flow":
-                best = max(best, succ_height + op.latency)
-            else:
-                best = max(best, succ_height + 1)
-        height[id(inst)] = best
+    for inst in reversed(block.instructions):
+        latency = by_inst[id(inst)].latency
+        height[id(inst)] = max(
+            (height[id(succ)] + (latency if kind == "flow" else 1)
+             for succ, kind in dfg.successors[inst].items()), default=0)
 
     terminator = block.terminator
     unscheduled: Set[int] = {id(inst) for inst in block.instructions}
@@ -233,11 +234,10 @@ def schedule_block(block: BasicBlock, machine: MachineDescription,
                 continue  # the terminator goes in the final bundle
             earliest = 0
             blocked = False
-            for pred in graph.predecessors(inst):
+            for pred, kind in dfg.predecessors[inst].items():
                 if id(pred) in unscheduled:
                     blocked = True
                     break
-                kind = graph.edges[pred, inst].get("kind", "flow")
                 pred_op = by_inst[id(pred)]
                 earliest = max(earliest, _edge_ready_time(
                     kind, issue_cycle[id(pred)], pred_op.latency))

@@ -24,7 +24,7 @@ from .module import Module
 from .builder import IRBuilder
 from .clone import clone_function, clone_module
 from .cfg import (
-    build_cfg, compute_dominators, critical_edges, estimate_block_frequencies,
+    build_cfg, compute_dominators, estimate_block_frequencies,
     find_natural_loops, loop_nesting_depth, reachable_blocks,
     remove_unreachable_blocks, topological_block_order,
 )
@@ -41,9 +41,9 @@ __all__ = [
     "Opcode", "SIDE_EFFECT_OPCODES", "TERMINATOR_OPCODES",
     "BasicBlock", "Function", "Module", "IRBuilder",
     "clone_function", "clone_module",
-    "build_cfg", "compute_dominators", "critical_edges",
-    "estimate_block_frequencies", "find_natural_loops", "loop_nesting_depth",
-    "reachable_blocks", "remove_unreachable_blocks", "topological_block_order",
+    "build_cfg", "compute_dominators", "estimate_block_frequencies",
+    "find_natural_loops", "loop_nesting_depth", "reachable_blocks",
+    "remove_unreachable_blocks", "topological_block_order",
     "DataflowGraph", "build_dataflow_graph",
     "VerificationError", "assert_valid", "verify_function", "verify_module",
 ]

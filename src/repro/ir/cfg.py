@@ -1,6 +1,7 @@
 """Control-flow-graph analyses: reachability, dominators, loops, frequencies.
 
-These analyses feed three consumers:
+The control-flow graph is a plain ``{block: [successors]}`` dict (see
+:func:`build_cfg`).  These analyses feed three consumers:
 
 * the optimizer (dead block elimination, loop unrolling),
 * the ISE customizer (loop nesting depth drives static execution-frequency
@@ -12,33 +13,44 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
 from .block import BasicBlock
 from .function import Function
 
+#: Each block's successors (see :func:`build_cfg`).
+CFG = Dict[BasicBlock, List[BasicBlock]]
 
-def build_cfg(function: Function) -> nx.DiGraph:
-    """Return the control-flow graph of ``function`` as a networkx digraph.
 
-    Nodes are :class:`BasicBlock` objects; edges follow terminator targets.
+def build_cfg(function: Function) -> CFG:
+    """Return the control-flow graph of ``function``.
+
+    Every block of ``function``, in order, maps to its distinct terminator
+    targets in first-seen order (a branch may name one target twice).
     """
-    graph = nx.DiGraph()
-    for block in function.blocks:
-        graph.add_node(block)
-    for block in function.blocks:
-        for succ in block.successors():
-            graph.add_edge(block, succ)
-    return graph
+    return {block: list(dict.fromkeys(block.successors()))
+            for block in function.blocks}
+
+
+def _predecessors(cfg: CFG) -> CFG:
+    preds: CFG = {block: [] for block in cfg}
+    for block, succs in cfg.items():
+        for succ in succs:
+            preds[succ].append(block)
+    return preds
 
 
 def reachable_blocks(function: Function) -> Set[BasicBlock]:
     """Blocks reachable from the entry block."""
     if not function.blocks:
         return set()
-    graph = build_cfg(function)
-    entry = function.entry
-    return {entry} | set(nx.descendants(graph, entry))
+    cfg = build_cfg(function)
+    reached = {function.entry}
+    worklist = [function.entry]
+    while worklist:
+        for succ in cfg[worklist.pop()]:
+            if succ not in reached:
+                reached.add(succ)
+                worklist.append(succ)
+    return reached
 
 
 def remove_unreachable_blocks(function: Function) -> int:
@@ -51,48 +63,54 @@ def remove_unreachable_blocks(function: Function) -> int:
 
 
 def compute_dominators(function: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
-    """Return, for each reachable block, the set of blocks dominating it."""
-    graph = build_cfg(function)
-    entry = function.entry
-    idom = dict(nx.immediate_dominators(graph, entry))
-    # Some networkx versions omit the self-entry; normalise it.
-    idom[entry] = entry
-    doms: Dict[BasicBlock, Set[BasicBlock]] = {}
-    for block in graph.nodes:
-        if block not in idom:
-            continue
-        dominators = {block}
-        runner = block
-        while idom[runner] is not runner:
-            runner = idom[runner]
-            dominators.add(runner)
-        doms[block] = dominators
+    """Return, for each reachable block, the set of blocks dominating it.
+
+    Iterative data flow in reverse postorder (Cooper, Harvey and Kennedy,
+    "A Simple, Fast Dominance Algorithm", 2001): a block's dominators are
+    itself plus those shared by all its reachable predecessors.
+    """
+    cfg = build_cfg(function)
+    order = _reverse_postorder(cfg, function.entry)
+    preds = _predecessors(cfg)
+    doms = {block: set(order) for block in order}
+    doms[function.entry] = {function.entry}
+    changed = True
+    while changed:
+        changed = False
+        for block in order[1:]:
+            new = {block}.union(set.intersection(
+                *(doms[pred] for pred in preds[block] if pred in doms)))
+            if new != doms[block]:
+                doms[block] = new
+                changed = True
     return doms
 
 
 def find_natural_loops(function: Function) -> List[Tuple[BasicBlock, Set[BasicBlock]]]:
     """Find natural loops via back-edge detection.
 
-    Returns a list of ``(header, body_blocks)`` tuples where ``body_blocks``
-    includes the header.
+    Returns a list of ``(header, body_blocks)`` tuples, one per back edge in
+    :func:`build_cfg` edge order, where ``body_blocks`` includes the header.
     """
     doms = compute_dominators(function)
-    graph = build_cfg(function)
+    cfg = build_cfg(function)
+    preds = _predecessors(cfg)
     loops: List[Tuple[BasicBlock, Set[BasicBlock]]] = []
-    for tail, header in graph.edges:
-        if header in doms.get(tail, set()):
-            # Back edge tail -> header: collect the natural loop body.
-            body = {header, tail}
-            stack = [tail]
-            while stack:
-                node = stack.pop()
-                if node is header:
-                    continue
-                for pred in graph.predecessors(node):
-                    if pred not in body:
-                        body.add(pred)
-                        stack.append(pred)
-            loops.append((header, body))
+    for tail, succs in cfg.items():
+        for header in succs:
+            if header in doms.get(tail, ()):
+                # Back edge tail -> header: collect the natural loop body.
+                body = {header, tail}
+                stack = [tail]
+                while stack:
+                    node = stack.pop()
+                    if node is header:
+                        continue
+                    for pred in preds[node]:
+                        if pred not in body:
+                            body.add(pred)
+                            stack.append(pred)
+                loops.append((header, body))
     return loops
 
 
@@ -118,48 +136,29 @@ def estimate_block_frequencies(function: Function, loop_weight: float = 10.0) ->
         block.frequency = float(loop_weight ** depth.get(block, 0))
 
 
-def topological_block_order(function: Function) -> List[BasicBlock]:
-    """Blocks in reverse-post-order (a good scheduling / layout order)."""
-    graph = build_cfg(function)
-    entry = function.entry
+def _reverse_postorder(cfg: CFG, entry: BasicBlock) -> List[BasicBlock]:
+    """The blocks reachable from ``entry`` in reverse postorder of a
+    depth-first walk that visits successors by name."""
     order: List[BasicBlock] = []
-    visited: Set[BasicBlock] = set()
-
-    def visit(block: BasicBlock) -> None:
-        stack = [(block, iter(sorted(graph.successors(block), key=lambda b: b.name)))]
-        visited.add(block)
-        while stack:
-            node, successors = stack[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append(
-                        (succ, iter(sorted(graph.successors(succ), key=lambda b: b.name)))
-                    )
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-
-    visit(entry)
+    visited = {entry}
+    stack = [(entry, iter(sorted(cfg[entry], key=lambda b: b.name)))]
+    while stack:
+        node, successors = stack[-1]
+        for succ in successors:
+            if succ not in visited:
+                visited.add(succ)
+                stack.append((succ, iter(sorted(cfg[succ], key=lambda b: b.name))))
+                break
+        else:
+            order.append(node)
+            stack.pop()
     order.reverse()
-    # Unreachable blocks go at the end in their original order.
-    for block in function.blocks:
-        if block not in visited:
-            order.append(block)
     return order
 
 
-def critical_edges(function: Function) -> List[Tuple[BasicBlock, BasicBlock]]:
-    """Edges from a block with >1 successors to a block with >1 predecessors."""
-    result = []
-    for block in function.blocks:
-        succs = block.successors()
-        if len(succs) <= 1:
-            continue
-        for succ in succs:
-            if len(succ.predecessors()) > 1:
-                result.append((block, succ))
-    return result
+def topological_block_order(function: Function) -> List[BasicBlock]:
+    """Blocks in reverse-post-order (a good scheduling / layout order)."""
+    order = _reverse_postorder(build_cfg(function), function.entry)
+    # Unreachable blocks go at the end in their original order.
+    reached = set(order)
+    return order + [block for block in function.blocks if block not in reached]

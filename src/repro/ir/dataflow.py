@@ -5,8 +5,10 @@ The DFG is the central data structure of the ISA-customization engine
 subgraphs of these graphs.  It is also used by the VLIW list scheduler,
 which schedules the same graph against the machine's resource tables.
 
-Nodes of the DFG are :class:`Instruction` objects of one basic block.
-Edges are:
+Nodes of the DFG are :class:`Instruction` objects of one basic block; each
+maps to ``{successor: kind}`` and ``{predecessor: kind}`` dicts in edge
+insertion order.  A pair of nodes has at most one edge, and every edge
+points forward in block order.  Edges are:
 
 * true (flow) dependences through virtual registers,
 * memory dependences (conservative: every pair of memory operations where
@@ -22,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set
-
-import networkx as nx
 
 from .block import BasicBlock
 from .instructions import Instruction, Opcode
@@ -77,13 +77,14 @@ class BlockIndex:
         #: direct successors/predecessors of each position (all edge kinds).
         self.succ = [0] * count
         self.pred = [0] * count
-        for u, v in dfg.graph.edges():
-            pu, pv = position[u], position[v]
-            if pu >= pv:
-                raise ValueError(
-                    f"dependence edge {u} -> {v} points against block order")
-            self.succ[pu] |= 1 << pv
-            self.pred[pv] |= 1 << pu
+        for u, succs in dfg.successors.items():
+            for v in succs:
+                pu, pv = position[u], position[v]
+                if pu >= pv:
+                    raise ValueError(
+                        f"dependence edge {u} -> {v} points against block order")
+                self.succ[pu] |= 1 << pv
+                self.pred[pv] |= 1 << pu
 
         #: strict descendants/ancestors of each position.
         self.desc = [0] * count
@@ -101,7 +102,7 @@ class BlockIndex:
 
         #: graph nodes that may join a custom operation.
         self.fusable = 0
-        for inst in dfg.graph.nodes:
+        for inst in dfg.successors:
             if inst.is_fusable() and inst.dest is not None:
                 self.fusable |= 1 << position[inst]
         #: fusable dependence neighbours (either direction) of each position.
@@ -206,15 +207,16 @@ class BlockIndex:
 class DataflowGraph:
     """The dependence graph of one basic block.
 
-    ``graph`` holds the edges (built by :func:`build_dataflow_graph`, the
-    single source of dependences); :attr:`index` is its bitset view, built
-    on first use, which answers the convexity and cut-I/O queries below
-    and drives the ISE enumerator.  Do not add edges after the index is
-    built.
+    ``successors`` and ``predecessors`` map each node, in block order, to
+    its ``{neighbour: kind}`` edges (built by :func:`build_dataflow_graph`,
+    the single source of dependences); :attr:`index` is their bitset view,
+    built on first use, which answers the convexity and cut-I/O queries
+    below and drives the ISE enumerator.  Add no edges after it is built.
     """
 
     block: BasicBlock
-    graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    successors: Dict[Instruction, Dict[Instruction, str]] = field(default_factory=dict)
+    predecessors: Dict[Instruction, Dict[Instruction, str]] = field(default_factory=dict)
     _index: Optional[BlockIndex] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -226,13 +228,12 @@ class DataflowGraph:
 
     @property
     def nodes(self) -> List[Instruction]:
-        return list(self.graph.nodes)
+        return list(self.successors)
 
     def flow_edges(self) -> List[tuple]:
         """Only the true (register flow) dependence edges."""
-        return [
-            (u, v) for u, v, kind in self.graph.edges(data="kind") if kind == "flow"
-        ]
+        return [(u, v) for u, succs in self.successors.items()
+                for v, kind in succs.items() if kind == "flow"]
 
     def is_convex(self, subset: Iterable[Instruction]) -> bool:
         """True if no path leaves ``subset`` and re-enters it.
@@ -260,16 +261,11 @@ class DataflowGraph:
 
         ``latency_of`` maps an :class:`Instruction` to its latency in cycles.
         """
-        order = list(nx.topological_sort(self.graph))
         finish: Dict[Instruction, int] = {}
-        longest = 0
-        for inst in order:
-            start = 0
-            for pred in self.graph.predecessors(inst):
-                start = max(start, finish[pred])
+        for inst, preds in self.predecessors.items():
+            start = max((finish[pred] for pred in preds), default=0)
             finish[inst] = start + latency_of(inst)
-            longest = max(longest, finish[inst])
-        return longest
+        return max(finish.values(), default=0)
 
 
 def _live_out_registers(block: BasicBlock) -> Set[VirtualRegister]:
@@ -303,7 +299,13 @@ def build_dataflow_graph(block: BasicBlock,
     the graph (the scheduler wants it; the ISE enumerator does not).
     """
     dfg = DataflowGraph(block)
-    graph = dfg.graph
+
+    def add_edge(u: Instruction, v: Instruction, kind: str) -> None:
+        # One edge per pair: a memory or barrier edge relabels an earlier
+        # non-flow edge; a flow edge keeps its kind (its latency orders).
+        old = dfg.successors[u].get(v)
+        if old is None or (kind in ("memory", "barrier") and old != "flow"):
+            dfg.successors[u][v] = dfg.predecessors[v][u] = kind
 
     instructions = (
         list(block.instructions) if include_terminator
@@ -317,13 +319,13 @@ def build_dataflow_graph(block: BasicBlock,
     last_barrier: Optional[Instruction] = None
 
     for inst in instructions:
-        graph.add_node(inst)
+        dfg.successors[inst], dfg.predecessors[inst] = {}, {}
 
         # True dependences (register flow).
         for reg in inst.uses():
             producer = last_def.get(reg.id)
             if producer is not None and producer is not inst:
-                graph.add_edge(producer, inst, kind="flow", reg=reg)
+                add_edge(producer, inst, "flow")
             uses_since_def.setdefault(reg.id, []).append(inst)
 
         # Anti dependences (write-after-read) and output dependences
@@ -331,35 +333,35 @@ def build_dataflow_graph(block: BasicBlock,
         if inst.dest is not None:
             reg_id = inst.dest.id
             for reader in uses_since_def.get(reg_id, []):
-                if reader is not inst and not graph.has_edge(reader, inst):
-                    graph.add_edge(reader, inst, kind="anti")
+                if reader is not inst:
+                    add_edge(reader, inst, "anti")
             prev = last_def.get(reg_id)
-            if prev is not None and prev is not inst and not graph.has_edge(prev, inst):
-                graph.add_edge(prev, inst, kind="output")
+            if prev is not None and prev is not inst:
+                add_edge(prev, inst, "output")
             last_def[reg_id] = inst
             uses_since_def[reg_id] = []
 
         # Memory dependences: conservative store ordering.
         if inst.opcode is Opcode.LOAD:
             if last_store is not None:
-                graph.add_edge(last_store, inst, kind="memory")
+                add_edge(last_store, inst, "memory")
             loads_since_store.append(inst)
         elif inst.opcode is Opcode.STORE:
             if last_store is not None:
-                graph.add_edge(last_store, inst, kind="memory")
+                add_edge(last_store, inst, "memory")
             for load_inst in loads_since_store:
-                graph.add_edge(load_inst, inst, kind="memory")
+                add_edge(load_inst, inst, "memory")
             last_store = inst
             loads_since_store = []
 
         # Calls are full barriers (memory + ordering).
         if inst.opcode is Opcode.CALL:
             if last_barrier is not None:
-                graph.add_edge(last_barrier, inst, kind="barrier")
+                add_edge(last_barrier, inst, "barrier")
             if last_store is not None:
-                graph.add_edge(last_store, inst, kind="memory")
+                add_edge(last_store, inst, "memory")
             for load_inst in loads_since_store:
-                graph.add_edge(load_inst, inst, kind="memory")
+                add_edge(load_inst, inst, "memory")
             last_store = inst
             loads_since_store = []
             last_barrier = inst
@@ -371,7 +373,6 @@ def build_dataflow_graph(block: BasicBlock,
                 if other is inst:
                     continue
                 if other.has_side_effects() or other.opcode in (Opcode.CALL, Opcode.STORE):
-                    if not graph.has_edge(other, inst):
-                        graph.add_edge(other, inst, kind="order")
+                    add_edge(other, inst, "order")
 
     return dfg

@@ -719,16 +719,37 @@ class TestCli:
 
 class TestPackageImports:
     def test_imports_and_econ_run_without_numpy(self):
-        """``repro`` and its service/econ layers never need NumPy."""
+        """``repro`` and its service/econ layers never need NumPy or
+        networkx: importing them adds only standard-library modules,
+        ``repro`` modules and the C front end's parser, and a clustered
+        compile and an O3 customization still run."""
         import repro
 
         src = os.path.dirname(os.path.dirname(repro.__file__))
+        # pycparser is the C front end's parser, the one third-party
+        # runtime dependency; multiprocessing aliases __main__ as
+        # __mp_main__.  The diff leaves out what site hooks preload.
         code = (
             "import sys\n"
             "sys.modules['numpy'] = None\n"
+            "sys.modules['networkx'] = None\n"
+            "before = set(sys.modules)\n"
             "import repro, repro.api, repro.service, repro.econ\n"
+            "allowed = set(sys.stdlib_module_names) | {\n"
+            "    'repro', 'pycparser', '__mp_main__'}\n"
+            "foreign = sorted(name for name in set(sys.modules) - before\n"
+            "                 if name.partition('.')[0] not in allowed)\n"
+            "assert not foreign, foreign\n"
             "premium = repro.econ.analyze_premium()\n"
             "assert premium.price_performance_exponent > 1.0\n"
+            "from repro.api import CompileRequest, CustomizeRequest, Session\n"
+            "session = Session()\n"
+            "compiled = session.execute(CompileRequest(kernel='crc32',\n"
+            "                                          machine='vliw4c2'))\n"
+            "assert compiled.machine == 'vliw4c2' and compiled.code_bytes > 0\n"
+            "custom = session.execute(CustomizeRequest(kernel='crc32',\n"
+            "                                          opt_level=3))\n"
+            "assert custom.correct and custom.custom_cycles < custom.base_cycles\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(

@@ -126,9 +126,7 @@ class TestScheduler:
         from repro.ir import build_dataflow_graph
 
         dfg = build_dataflow_graph(body, include_terminator=True)
-        for producer, consumer, kind in dfg.graph.edges(data="kind"):
-            if kind != "flow":
-                continue
+        for producer, consumer in dfg.flow_edges():
             producer_cycle, producer_op = issue[id(producer)]
             consumer_cycle, _ = issue[id(consumer)]
             assert consumer_cycle >= producer_cycle + producer_op.latency
@@ -145,6 +143,33 @@ class TestScheduler:
             if terminator_ops:
                 index, _op = terminator_ops[-1]
                 assert index == len(scheduled.bundles) - 1
+
+    def test_release_order_follows_generations(self):
+        """Cluster assignment walks Kahn's generations, not block order:
+        ``a = x+1; b = a+1; c = y+1`` releases a, c, then b; and within a
+        generation nodes follow the order their producers release them."""
+        from repro.backend.scheduler import _release_order
+        from repro.ir import IRBuilder, build_dataflow_graph
+
+        builder = IRBuilder()
+        function = builder.create_function("f", I32, [I32, I32], ["x", "y"])
+        x, y = function.arguments
+        b = builder.add(builder.add(x, 1), 1)
+        builder.add(y, 1)
+        builder.ret(b)
+        add_a, add_b, add_c, ret = function.entry.instructions
+        dfg = build_dataflow_graph(function.entry, include_terminator=True)
+        assert _release_order(dfg) == [add_a, add_c, add_b, ret]
+
+        builder = IRBuilder()
+        function = builder.create_function("g", I32, [I32, I32], ["x", "y"])
+        x, y = function.arguments
+        a, b = builder.add(x, 1), builder.add(y, 1)
+        c = builder.add(b, 1)
+        builder.ret(builder.add(builder.add(a, 1), c))
+        add_a, add_b, add_c, add_d, add_e, ret = function.entry.instructions
+        dfg = build_dataflow_graph(function.entry, include_terminator=True)
+        assert _release_order(dfg) == [add_a, add_b, add_d, add_c, add_e, ret]
 
     def test_cluster_assignment_inserts_copies(self):
         from repro.arch import clustered_vliw4

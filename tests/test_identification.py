@@ -31,14 +31,13 @@ CONFIG = EnumerationConfig(max_outputs=1)
 def reference_block_cuts(block, config: EnumerationConfig) -> List[Set]:
     """The set-based enumerator, kept as the oracle."""
     dfg = build_dataflow_graph(block)
-    graph = dfg.graph
-    fusable = [inst for inst in graph.nodes
+    fusable = [inst for inst in dfg.nodes
                if inst.is_fusable() and inst.dest is not None]
     if len(fusable) < config.min_size:
         return []
     fusable_set = set(fusable)
-    successors = {node: tuple(graph.successors(node)) for node in graph.nodes}
-    predecessors = {node: tuple(graph.predecessors(node)) for node in graph.nodes}
+    successors = {node: tuple(succs) for node, succs in dfg.successors.items()}
+    predecessors = {node: tuple(preds) for node, preds in dfg.predecessors.items()}
 
     defined = {inst.dest for inst in block.instructions if inst.dest is not None}
     live_out: Set[VirtualRegister] = set()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.frontend import compile_c
+from repro.gen import FAMILIES, generate_kernel, sample_spec
 from repro.ir import (
     Constant, I1, I32, IRBuilder, Opcode, VerificationError, assert_valid,
     build_cfg, build_dataflow_graph, clone_module, compute_dominators,
@@ -14,6 +16,10 @@ from repro.ir import (
 )
 from repro.ir import instructions as insts
 from repro.ir.values import VirtualRegister
+from repro.opt import optimize
+from repro.workloads import list_kernels
+
+from _shared import build_kernel_module
 
 
 def build_branchy_function():
@@ -80,12 +86,77 @@ class TestBuilder:
         assert Opcode.CMPLT in opcodes and Opcode.SELECT in opcodes
 
 
+def build_duplicate_target_function():
+    """A loop whose branches name one target twice, plus a dead block.
+
+    ``entry`` branches to ``header`` on both arms, the latch branches back
+    to ``header`` on both arms, and the unreachable ``dead`` jumps into
+    the loop body.
+    """
+    builder = IRBuilder()
+    function = builder.create_function("dup", I32, [I32], ["x"])
+    x = function.arguments[0]
+    header = builder.new_block("header")
+    latch = builder.new_block("latch")
+    exit_block = builder.new_block("exit")
+    dead = builder.new_block("dead")
+    builder.branch(builder.cmp_gt(x, 0), header, header)
+    builder.set_insert_point(header)
+    builder.branch(builder.cmp_lt(x, 10), latch, exit_block)
+    builder.set_insert_point(latch)
+    builder.branch(builder.cmp_gt(x, 5), header, header)
+    builder.set_insert_point(exit_block)
+    builder.ret(x)
+    builder.set_insert_point(dead)
+    builder.jump(latch)
+    return function
+
+
+def _reach(function, start, avoid=None):
+    """Blocks reachable from ``start`` along terminator targets without
+    entering ``avoid``, by fixpoint over every block."""
+    reached = set() if start is avoid else {start}
+    changed = True
+    while changed:
+        changed = False
+        for block in function.blocks:
+            if block in reached:
+                for succ in block.successors():
+                    if succ is not avoid and succ not in reached:
+                        reached.add(succ)
+                        changed = True
+    return reached
+
+
+def assert_cfg_analyses_match_brute_force(function):
+    """``reachable_blocks``, ``compute_dominators`` and
+    ``find_natural_loops`` against their definitions: ``d`` dominates
+    ``b`` iff ``b`` is unreachable from the entry once ``d`` is removed,
+    and a loop body is the header plus the blocks that reach the
+    back-edge tail without passing through the header."""
+    entry = function.entry
+    reachable = _reach(function, entry)
+    assert reachable_blocks(function) == reachable
+    dominators = {block: {d for d in reachable
+                          if block not in _reach(function, entry, avoid=d)}
+                  for block in reachable}
+    assert compute_dominators(function) == dominators
+    loops = []
+    for tail in function.blocks:
+        for header in dict.fromkeys(tail.successors()):
+            if tail in reachable and header in dominators[tail]:
+                body = {block for block in function.blocks
+                        if tail in _reach(function, block, avoid=header)}
+                loops.append((header, body | {header}))
+    assert find_natural_loops(function) == loops
+
+
 class TestCfgAnalyses:
     def test_cfg_edges(self):
         _module, function = build_branchy_function()
         graph = build_cfg(function)
-        assert graph.number_of_nodes() == 4
-        assert graph.number_of_edges() == 4
+        assert len(graph) == 4
+        assert sum(len(succs) for succs in graph.values()) == 4
 
     def test_dominators(self):
         _module, function = build_branchy_function()
@@ -134,6 +205,34 @@ class TestCfgAnalyses:
         assert body.frequency == pytest.approx(10.0)
         assert function.entry.frequency == pytest.approx(1.0)
 
+    def test_duplicate_targets_and_dead_block(self):
+        function = build_duplicate_target_function()
+        entry, header, latch, _exit, dead = function.blocks
+        assert build_cfg(function)[entry] == [header]
+        assert build_cfg(function)[latch] == [header]
+        assert dead not in reachable_blocks(function)
+        assert find_natural_loops(function) == [(header, {header, latch, dead})]
+        assert_cfg_analyses_match_brute_force(function)
+
+    @pytest.mark.parametrize("name", sorted(list_kernels()))
+    def test_builtin_kernels_match_brute_force(self, name):
+        for level in range(4):
+            _kernel, module = build_kernel_module(name, opt_level=level)
+            for function in module.functions.values():
+                assert_cfg_analyses_match_brute_force(function)
+
+    @settings(max_examples=10, deadline=None)
+    @given(family=st.sampled_from(FAMILIES),
+           spec_seed=st.integers(min_value=0, max_value=2**20),
+           level=st.integers(min_value=0, max_value=3))
+    def test_generated_kernels_match_brute_force(self, family, spec_seed, level):
+        generated = generate_kernel(sample_spec(family, spec_seed))
+        module = compile_c(generated.c_source,
+                           module_name=generated.kernel.name)
+        optimize(module, level=level)
+        for function in module.functions.values():
+            assert_cfg_analyses_match_brute_force(function)
+
     def test_topological_order_starts_at_entry(self):
         _module, function = build_branchy_function()
         order = topological_block_order(function)
@@ -162,8 +261,23 @@ class TestDataflowGraph:
         stores = [i for i in block.instructions if i.opcode is Opcode.STORE]
         load = next(i for i in block.instructions if i.opcode is Opcode.LOAD)
         # store -> load -> store chain must be ordered.
-        assert dfg.graph.has_edge(stores[0], load)
-        assert dfg.graph.has_edge(load, stores[1])
+        assert dfg.successors[stores[0]][load] == "memory"
+        assert dfg.successors[load][stores[1]] == "memory"
+        assert dfg.predecessors[stores[1]][load] == "memory"
+
+    def test_ordering_edges_do_not_relabel_a_flow_edge(self):
+        """``r = call g(x); s = call g(r)``: the barrier and memory edges
+        on the same pair leave the register flow edge a flow edge."""
+        builder = IRBuilder()
+        function = builder.create_function("f", I32, [I32], ["x"])
+        r = builder.call("g", [function.arguments[0]], I32)
+        s = builder.call("g", [r], I32)
+        builder.ret(s)
+        first, second, ret = function.entry.instructions
+        dfg = build_dataflow_graph(function.entry, include_terminator=True)
+        assert dfg.successors[first][second] == "flow"
+        assert dfg.predecessors[second][first] == "flow"
+        assert dfg.flow_edges() == [(first, second), (second, ret)]
 
     def test_convexity_check(self, sad_module):
         function = sad_module.get_function("sad16")

@@ -123,11 +123,10 @@ class TestSchedulerInvariants:
             for op in bundle.ops:
                 issue[id(op.inst)] = (cycle, op.latency)
         dfg = build_dataflow_graph(block, include_terminator=True)
-        for producer, consumer, kind in dfg.graph.edges(data="kind"):
-            if kind == "flow":
-                pc, lat = issue[id(producer)]
-                cc, _ = issue[id(consumer)]
-                assert cc >= pc + lat
+        for producer, consumer in dfg.flow_edges():
+            pc, lat = issue[id(producer)]
+            cc, _ = issue[id(consumer)]
+            assert cc >= pc + lat
 
 
 class TestMemoryProperties:
