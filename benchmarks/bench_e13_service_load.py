@@ -82,7 +82,7 @@ def _percentile(samples, fraction):
 
 def _cell_economics(stats):
     """Fleet-wide cell-memo hits/misses from the daemon's merged metrics
-    registry (worker registry snapshots ride home in result frames)."""
+    registry (the ``stats`` op pulls the worker registry snapshots)."""
     metrics = stats.get("metrics") or {}
     hits = int(snapshot_value(metrics, "store_hits", stage=CELL_STAGE))
     misses = int(snapshot_value(metrics, "store_misses", stage=CELL_STAGE))

@@ -435,12 +435,12 @@ class Session:
         started = time.perf_counter()
         machine = resolve_machine(request.machine)
         kernel = self._request_kernel(request.kernel)
-        args = kernel.arguments(self._size(request.size),
-                                seed=self._seed(request.seed))
-        expected = kernel.expected(args)
+        size, seed = self._size(request.size), self._seed(request.seed)
         opt_level = self._opt(request.opt_level)
 
         if request.engine == "cycle":
+            args = kernel.arguments(size, seed=seed)
+            expected = kernel.expected(args)
             toolchain = self.toolchain(machine, opt_level=opt_level)
             artifacts = toolchain.build(kernel.source, name=kernel.name)
             result = toolchain.run(artifacts, kernel.entry, *_run_args(args))
@@ -461,8 +461,6 @@ class Session:
             unroll_factor=self.unroll_factor)
 
         if request.batch:
-            seed = self._seed(request.seed)
-            size = self._size(request.size)
             arg_sets = [kernel.arguments(size, seed=seed + lane)
                         for lane in range(request.batch)]
             expected_values = [kernel.expected(arg_set)
@@ -481,6 +479,8 @@ class Session:
                 values=result.values,
                 provenance=self._provenance(request.engine, started, records))
 
+        args = kernel.arguments(size, seed=seed)
+        expected = kernel.expected(args)
         simulator = make_functional_simulator(
             module, engine=request.engine, store=self.store)
         value = simulator.run(kernel.entry, *_run_args(args))

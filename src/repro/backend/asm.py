@@ -54,10 +54,6 @@ class BinaryImage:
     def total_words(self) -> int:
         return sum(len(w) for w in self.words.values())
 
-    @property
-    def total_bytes(self) -> int:
-        return 4 * self.total_words
-
 
 def _register_number(value, compiled: CompiledFunction) -> int:
     if isinstance(value, VirtualRegister):

@@ -132,11 +132,6 @@ class CompiledFunction:
         raise KeyError(f"no scheduled block {name} in {self.name}")
 
     @property
-    def static_cycles(self) -> int:
-        """Schedule length summed over all blocks (not execution time)."""
-        return sum(b.cycles for b in self.blocks)
-
-    @property
     def operation_count(self) -> int:
         return sum(b.operation_count for b in self.blocks)
 
@@ -145,14 +140,6 @@ class CompiledFunction:
         for block in self.blocks:
             counts.extend(block.op_counts_per_bundle())
         return counts
-
-    @property
-    def average_ilp(self) -> float:
-        """Operations per non-empty bundle (static ILP of the schedule)."""
-        counts = [c for c in self.bundle_op_counts() if c > 0]
-        if not counts:
-            return 0.0
-        return sum(counts) / len(counts)
 
     def __str__(self) -> str:
         lines = [f"; function {self.name} scheduled for {self.machine.name}"]

@@ -186,9 +186,6 @@ class Instruction:
     def is_memory(self) -> bool:
         return self.opcode in (Opcode.LOAD, Opcode.STORE)
 
-    def is_call(self) -> bool:
-        return self.opcode is Opcode.CALL
-
     # ------------------------------------------------------------------
     # Operand management.
     # ------------------------------------------------------------------

@@ -42,10 +42,6 @@ class Module:
     def has_function(self, name: str) -> bool:
         return name in self.functions
 
-    def remove_function(self, name: str) -> None:
-        function = self.functions.pop(name)
-        function.module = None
-
     # ------------------------------------------------------------------
     # Globals.
     # ------------------------------------------------------------------

@@ -23,12 +23,6 @@ class Value:
         self.type = type_
         self.name = name
 
-    def is_constant(self) -> bool:
-        return isinstance(self, Constant)
-
-    def is_register(self) -> bool:
-        return isinstance(self, VirtualRegister)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
 

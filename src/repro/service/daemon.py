@@ -26,12 +26,19 @@ timeouts.
 
 Fan-out requests are sharded over a pool of N workers (separate
 processes by default; in-process threads for tests and zero-install
-deployments) through :class:`TaskPool`.  Workers heartbeat while they
-compute; a worker that stops heartbeating or drops its connection is
-declared dead, its in-flight task is re-queued (bounded attempts), and
-— in process mode — a replacement is spawned.  The shard/merge rules
-live in :mod:`repro.service.tasks` and preserve bit-identity with a
+deployments) through :class:`TaskPool`, which has no dispatcher
+thread.  Workers heartbeat while they compute; a worker that stops
+heartbeating or drops its connection is declared dead, its in-flight
+task is re-queued (bounded attempts), and — in process mode — a
+replacement is spawned.  The shard/merge rules live in
+:mod:`repro.service.tasks` and preserve bit-identity with a
 single-process :meth:`repro.api.Session.execute`.
+
+Worker counters are pulled on demand.  Result frames carry no store
+or metrics counters; the client ``stats`` op first sends every live
+worker a ``stats`` probe (:meth:`TaskPool.collect_stats`) and waits up
+to :data:`STATS_WAIT_S` for the answers.  A worker answers between
+tasks, so one still mid-task at that bound keeps its last snapshot.
 
 Exploration requests keep their sequential search loop in the daemon
 (strategies are stateful) but fan the design-point evaluations out via
@@ -71,6 +78,11 @@ class TaskError(RuntimeError):
     """A pool task failed (worker error, repeated death, or timeout)."""
 
 
+#: longest :meth:`TaskPool.collect_stats` waits for workers to answer a
+#: counters probe; a worker still mid-task keeps its last snapshot.
+STATS_WAIT_S = 0.5
+
+
 class _PendingTask:
     """One task in flight through the pool."""
 
@@ -93,13 +105,27 @@ class _WorkerLink:
     def __init__(self, worker_id: str, conn) -> None:
         self.worker_id = worker_id
         self.conn = conn
+        #: serializes every frame the daemon writes to this worker: task
+        #: frames, stats probes and the ``exit`` frame.
+        self.send_lock = threading.Lock()
         self.busy: Optional[_PendingTask] = None
+        #: unanswered stats probes, by probe id.
+        self.probes: Dict[int, threading.Event] = {}
         self.last_seen = time.monotonic()
         self.alive = True
+
+    def send(self, message: Dict[str, object]) -> None:
+        with self.send_lock:
+            protocol.send_frame(self.conn, message)
 
 
 class TaskPool:
     """Dispatches framed tasks to connected workers, with retry on death.
+
+    There is no dispatcher thread: whichever thread makes a task/worker
+    pairing possible (:meth:`run_many` queueing tasks, a reader freeing
+    its worker, :meth:`attach`, or a death re-queueing a task) pairs
+    them under the pool lock and sends the task frame itself.
 
     Retries happen only when a *worker dies* mid-task (connection drop
     or stale heartbeat) — a task the worker itself reports as failed is
@@ -112,24 +138,19 @@ class TaskPool:
                  ) -> None:
         self.task_retries = task_retries
         self.on_worker_lost = on_worker_lost
-        self._cv = threading.Condition()
+        #: guards the links, the task deque and the pairings.
+        self._cv = threading.Lock()
         self._tasks: "collections.deque[_PendingTask]" = collections.deque()
         self._links: Dict[str, _WorkerLink] = {}
         self._uid = itertools.count(1)
         self._stopping = False
-        self._dispatcher: Optional[threading.Thread] = None
-        #: last reported per-worker store counters (cache economics).
+        #: last collected per-worker store counters (cache economics).
         self.worker_stats: Dict[str, Dict[str, object]] = {}
-        #: last reported per-worker metrics-registry snapshot (cumulative
+        #: last collected per-worker metrics-registry snapshot (cumulative
         #: per worker; the daemon merges them fleet-wide on demand).
         self.worker_metrics: Dict[str, Dict[str, object]] = {}
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True, name="svc-dispatch")
-        self._dispatcher.start()
-
     def live_ids(self) -> List[str]:
         with self._cv:
             return [link.worker_id for link in self._links.values()
@@ -144,13 +165,13 @@ class TaskPool:
                 link.alive = False
             else:
                 self._links[worker_id] = link
-                self._cv.notify_all()
         if not link.alive:
             with contextlib.suppress(OSError):
                 conn.close()
             return
         threading.Thread(target=self._reader, args=(link,), daemon=True,
                          name=f"svc-reader-{worker_id}").start()
+        self._dispatch()
 
     # ------------------------------------------------------------------
     # Task submission.
@@ -173,7 +194,7 @@ class TaskPool:
                    for payload in payloads]
         with self._cv:
             self._tasks.extend(pending)
-            self._cv.notify_all()
+        self._dispatch()
         deadline = None if timeout is None else time.monotonic() + timeout
         try:
             for task in pending:
@@ -205,29 +226,22 @@ class TaskPool:
     # ------------------------------------------------------------------
     # Dispatch and reading.
     # ------------------------------------------------------------------
-    def _idle_link(self) -> Optional[_WorkerLink]:
-        for link in self._links.values():
-            if link.alive and link.busy is None:
-                return link
-        return None
-
-    def _dispatch_loop(self) -> None:
+    def _dispatch(self) -> None:
+        """Pair queued tasks with idle workers and send their frames."""
         while True:
             with self._cv:
-                while not self._stopping:
-                    while self._tasks and self._tasks[0].done:
-                        self._tasks.popleft()
-                    if self._tasks and self._idle_link() is not None:
-                        break
-                    self._cv.wait(0.5)
                 if self._stopping:
                     return
-                task = self._tasks.popleft()
-                link = self._idle_link()
-                link.busy = task
+                while self._tasks and self._tasks[0].done:
+                    self._tasks.popleft()
+                link = next((link for link in self._links.values()
+                             if link.alive and link.busy is None), None)
+                if not self._tasks or link is None:
+                    return
+                task = link.busy = self._tasks.popleft()
             try:
-                protocol.send_frame(link.conn, {
-                    "op": "task", "id": task.uid, "task": task.payload})
+                link.send({"op": "task", "id": task.uid,
+                           "task": task.payload})
             except OSError:
                 self._worker_dead(link, "send failed")
 
@@ -241,29 +255,67 @@ class TaskPool:
                 self._worker_dead(link, "connection lost")
                 return
             link.last_seen = time.monotonic()
-            if message.get("op") != "result":
-                continue  # heartbeat (or unknown chatter)
-            with self._cv:
-                task, link.busy = link.busy, None
-                self._cv.notify_all()
-            if task is None or task.done:
-                continue
-            if message.get("ok"):
-                task.result = message.get("result") or {}
-                store = task.result.get("store")
-                if isinstance(store, dict):
-                    self.worker_stats[link.worker_id] = store
-                metrics = task.result.get("metrics")
-                if isinstance(metrics, dict):
-                    self.worker_metrics[link.worker_id] = metrics
-                spans = task.result.get("spans")
-                if spans:
-                    # Stitch the worker's spans into the daemon's trace
-                    # buffer; they already carry the propagated trace_id.
-                    global_tracer().ingest(spans)
-            else:
-                task.error = str(message.get("error", "worker error"))
-            task.event.set()
+            op = message.get("op")
+            if op == "result":
+                self._settle(link, message)
+            elif op == "stats":
+                self._record_stats(link, message)
+            # anything else is a heartbeat (or unknown chatter)
+
+    def _settle(self, link: _WorkerLink, message: Dict[str, object]) -> None:
+        with self._cv:
+            task, link.busy = link.busy, None
+        self._dispatch()
+        if task is None or task.done:
+            return
+        if message.get("ok"):
+            task.result = message.get("result") or {}
+            spans = task.result.get("spans")
+            if spans:
+                # Stitch the worker's spans into the daemon's trace
+                # buffer; they already carry the propagated trace_id.
+                global_tracer().ingest(spans)
+        else:
+            task.error = str(message.get("error", "worker error"))
+        task.event.set()
+
+    def _record_stats(self, link: _WorkerLink,
+                      message: Dict[str, object]) -> None:
+        store, metrics = message.get("store"), message.get("metrics")
+        with self._cv:
+            if isinstance(store, dict):
+                self.worker_stats[link.worker_id] = store
+            if isinstance(metrics, dict):
+                self.worker_metrics[link.worker_id] = metrics
+            probe = link.probes.pop(message.get("id"), None)
+        if probe is not None:
+            probe.set()
+
+    def collect_stats(self) -> None:
+        """Refresh :attr:`worker_stats` and :attr:`worker_metrics`.
+
+        Probes every live worker and waits up to :data:`STATS_WAIT_S`
+        for the answers.  A worker answers between tasks, so one still
+        mid-task at the deadline keeps its last snapshot.
+        """
+        probes = []
+        with self._cv:
+            for link in self._links.values():
+                if link.alive:
+                    uid = next(self._uid)
+                    event = link.probes[uid] = threading.Event()
+                    probes.append((link, uid, event))
+        for link, uid, _event in probes:
+            try:
+                link.send({"op": "stats", "id": uid})
+            except OSError:
+                self._worker_dead(link, "send failed")
+        deadline = time.monotonic() + STATS_WAIT_S
+        for _link, _uid, event in probes:
+            event.wait(max(0.0, deadline - time.monotonic()))
+        with self._cv:
+            for link, uid, _event in probes:
+                link.probes.pop(uid, None)
 
     def _worker_dead(self, link: _WorkerLink, reason: str) -> None:
         with self._cv:
@@ -271,6 +323,7 @@ class TaskPool:
                 return
             link.alive = False
             self._links.pop(link.worker_id, None)
+            probes, link.probes = list(link.probes.values()), {}
             task, link.busy = link.busy, None
             if task is not None and not task.done:
                 task.attempts += 1
@@ -278,13 +331,14 @@ class TaskPool:
                     task.error = (f"worker died {task.attempts} times "
                                   f"running this task ({reason})")
                     task.event.set()
-                    task = None
                 else:
                     # Head of the line: the task already waited its turn.
                     self._tasks.appendleft(task)
-            self._cv.notify_all()
+        for probe in probes:
+            probe.set()  # a dead worker answers no probe
         with contextlib.suppress(OSError):
             link.conn.close()
+        self._dispatch()
         if self.on_worker_lost is not None and not self._stopping:
             self.on_worker_lost(link.worker_id)
 
@@ -309,13 +363,10 @@ class TaskPool:
         with self._cv:
             self._stopping = True
             links = list(self._links.values())
-            self._cv.notify_all()
         for link in links:
             with contextlib.suppress(OSError):
-                protocol.send_frame(link.conn, {"op": "exit"})
+                link.send({"op": "exit"})
             protocol.hang_up(link.conn)
-        if self._dispatcher is not None:
-            self._dispatcher.join()
 
 
 # ----------------------------------------------------------------------
@@ -450,7 +501,6 @@ class ServiceDaemon:
             return self
         self._started = True
         self._listener = protocol.listen(self.endpoint)
-        self.pool.start()
         self._spawn_thread(self._accept_loop, "svc-accept")
         for index in range(self.job_runners):
             self._spawn_thread(self._job_runner, f"svc-job-{index}")
@@ -652,6 +702,7 @@ class ServiceDaemon:
                 records = self.queue.list(states)
                 return {"ok": True, "jobs": [r.to_dict() for r in records]}
             if op == "stats":
+                self.pool.collect_stats()
                 return {"ok": True,
                         "queue": self.queue.snapshot(),
                         "store": {**self.store.describe(),
@@ -720,7 +771,8 @@ class ServiceDaemon:
                 "events": events}
 
     def metrics(self) -> Dict[str, object]:
-        """The daemon's registry snapshot merged with worker snapshots."""
+        """The daemon's registry snapshot merged with the worker
+        snapshots the last :meth:`TaskPool.collect_stats` pulled."""
         if metrics_enabled():
             self.registry.gauge(
                 "queue_depth",
@@ -839,16 +891,16 @@ class ServiceDaemon:
         except OSError:  # pragma: no cover - journaling is best effort
             pass
 
-    def _pool_provenance(self, engine: str, fidelity: str,
-                         started: float) -> Dict[str, object]:
+    def _pool_provenance(self, engine: str, fidelity: str, started: float,
+                         results: Sequence[Dict[str, object]]
+                         ) -> Dict[str, object]:
         from ..api.requests import Provenance
 
         return Provenance(
             session=self.name, engine=engine, fidelity=fidelity,
             elapsed_s=round(time.perf_counter() - started, 6),
-            cache={"store": self.store.stats_dict(),
-                   "workers": dict(self.pool.worker_stats)},
-            worker="+".join(sorted(self.pool.worker_stats)) or "pool",
+            cache={"store": self.store.stats_dict()},
+            worker=_served_by(results) or "pool",
         ).to_dict()
 
     def _run_job(self, request: Dict[str, object]) -> Dict[str, object]:
@@ -873,7 +925,7 @@ class ServiceDaemon:
             response = self.session.execute(request_from_dict(request))
             if response.provenance is not None:
                 response.provenance.worker = (
-                    "+".join(sorted(self.pool.worker_stats)) or self.name)
+                    "+".join(sorted(self.pool.live_ids())) or self.name)
             return response.to_dict()
         result = self.pool.run_task({"task": "request", "request": request},
                                     timeout=self.task_timeout)
@@ -891,7 +943,7 @@ class ServiceDaemon:
                     "schema_version": SCHEMA_VERSION}
         response.update(merged)
         response["provenance"] = self._pool_provenance(
-            merged["engine"], merged["fidelity"], started)
+            merged["engine"], merged["fidelity"], started, results)
         return response
 
     def _run_population_job(self, request: Dict[str, object]
@@ -906,4 +958,14 @@ class ServiceDaemon:
         results = self.pool.run_many(tasks, timeout=self.task_timeout)
         response = merge_population(results[-1]["response"], results[:-1],
                                     validate)
+        provenance = response.get("provenance")
+        if isinstance(provenance, dict):
+            provenance["worker"] = (_served_by(results)
+                                    or provenance.get("worker"))
         return response
+
+
+def _served_by(results: Sequence[Dict[str, object]]) -> str:
+    """``w1+w2``: the workers named in the results' ``worker`` fields."""
+    return "+".join(sorted({str(result["worker"]) for result in results
+                            if result.get("worker")}))

@@ -30,6 +30,13 @@ same ``wait_s``: the daemon queues the job, then replies as the
 ``result`` op would (state, job record, and the response once done),
 so a blocking execute needs a single round trip; without ``wait_s`` the
 reply is the queued job record alone.
+
+Daemon → worker frames are ``task`` (answered by one ``result``),
+``stats`` (answered between tasks by a ``stats`` frame echoing its
+``id`` with the worker's ``store`` counters and, with metrics on, its
+``metrics`` snapshot) and ``exit``; workers also send ``heartbeat``
+frames on their own.  Counters travel only on ``stats``, never inside
+``result`` frames.
 """
 
 from __future__ import annotations

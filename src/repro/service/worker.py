@@ -21,6 +21,12 @@ declares ``role: worker``, and then serves framed tasks one at a time:
 * ``population_validate`` — one round-robin slice of a deterministic
   generated population's dual-engine validation pass.
 
+Result frames carry the task's result only.  The worker's cumulative
+counters (store stats and, with metrics on, its registry snapshot)
+are pulled: the daemon sends ``{"op": "stats", "id": n}`` and the
+worker answers it between tasks with ``{"op": "stats", "id": n,
+"store": ..., "metrics": ...}``.
+
 A background thread heartbeats while tasks run, so the daemon can tell
 a *slow* worker from a *dead* one; losing the connection (daemon gone)
 ends the worker.  :class:`WorkerRuntime` holds all task semantics and
@@ -82,19 +88,24 @@ class WorkerRuntime:
                              task=str(kind)) as span:
                 result = handler(task)
                 trace_id = span.trace_id
-        # Every result carries the worker's cumulative store counters so
-        # the daemon can aggregate fleet-wide cache economics.
-        result["store"] = self.store.stats_dict()
         result["worker"] = self.worker_id
-        if metrics_enabled():
-            # Cumulative registry snapshot (additive wire field): the
-            # daemon keeps the latest per worker and merges fleet-wide.
-            result["metrics"] = self.session.registry.snapshot()
         if trace_id:
             # Ship (and drain) this task's spans back inside the result
             # frame; the daemon stitches them into its trace buffer.
             result["spans"] = tracer.take(trace_id)
         return result
+
+    def stats(self) -> Dict[str, object]:
+        """The worker's cumulative counters, for the daemon's ``stats`` op.
+
+        ``store`` is the store's per-stage counters; ``metrics`` (with
+        metrics on) the session registry snapshot, which the daemon
+        merges fleet-wide.
+        """
+        counters: Dict[str, object] = {"store": self.store.stats_dict()}
+        if metrics_enabled():
+            counters["metrics"] = self.session.registry.snapshot()
+        return counters
 
     # ------------------------------------------------------------------
     # Task handlers.
@@ -272,6 +283,9 @@ def worker_loop(endpoint: str, store_root: str, worker_id: str,
             message = protocol.recv_frame(sock)
             if message is None or message.get("op") == "exit":
                 break
+            if message.get("op") == "stats":
+                _send(dict(runtime.stats(), op="stats", id=message.get("id")))
+                continue
             if message.get("op") != "task":
                 continue
             task_id = message.get("id")

@@ -685,13 +685,19 @@ class TestDaemon:
         def hits_and_misses():
             # A shard whose cells the other worker computed is served
             # from the shared disk layer: a disk hit, counted apart from
-            # memory hits.
+            # memory hits.  Worker counters are pulled, so probe first.
+            thread_daemon.pool.collect_stats()
             stats = thread_daemon.pool.worker_stats
             cell = [s.get(CELL_STAGE, {}) for s in stats.values()]
             return (sum(c.get("hits", 0) + c.get("disk_hits", 0)
                         for c in cell),
                     sum(c.get("misses", 0) for c in cell))
 
+        # test_cancel_before_run may leave its cold matrix job running;
+        # its cell misses belong to no request of this test.
+        _wait_for(lambda: not any(thread_daemon.queue.snapshot()[state]
+                                  for state in ("queued", "running")),
+                  60.0, "the daemon never went idle")
         hits_before, misses_before = hits_and_misses()
         responses = [None] * 4
         def run(index):
@@ -924,6 +930,168 @@ class TestDaemonRestart:
         # Detected, quarantined for post-mortem, recomputed.
         assert any(name.startswith(CELL_STAGE + "__")
                    for name in os.listdir(quarantine))
+
+
+# ----------------------------------------------------------------------
+# Pulled worker counters and inline dispatch.
+# ----------------------------------------------------------------------
+
+def _cell_hits(stats) -> int:
+    cells = [worker.get(CELL_STAGE, {}) for worker in stats["workers"].values()]
+    return sum(cell.get("hits", 0) + cell.get("disk_hits", 0)
+               for cell in cells)
+
+
+class TestPulledCounters:
+
+    def test_worker_frames_keep_counters_out_of_results(self, tmp_path):
+        from repro.obs import metrics_enabled
+        from repro.service.worker import worker_loop
+
+        endpoint = "unix:" + str(tmp_path / "w.sock")
+        listener = protocol.listen(endpoint)
+        worker = threading.Thread(
+            target=worker_loop,
+            args=(endpoint, str(tmp_path / "store"), "raw"), daemon=True)
+        worker.start()
+        conn, _addr = listener.accept()
+
+        def next_frame(op):
+            while True:
+                message = protocol.recv_frame(conn)
+                if message["op"] == op:
+                    return message
+
+        try:
+            assert next_frame("hello")["worker"] == "raw"
+            protocol.send_frame(conn, {"op": "task", "id": 1, "task": {
+                "task": "matrix",
+                "request": MatrixRequest(machines=["vliw4"],
+                                         kernels=["crc32"]).to_dict()}})
+            result = next_frame("result")
+            assert result["ok"] and result["id"] == 1
+            assert result["result"]["worker"] == "raw"
+            assert "store" not in result["result"]
+            assert "metrics" not in result["result"]
+            protocol.send_frame(conn, {"op": "stats", "id": 7})
+            counters = next_frame("stats")
+            assert counters["id"] == 7
+            assert counters["store"][CELL_STAGE]["misses"] == 1
+            assert ("metrics" in counters) == metrics_enabled()
+            protocol.send_frame(conn, {"op": "exit"})
+            worker.join(10)
+            assert not worker.is_alive()
+        finally:
+            protocol.hang_up(conn)
+            protocol.hang_up(listener)
+
+    @pytest.mark.parametrize("worker_mode", ["thread", "process"])
+    def test_stats_right_after_execute_counts_its_hit(self, tmp_path,
+                                                      worker_mode):
+        request = MatrixRequest(machines=["vliw4"], kernels=["crc32"])
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode=worker_mode, name="pull",
+                           task_timeout=120.0) as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                c.execute(request, timeout=120)  # cold: computes the cell
+                before = _cell_hits(c.stats())
+                c.execute(request, timeout=120)  # warm: one cell hit
+                after = _cell_hits(c.stats())
+        assert after == before + 1
+
+    def test_stats_answers_within_bound_while_worker_is_busy(
+            self, tmp_path, monkeypatch):
+        from repro.service.daemon import STATS_WAIT_S
+
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="busy",
+                           task_timeout=120.0) as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                _wait_for(lambda: daemon.pool.live_ids(), 30.0,
+                          "worker never connected")
+                idle = c.stats()["workers"]
+                monkeypatch.setenv("REPRO_SERVICE_TASK_DELAY_S", "3.0")
+                handle = c.submit(RunRequest(kernel="crc32", machine="vliw4",
+                                             engine="compiled"))
+                _wait_for(lambda: daemon.queue.get(handle.id).state
+                          == "running", 30.0, "the job never started")
+                time.sleep(0.1)  # let the task frame reach the worker
+                started = time.monotonic()
+                busy = c.stats()["workers"]
+                elapsed = time.monotonic() - started
+                assert handle.result(timeout=120).correct
+        assert elapsed < STATS_WAIT_S + 1.0
+        # The mid-task worker kept its last snapshot.
+        assert busy == idle and set(busy) == {"w1"}
+
+    def test_no_dispatcher_thread(self, tmp_path):
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="inline") as daemon:
+            with ServiceClient(daemon.endpoint) as c:
+                assert c.execute(MatrixRequest(machines=["vliw4"],
+                                               kernels=["crc32"]),
+                                 timeout=120).all_correct
+            names = {thread.name for thread in threading.enumerate()}
+        assert "svc-dispatch" not in names
+
+    def test_one_worker_drains_three_tasks(self, tmp_path):
+        request = MatrixRequest(machines=["vliw4", "risc32", "vliw8"],
+                                kernels=["crc32"]).to_dict()
+        with ServiceDaemon(str(tmp_path / "svc"), workers=1,
+                           worker_mode="thread", name="drain") as daemon:
+            results = daemon.pool.run_many(shard_matrix(request),
+                                           timeout=120)
+        assert [r["machines"][0] for r in results] == \
+            ["vliw4", "risc32", "vliw8"]
+        assert {r["worker"] for r in results} == {"w1"}
+
+    def test_concurrent_probes_and_dispatch_keep_frames_intact(
+            self, tmp_path):
+        request = MatrixRequest(machines=["vliw4", "risc32", "vliw8"],
+                                kernels=KERNELS).to_dict()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave sends as finely as we can
+        try:
+            with ServiceDaemon(str(tmp_path / "svc"), workers=3,
+                               worker_mode="thread", name="probes") as daemon:
+                _wait_for(lambda: len(daemon.pool.live_ids()) == 3, 30.0,
+                          "workers never connected")
+                workers = sorted(daemon.pool.live_ids())
+                stop = threading.Event()
+                errors = []
+                served = []
+
+                def probe():
+                    while not stop.is_set():
+                        daemon.pool.collect_stats()
+
+                def run():
+                    try:
+                        for _ in range(10):
+                            results = daemon.pool.run_many(
+                                shard_matrix(request), timeout=60)
+                            served.extend(r["correct"] for r in results)
+                    except Exception as exc:  # noqa: BLE001 - asserted
+                        errors.append(exc)
+
+                probers = [threading.Thread(target=probe) for _ in range(2)]
+                runners = [threading.Thread(target=run) for _ in range(3)]
+                for thread in probers + runners:
+                    thread.start()
+                for thread in runners:
+                    thread.join(120)
+                stop.set()
+                for thread in probers:
+                    thread.join(10)
+                assert not any(t.is_alive() for t in probers + runners)
+                # A corrupt frame would have killed (and replaced) a worker.
+                assert sorted(daemon.pool.live_ids()) == workers
+                daemon.pool.collect_stats()
+                assert sorted(daemon.pool.worker_stats) == workers
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors
+        assert served == [len(KERNELS)] * (3 * 10 * 3)
 
 
 # ----------------------------------------------------------------------
