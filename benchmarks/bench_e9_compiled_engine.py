@@ -19,7 +19,12 @@ for a slice of the kernel suite it times
 * native build cost: the mean :meth:`NativeToolchain.compile` time of
   the builtin kernels' units over that of an empty one-function unit.
   The ratio cancels host speed; its ceiling catches a return of
-  optimizer time that cold requests, which run short inputs, never repay.
+  optimizer time that cold requests, which run short inputs, never repay;
+* customized machines: crc32, fir_filter and popcount_buffer at O3,
+  customized for vliw4 at 40 kgates, warm on the compiled and native
+  engines next to their base modules.  Custom ops run inline as their
+  pattern's base operations, so the customized native run's ceiling is
+  twice the base one.
 
 Results are written to ``BENCH_compiled_engine.json`` at the repository
 root so the perf trajectory of the engines is tracked over time.  Run
@@ -32,15 +37,18 @@ import json
 import time
 from pathlib import Path
 
+from repro.arch import vliw4
 from repro.exec import (
     CODE_STAGE, CompiledSimulator, NativeCodeCache, NativeSimulator,
     global_native_toolchain, native_available, run_batch, translate,
 )
 from repro.exec.nativegen import render_c_program
 from repro.frontend import compile_c
+from repro.ir import Opcode
 from repro.opt import optimize
 from repro.pipeline import ArtifactStore
 from repro.sim import FunctionalSimulator
+from repro.toolchain import Toolchain
 from repro.workloads import KERNELS, get_kernel
 
 from conftest import (
@@ -66,6 +74,16 @@ NATIVE_BATCH_CEILING_MS = 0.5
 NATIVE_COMPILE_FLOOR_CEILING = 1.8
 #: the compile floor: what cc costs for a unit with nothing in it.
 EMPTY_UNIT = "long repro_empty(void) { return 0; }\n"
+#: (kernel, problem size) run at O3 on vliw4 customized at 40 kgates.
+CUSTOM_CASES = [
+    ("crc32", 256),
+    ("fir_filter", 256),
+    ("popcount_buffer", 256),
+]
+#: ceiling on customized native ms over base native ms, per kernel.  With
+#: a ctypes callback per custom op it read 190x (crc32), 168x
+#: (fir_filter) and 55x (popcount_buffer); inline it reads about 1x.
+CUSTOM_NATIVE_CEILING = 2.0
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled_engine.json"
 
@@ -134,6 +152,48 @@ def _native_compile_ms(repeats):
     return best_kernel * 1e3, best_empty * 1e3
 
 
+def _customized_rows(repeats, scale, has_native):
+    """Warm compiled/native ms of base and customized modules, per case."""
+    rows = []
+    for name, size in CUSTOM_CASES:
+        kernel = get_kernel(name)
+        base = compile_c(kernel.source, module_name=name)
+        optimize(base, level=3)
+        customized = base.clone()
+        Toolchain(vliw4()).customize(customized, area_budget_kgates=40.0)
+        custom_ops = sum(inst.opcode is Opcode.CUSTOM for f in customized
+                         for b in f.blocks for inst in b.instructions)
+        assert custom_ops, f"customization left {name} without CUSTOM ops"
+        args = kernel.arguments(max(8, size // scale), seed=2026)
+        expected = kernel.expected(args)
+        row = {"kernel": name, "size": max(8, size // scale),
+               "custom_ops": custom_ops}
+        for label, module in (("base", base), ("custom", customized)):
+            store = ArtifactStore()
+            translate(module, store)
+            seconds, value = _best_time(
+                lambda m: CompiledSimulator(m, store=store),
+                module, kernel.entry, args, repeats)
+            assert value == expected
+            row[f"compiled_{label}_ms"] = round(seconds * 1e3, 3)
+        if has_native:
+            native_cache = NativeCodeCache()
+            for label, module in (("base", base), ("custom", customized)):
+                NativeSimulator(module, native_cache=native_cache)
+                # Best of at least 3 even under --shrink: the ceiling is
+                # asserted.
+                seconds, value = _best_time(
+                    lambda m: NativeSimulator(m, native_cache=native_cache),
+                    module, kernel.entry, args, max(repeats, 3))
+                assert value == expected
+                row[f"native_{label}_ms"] = round(seconds * 1e3, 3)
+            native_cache.clear()
+            row["native_custom_ratio"] = round(
+                row["native_custom_ms"] / row["native_base_ms"], 2)
+        rows.append(row)
+    return rows
+
+
 def test_e9_execution_tiers(benchmark, pytestconfig):
     repeats = shrink_knob(pytestconfig, "E9_REPEATS", 3, 1)
     scale = shrink_knob(pytestconfig, "E9_SIZE_DIVISOR", 1, 4)
@@ -194,10 +254,12 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
                 row["native_vs_compiled"] = round(warm_s / native_s, 1)
                 native_cache.clear()
             rows.append(row)
-        return rows
+        return rows, _customized_rows(repeats, scale, has_native)
 
-    rows = run_once(benchmark, experiment)
+    rows, custom_rows = run_once(benchmark, experiment)
     print_table("E9: execution tiers (interpreter / compiled / native)", rows)
+    print_table("E9: customized machines (O3, vliw4 at 40 kgates)",
+                custom_rows)
 
     warm_speedups = [r["warm_speedup"] for r in rows]
     best = max(warm_speedups)
@@ -228,6 +290,10 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
         lines.append(f"native compile {kernel_ms:.1f} ms/unit, "
                      f"{summary['native_compile_floor_ratio']:.2f}x the "
                      f"{empty_ms:.1f} ms empty unit")
+        summary["max_native_custom_ratio"] = max(
+            r["native_custom_ratio"] for r in custom_rows)
+        lines.append(f"customized native at most "
+                     f"{summary['max_native_custom_ratio']:.2f}x base")
     print("\nE9 summary: " + "; ".join(lines) + ".")
 
     # Acceptance floors (env-overridable for noisy shared runners).
@@ -249,10 +315,14 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
         metrics["native_compile_floor_ratio"] = bench_metric(
             summary["native_compile_floor_ratio"], direction="lower",
             ceiling=NATIVE_COMPILE_FLOOR_CEILING)
+        metrics["max_native_custom_ratio"] = bench_metric(
+            summary["max_native_custom_ratio"], direction="lower",
+            ceiling=CUSTOM_NATIVE_CEILING)
     write_baseline(OUTPUT, "e9_execution_tiers", {
         "repeats": repeats,
         "native_available": has_native,
         "rows": rows,
+        "custom_rows": custom_rows,
         "summary": summary,
     }, metrics=metrics,
         shrunk=bool(pytestconfig.getoption("--shrink")))
@@ -270,6 +340,11 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
             f"{summary['native_compile_floor_ratio']}x the empty unit "
             f"(ceiling {NATIVE_COMPILE_FLOOR_CEILING}): is the optimizer "
             f"back in the build flags?")
+        assert (summary["max_native_custom_ratio"]
+                <= CUSTOM_NATIVE_CEILING), (
+            f"a customized kernel runs natively in "
+            f"{summary['max_native_custom_ratio']}x its base time (ceiling "
+            f"{CUSTOM_NATIVE_CEILING}): do custom ops leave C again?")
         vs_compiled_floor = shrink_knob(
             pytestconfig, "E9_MIN_NATIVE_VS_COMPILED", 5.0, 2.0, cast=float)
         vs_interp_floor = shrink_knob(

@@ -8,7 +8,7 @@ the program(s) -> extend the machine description.
 
 from .patterns import (
     DELAYS_PER_STAGE, HW_AREA_KGATES, HW_DELAY, Pattern, PatternError,
-    PatternNode, pattern_from_cut,
+    PatternNode, expand_pattern, pattern_from_cut,
 )
 from .library import (
     ExtensionEntry, ExtensionLibrary, global_extension_library,
@@ -30,7 +30,7 @@ from .customizer import (
 
 __all__ = [
     "DELAYS_PER_STAGE", "HW_AREA_KGATES", "HW_DELAY", "Pattern",
-    "PatternError", "PatternNode", "pattern_from_cut",
+    "PatternError", "PatternNode", "expand_pattern", "pattern_from_cut",
     "ExtensionEntry", "ExtensionLibrary", "global_extension_library",
     "reset_global_library",
     "Candidate", "EnumerationConfig", "Occurrence", "enumerate_block_cuts",

@@ -5,8 +5,11 @@ external inputs and one or more outputs.  Patterns are extracted from
 convex cuts of basic-block dataflow graphs by the identification stage,
 deduplicated by a canonical signature (so the same computation found in
 two kernels is recognised as one candidate), costed by the hardware-datapath
-model, matched against other programs by the rewriter, and evaluated by
-the simulators to give custom operations their semantics.
+model, matched against other programs by the rewriter, and given to the
+simulators as custom operations' semantics: :meth:`Pattern.evaluate` is
+the interpreter's reference, and :func:`expand_pattern` turns a pattern
+back into base IR instructions, which the compiled and native engines run
+inline and ISA-drift translation splices into a binary.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..ir import (
     COMMUTATIVE_OPCODES, Constant, Instruction, IntType, Opcode, VirtualRegister,
 )
-from ..ir.types import I32
+from ..ir.types import I32, I64, PointerType
 
 #: Hardware delay of each primitive, in units of one 32-bit adder delay.
 #: Used to pipeline-stage a fused datapath: chained primitives inside one
@@ -277,6 +280,51 @@ def _evaluate_primitive(opcode: Opcode, ops: List[int]) -> int:
     if opcode in (Opcode.MOV, Opcode.SEXT, Opcode.ZEXT, Opcode.TRUNC):
         return ops[0]
     raise PatternError(f"opcode {opcode} cannot appear in a pattern")
+
+
+def expand_pattern(pattern: Pattern, operands: Sequence,
+                   dest: Optional[VirtualRegister]) -> List[Instruction]:
+    """``dest = pattern(*operands)`` as base IR instructions.
+
+    Each node writes a fresh ``I32`` temporary, as :meth:`Pattern.evaluate`
+    wraps every node to 32 bits; constants are not wrapped.
+    ``dest`` (``None`` for a void op) takes the first output once, after
+    the last node, so an in-place ``%a = custom(%a, ...)`` reads its
+    inputs unchanged.  The output node writes ``dest`` itself when it is
+    last and ``dest`` is a pointer or an integer of at most 32 bits
+    (wrapping to it directly equals wrapping to ``I32`` first); otherwise
+    a final ``MOV`` wraps the 32-bit output to ``dest``'s type.
+    """
+    if len(operands) != pattern.num_inputs:
+        raise PatternError(
+            f"pattern {pattern.name} expects {pattern.num_inputs} inputs, "
+            f"got {len(operands)}"
+        )
+    output = pattern.outputs[0]
+    last = len(pattern.nodes) - 1
+    direct = dest is not None and (
+        isinstance(dest.type, PointerType)
+        or isinstance(dest.type, IntType) and dest.type.bits <= 32)
+    temps: List[VirtualRegister] = []
+    instructions: List[Instruction] = []
+    for index, node in enumerate(pattern.nodes):
+        args = []
+        for kind, ref in node.operands:
+            if kind == "in":
+                args.append(operands[ref])
+            elif kind == "const":
+                args.append(Constant(ref, I32 if I32.wrap(ref) == ref else I64))
+            else:
+                args.append(temps[ref])
+        if index == output == last and direct:
+            target = dest
+        else:
+            target = VirtualRegister(I32, pattern.name)
+        temps.append(target)
+        instructions.append(Instruction(node.opcode, target, args))
+    if dest is not None and temps[output] is not dest:
+        instructions.append(Instruction(Opcode.MOV, dest, [temps[output]]))
+    return instructions
 
 
 def pattern_from_cut(instructions: Iterable[Instruction],

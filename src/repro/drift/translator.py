@@ -21,17 +21,17 @@ of performing the translation itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Optional, Set, Tuple
 
 from ..arch.machine import MachineDescription
 from ..backend.codegen import compile_module
 from ..backend.mcode import CompiledModule
 from ..core.identification import EnumerationConfig
 from ..core.library import ExtensionLibrary, global_extension_library
+from ..core.patterns import expand_pattern
 from ..core.rewrite import rewrite_with_library
-from ..ir import Constant, Instruction, Module, Opcode, VirtualRegister
-from ..ir.types import I32
+from ..ir import Module, Opcode
 
 
 class TranslationError(Exception):
@@ -86,34 +86,13 @@ def expand_custom_ops(module: Module, library: ExtensionLibrary,
                         raise TranslationError(
                             f"no semantics registered for custom op {inst.custom_op}"
                         )
-                    replacement = _expand_pattern(inst, pattern)
+                    replacement = expand_pattern(pattern, inst.operands,
+                                                 inst.dest)
                     block.replace(inst, replacement)
                     expanded += 1
                     changed = True
                     break
     return expanded
-
-
-def _expand_pattern(inst: Instruction, pattern) -> List[Instruction]:
-    """Materialise a pattern as primitive instructions at a call site."""
-    node_registers: Dict[int, VirtualRegister] = {}
-    instructions: List[Instruction] = []
-    for index, node in enumerate(pattern.nodes):
-        operands = []
-        for kind, ref in node.operands:
-            if kind == "in":
-                operands.append(inst.operands[ref])
-            elif kind == "const":
-                operands.append(Constant(ref, I32))
-            else:
-                operands.append(node_registers[ref])
-        if index == pattern.outputs[0] and inst.dest is not None:
-            dest = inst.dest
-        else:
-            dest = VirtualRegister(I32, f"x{inst.custom_op}")
-        node_registers[index] = dest
-        instructions.append(Instruction(node.opcode, dest, operands))
-    return instructions
 
 
 class BinaryTranslator:

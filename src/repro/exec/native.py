@@ -7,7 +7,10 @@ cache keys derived from the compiler ABI and the module's structural
 fingerprint), loaded with :mod:`ctypes`, and driven by
 :class:`NativeSimulator` — a drop-in for :class:`CompiledSimulator` that
 produces bit-identical return values, memory write-backs and execution
-profiles on successful runs.
+profiles on successful runs.  CUSTOM ops are compiled into the unit as
+their pattern's base operations, so a run of a customized module never
+leaves C; the module fingerprint hashes every op's registered pattern,
+so a ``.so`` is keyed by the semantics it was rendered with.
 
 Build artifacts flow through the content-addressed
 :class:`~repro.pipeline.ArtifactStore` under the ``"native"``
@@ -34,7 +37,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..ir import Module
 from ..pipeline.fingerprints import NATIVE_SCHEMA, native_fingerprint
@@ -45,9 +48,9 @@ from ..sim.memory import MemoryError_
 from .cache import module_fingerprint
 from .engine import CompiledSimulator
 from .nativegen import (
-    RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_CUSTOM, TRAP_DEPTH,
-    TRAP_DIV0, TRAP_FDIV0, TRAP_FELL_OFF, TRAP_OOB, TRAP_OOM, TRAP_REM0,
-    TRAP_STEPS, UnsupportedNativeModule, render_c_program,
+    RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_DEPTH, TRAP_DIV0,
+    TRAP_FDIV0, TRAP_FELL_OFF, TRAP_OOB, TRAP_OOM, TRAP_REM0, TRAP_STEPS,
+    UnsupportedNativeModule, render_c_program,
 )
 
 #: artifact-store stage name of shared-object bytes.
@@ -79,12 +82,6 @@ class NativeUnavailableError(Exception):
 # ctypes ABI mirrored from nativegen's _PRELUDE.
 # ----------------------------------------------------------------------
 
-CUSTOM_CB = ctypes.CFUNCTYPE(
-    ctypes.c_int32, ctypes.c_void_p, ctypes.c_int32,
-    ctypes.POINTER(ctypes.c_int64), ctypes.c_int32,
-    ctypes.POINTER(ctypes.c_int64))
-
-
 class _Ctx(ctypes.Structure):
     _fields_ = [
         ("mem", ctypes.POINTER(ctypes.c_uint8)),
@@ -100,8 +97,6 @@ class _Ctx(ctypes.Structure):
         ("max_depth", ctypes.c_int64),
         ("status", ctypes.c_int32),
         ("ret_flag", ctypes.c_int32),
-        ("custom", CUSTOM_CB),
-        ("custom_handle", ctypes.c_void_p),
     ]
 
 
@@ -549,49 +544,12 @@ class NativeSimulator(CompiledSimulator):
                 raise NativeUnavailableError(
                     reason or "module not available natively")
         self.native = program
-        self._custom_error: Optional[BaseException] = None
-        self._pattern_cache: Dict[str, object] = {}
-        self._custom_cb = (self._make_custom_cb()
-                           if program.rendered.custom_ops else None)
         # Sanity: the renderer and the translator must agree on layout.
         for name, translated in self.program.functions.items():
             meta = program.rendered.functions.get(name)
             if meta is None or meta.n_blocks != len(translated.blocks):
                 raise NativeUnavailableError(
                     f"native/translated layout mismatch in {name}")
-
-    # ------------------------------------------------------------------
-    def _make_custom_cb(self):
-        names = self.native.rendered.custom_ops
-        patterns = self._pattern_cache
-
-        def callback(handle, op_index, inputs, n, out):
-            try:
-                name = names[op_index]
-                # Late binding with first-resolution caching, matching the
-                # translator's lazy custom-op policy.
-                pattern = patterns.get(name)
-                if pattern is None:
-                    from ..core.library import global_extension_library
-
-                    pattern = global_extension_library().lookup(name)
-                    if pattern is None:
-                        raise SimulationError(
-                            f"custom op {name} has no registered semantics")
-                    patterns[name] = pattern
-                values = [inputs[i] for i in range(n)]
-                try:
-                    result = pattern.evaluate(values)
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"custom op {name} raised KeyError: {exc}") from exc
-                out[0] = _to_i64(int(result))
-                return 0
-            except BaseException as exc:  # noqa: BLE001 - must not cross C
-                self._custom_error = exc
-                return 1
-
-        return CUSTOM_CB(callback)
 
     # ------------------------------------------------------------------
     def _call(self, function, args):
@@ -628,10 +586,6 @@ class NativeSimulator(CompiledSimulator):
         ctx.max_depth = MAX_CALL_DEPTH
         ctx.status = 0
         ctx.ret_flag = 0
-        if self._custom_cb is not None:
-            ctx.custom = self._custom_cb
-        ctx.custom_handle = None
-        self._custom_error = None
 
         runner = self.native.runner(meta.index)
         fret = ctypes.c_double(0.0)
@@ -689,10 +643,4 @@ class NativeSimulator(CompiledSimulator):
             name = self.native.rendered.bad_calls[ctx.fault_a]
             raise SimulationError(
                 f"no function named {name} in module {self.module.name}")
-        if status == TRAP_CUSTOM:
-            if self._custom_error is not None:
-                error = self._custom_error
-                self._custom_error = None
-                raise error
-            raise SimulationError("custom op failed in native code")
         raise SimulationError(f"native engine trap {status}")

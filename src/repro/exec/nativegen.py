@@ -11,7 +11,11 @@ round only on destination writes, which the rendered code mirrors with
 :func:`repro.sim.functional._wrap`, memory accesses replicate
 :class:`repro.sim.Memory`'s guard/bounds checks and bump allocator, and
 global addresses are baked in as constants using the same
-deterministic layout the threaded-code translator computes.
+deterministic layout the threaded-code translator computes.  A CUSTOM
+op is rendered inline as its pattern's base operations
+(:func:`repro.core.patterns.expand_pattern` over the pattern registered
+in the process-wide extension library), so the unit calls nothing
+outside itself.
 
 Error paths trap with a status code instead of formatting messages; the
 Python runtime (:mod:`repro.exec.native`) maps them back to the
@@ -19,7 +23,8 @@ interpreter's exception types and messages.
 
 Constructs the renderer cannot reproduce exactly (unsigned 64-bit
 registers, constants outside the int64 range, float operands feeding
-integer-only or CUSTOM ops, return-type/operand class mismatches) raise
+integer-only or CUSTOM ops, CUSTOM ops with no registered semantics,
+return-type/operand class mismatches) raise
 :class:`UnsupportedNativeModule`; the engine then falls back to the
 threaded-code engine, so unsupported modules lose speed, not
 correctness.
@@ -42,6 +47,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from ..core.library import global_extension_library
+from ..core.patterns import PatternError, expand_pattern
 from ..ir import (
     Argument, Constant, Function, GlobalVariable, Instruction, IntType, Module,
     Opcode, PointerType, UndefValue, VirtualRegister,
@@ -51,7 +58,7 @@ from ..sim.memory import Memory
 
 #: bump when the rendered C or the ctx/trap contract changes; part of the
 #: native cache key via the toolchain ABI id.
-RENDER_SCHEMA = 3
+RENDER_SCHEMA = 4
 
 # Trap status codes shared with the Python runtime (repro.exec.native).
 TRAP_OK = 0
@@ -63,8 +70,7 @@ TRAP_OOB = 5
 TRAP_OOM = 6
 TRAP_FELL_OFF = 7
 TRAP_BAD_CALL = 8
-TRAP_CUSTOM = 9
-TRAP_DEPTH = 10
+TRAP_DEPTH = 9
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -91,11 +97,13 @@ class RenderedProgram:
     """One module rendered to C, plus everything the runtime needs."""
 
     module_name: str
+    #: the freestanding C unit; CUSTOM ops are inlined as base operations,
+    #: so it calls nothing outside itself.
     source: str
+    #: ABI metadata of each function's ``repro_run_<index>`` entry point.
     functions: Dict[str, RenderedFunction]
+    #: length of the flat per-block visit-counter array.
     total_blocks: int
-    #: custom-op names by callback index.
-    custom_ops: Tuple[str, ...]
     #: callee names for TRAP_BAD_CALL sites, by fault index.
     bad_calls: Tuple[str, ...]
     #: (function, block) names by flat visit index, for trap messages.
@@ -115,10 +123,6 @@ typedef __UINT16_TYPE__ uint16_t;
 typedef __UINT32_TYPE__ uint32_t;
 typedef __UINT64_TYPE__ uint64_t;
 
-typedef int32_t (*repro_custom_cb)(void *handle, int32_t op,
-                                   const int64_t *in, int32_t n,
-                                   int64_t *out);
-
 typedef struct {
     uint8_t *mem;
     int64_t mem_size;
@@ -133,8 +137,6 @@ typedef struct {
     int64_t max_depth;
     int32_t status;
     int32_t ret_flag;
-    repro_custom_cb custom;
-    void *custom_handle;
 } repro_ctx;
 """
 
@@ -205,7 +207,6 @@ class _Renderer:
     def __init__(self, module: Module) -> None:
         self.module = module
         self.lines: List[str] = []
-        self.custom_index: Dict[str, int] = {}
         self.bad_calls: List[str] = []
         self.flat_blocks: List[Tuple[str, str]] = []
         self.functions_meta: Dict[str, RenderedFunction] = {}
@@ -257,7 +258,6 @@ class _Renderer:
             source="\n".join(self.lines) + "\n",
             functions=self.functions_meta,
             total_blocks=total_blocks,
-            custom_ops=tuple(self.custom_index),
             bad_calls=tuple(self.bad_calls),
             flat_blocks=tuple(self.flat_blocks),
         )
@@ -715,23 +715,19 @@ class _Renderer:
         ]
 
     def _custom(self, inst: Instruction, ctx: _FunctionContext) -> List[str]:
-        name = inst.custom_op
-        index = self.custom_index.setdefault(name, len(self.custom_index))
-        n = len(inst.operands)
-        lines = ["{", f"  int64_t _ci[{max(1, n)}];"]
-        if n == 0:
-            lines.append("  _ci[0] = 0;")
-        for i, operand in enumerate(inst.operands):
-            value = self._int_operand(operand, ctx)
-            lines.append(f"  _ci[{i}] = {value};")
-        lines.append("  int64_t _co = 0;")
-        lines.append(f"  if (!ctx->custom || ctx->custom(ctx->custom_handle, "
-                     f"{index}, _ci, {n}, &_co) != 0) "
-                     + self._trap(TRAP_CUSTOM))
-        if inst.dest is not None:
-            lines.append(f"  {self._assign(inst, ctx, 'i', '(_co)')}")
-        lines.append("}")
-        return lines
+        # Pattern.evaluate reads every input through int(); the expanded
+        # nodes would compute on a float input as is.
+        for operand in inst.operands:
+            self._int_operand(operand, ctx)
+        pattern = global_extension_library().lookup(inst.custom_op)
+        if pattern is None:
+            raise UnsupportedNativeModule(
+                f"custom op {inst.custom_op} has no registered semantics")
+        try:
+            expansion = expand_pattern(pattern, inst.operands, inst.dest)
+        except PatternError as exc:
+            raise UnsupportedNativeModule(str(exc)) from None
+        return [line for i in expansion for line in self._instruction(i, ctx)]
 
 
 def render_c_program(module: Module) -> RenderedProgram:

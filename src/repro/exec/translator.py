@@ -20,13 +20,14 @@ reproduces the interpreter's :class:`~repro.sim.functional.ExecutionProfile`
 exactly; only taken-branch counts are data dependent and are recorded at
 run time by the branch terminators.
 
-CUSTOM (ISA-extension) operations are bound from the extension library at
-translation time: the pattern's ``evaluate`` is captured directly in the
-closure.  If a custom op is not registered when translation happens, a lazy
-closure is emitted instead that re-checks the library until the op appears
-and then caches the resolved pattern for every later execution, matching
-the interpreter's late-binding behaviour without paying the registry probe
-per instruction.
+CUSTOM (ISA-extension) operations run as their pattern's base operations:
+the pattern bound in the extension library at translation time is expanded
+by :func:`repro.core.patterns.expand_pattern` and each expanded instruction
+becomes an ordinary closure, called in sequence.  Profile accounting still
+counts the one CUSTOM instruction.  An op with no semantics registered at
+translation time translates to a closure that raises when executed; the
+translation is keyed by the module fingerprint, which hashes each op's
+bound pattern, so registering the op later misses the stored translation.
 
 The translated program is an immutable snapshot: it captures values (not
 live IR nodes) wherever later passes could mutate the module, so a cached
@@ -45,6 +46,7 @@ from ..ir import (
     Argument, Constant, Function, GlobalVariable, Instruction, IntType, Module,
     Opcode, PointerType, UndefValue, VirtualRegister,
 )
+from ..core.patterns import PatternError, expand_pattern
 from ..ir.types import FloatType, I32, Type
 from ..sim.functional import SimulationError
 from ..sim.memory import Memory
@@ -508,68 +510,29 @@ class ModuleTranslator:
         return do_void_call
 
     def _build_custom(self, inst: Instruction) -> Callable:
-        getters = tuple(_getter(self.access(a)) for a in inst.operands)
-        name = inst.custom_op
-        pattern = self.library.lookup(name)
-        dest = inst.dest.id if inst.dest is not None else None
-        wrap = _wrap_fn(inst.dest.type) if inst.dest is not None else None
-        if pattern is not None:
-            evaluate = pattern.evaluate
-            if dest is not None:
-                def do_custom(regs, ctx, _g=getters, _e=evaluate, _d=dest,
-                              _w=wrap, _n=name):
-                    inputs = [get(regs) for get in _g]
-                    # A KeyError escaping evaluate() must not be mistaken for
-                    # an undefined-register read by the engine's run loop.
-                    try:
-                        result = _e(inputs)
-                    except KeyError as exc:
-                        raise SimulationError(
-                            f"custom op {_n} raised KeyError: {exc}") from exc
-                    regs[_d] = _w(result)
-                return do_custom
-            def do_void_custom(regs, ctx, _g=getters, _e=evaluate, _n=name):
-                inputs = [get(regs) for get in _g]
-                try:
-                    _e(inputs)
-                except KeyError as exc:
-                    raise SimulationError(
-                        f"custom op {_n} raised KeyError: {exc}") from exc
-            return do_void_custom
-
-        # Late binding: the op may be registered between translation and run.
-        # The library lookup is cached in a cell after the first successful
-        # resolution, so the registry dict is not re-probed on every
-        # execution of a hot op (an unregistered op keeps re-checking, since
-        # registration can still happen later).
-        cell: List = [None]
-
-        def do_lazy_custom(regs, ctx, _g=getters, _n=name, _d=dest, _w=wrap,
-                           _cell=cell):
-            bound = _cell[0]
-            if bound is None:
-                from ..core.library import global_extension_library
-
-                bound = global_extension_library().lookup(_n)
-                if bound is None:
-                    raise SimulationError(
-                        f"custom op {_n} has no registered semantics")
-                _cell[0] = bound
-            inputs = [get(regs) for get in _g]
-            try:
-                result = bound.evaluate(inputs)
-            except KeyError as exc:
+        pattern = self.library.lookup(inst.custom_op)
+        try:
+            if pattern is None:
                 raise SimulationError(
-                    f"custom op {_n} raised KeyError: {exc}") from exc
-            if _d is not None:
-                regs[_d] = _w(result)
-        return do_lazy_custom
+                    f"custom op {inst.custom_op} has no registered semantics")
+            expansion = expand_pattern(pattern, inst.operands, inst.dest)
+        except (SimulationError, PatternError) as exc:
+            # Fail when executed, like the interpreter: a module whose bad
+            # op never runs must still run.
+            def do_bad_custom(regs, ctx, _e=type(exc), _m=str(exc)):
+                raise _e(_m)
+            return do_bad_custom
+        ops = tuple(self.instruction(i) for i in expansion)
+        def do_custom(regs, ctx, _ops=ops):
+            for op in _ops:
+                op(regs, ctx)
+        return do_custom
 
 
 def translate_module(module: Module, library=None) -> TranslatedProgram:
     """Translate ``module`` into threaded code.
 
     ``library`` defaults to the process-wide extension library; it supplies
-    the semantics of CUSTOM operations, bound at translation time.
+    the patterns CUSTOM operations expand to at translation time.
     """
     return ModuleTranslator(module, library=library).translate()

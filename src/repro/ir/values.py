@@ -69,6 +69,12 @@ class VirtualRegister(Value):
         VirtualRegister._counter += 1
         self.id = VirtualRegister._counter
 
+    def __setstate__(self, state) -> None:
+        # An unpickled register keeps its id (a module read back from a
+        # disk store); fresh registers made later must not reuse it.
+        self.__dict__.update(state)
+        VirtualRegister._counter = max(VirtualRegister._counter, self.id)
+
     def __str__(self) -> str:
         if self.name:
             return f"%{self.name}.{self.id}"

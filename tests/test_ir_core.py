@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.ir import (
@@ -97,6 +99,19 @@ class TestValues:
         assert a.id != b.id
         assert a != b
         assert a == a
+
+    def test_unpickled_register_id_is_never_reissued(self):
+        # A module read back from a disk store in a fresh process keeps its
+        # register ids; registers made afterwards (custom-op temporaries)
+        # must not collide with them.
+        data = pickle.dumps(VirtualRegister(I32, "stored"))
+        saved = VirtualRegister._counter
+        VirtualRegister._counter = 0
+        try:
+            stored = pickle.loads(data)
+            assert VirtualRegister(I32).id > stored.id
+        finally:
+            VirtualRegister._counter = max(saved, VirtualRegister._counter)
 
     def test_undef(self):
         u = UndefValue(I32)

@@ -4,7 +4,12 @@ Differential harness: :class:`repro.exec.NativeSimulator` must be
 bit-identical to the :class:`repro.sim.FunctionalSimulator` oracle —
 return values, memory write-backs and full execution profiles — over the
 builtin workload suite, the customized (CUSTOM-op) variants on every
-machine preset, and the fixed-seed generated population.
+machine preset, and the fixed-seed generated population.  Custom ops run
+inline as their pattern's base operations: every pattern opcode at i32
+and i64 edge values, an in-place op and the customized generated
+population (with trace-vs-cycle agreement) are held to the interpreter
+on the native and compiled engines, and an op with no registered
+semantics fails only when executed, with one message on every engine.
 :func:`repro.exec.run_batch` must return the per-set values on whichever
 engine ran (native, or compiled on a host without a C compiler), and its
 one reset-between-sets simulator must match a fresh simulator per set.
@@ -23,6 +28,7 @@ session lifetimes leak neither mappings nor disk; a call chain past
 from __future__ import annotations
 
 import gc
+import itertools
 import os
 import shutil
 import subprocess
@@ -37,6 +43,7 @@ import repro
 from repro.arch import vliw4
 from repro.arch.presets import PRESETS, get_preset
 from repro.backend import compile_module
+from repro.core import HW_DELAY, Pattern, PatternNode, global_extension_library
 from repro.exec import (
     CODE_STAGE, NATIVE_STAGE, CompiledSimulator, NativeCodeCache,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
@@ -52,7 +59,10 @@ from repro.exec.registry import (
     EVALUATION_ENGINES, FUNCTIONAL_ENGINES,
 )
 from repro.frontend import compile_c
-from repro.ir import Opcode
+from repro.ir import Function, Module, Opcode, VirtualRegister
+from repro.ir.instructions import branch, custom, jump, move, ret
+from repro.ir.types import I32, I64
+from repro.model import TRACE_CYCLE_TOLERANCE, RetimingModel, capture_trace
 from repro.opt import optimize
 from repro.pipeline import ArtifactStore
 from repro.sim import (
@@ -124,7 +134,7 @@ def _module_from_source(source, name, opt_level=2):
 
 
 def _customized_crc32():
-    """crc32 at O3 rewritten with vliw4 custom ops (exercises the callback)."""
+    """crc32 at O3 rewritten with vliw4 custom ops (run inline as base ops)."""
     kernel, module = build_kernel_module("crc32", opt_level=3)
     Toolchain(vliw4()).customize(module, area_budget_kgates=40.0)
     assert any(inst.opcode is Opcode.CUSTOM
@@ -242,6 +252,188 @@ class TestNativeDifferential:
         with pytest.raises(SimulationError, match="maximum step count"):
             NativeSimulator(module, max_steps=10).run(kernel.entry,
                                                       *arg_copies(args))
+
+
+# ----------------------------------------------------------------------
+# Custom ops run inline as their pattern's base operations.
+# ----------------------------------------------------------------------
+
+INT32_MIN, INT32_MAX = -(1 << 31), (1 << 31) - 1
+INT64_MIN, INT64_MAX = -(1 << 63), (1 << 63) - 1
+#: argument values at the edges of the 32- and 64-bit wraps and shifts.
+EDGE_VALUES = (0, 1, -1, 31, 32, 33, INT32_MIN, INT32_MAX,
+               (1 << 40) + 3, -(1 << 40) - 5, INT64_MIN, INT64_MAX)
+#: the subset the three-input SELECT runs over (all triples).
+SELECT_VALUES = (0, 1, -1, INT32_MIN, (1 << 40) + 3, INT64_MIN)
+UNARY_PATTERN_OPS = {Opcode.ABS, Opcode.NEG, Opcode.NOT, Opcode.MOV,
+                     Opcode.SEXT, Opcode.ZEXT, Opcode.TRUNC}
+
+#: the engines held to the interpreter; the native one is the class
+#: itself, so a silent fallback to compiled code fails the test.
+inline_engines = pytest.mark.parametrize("engine", [
+    pytest.param(NativeSimulator, id="native", marks=requires_cc),
+    pytest.param(CompiledSimulator, id="compiled")])
+
+
+def _custom_function(module, name, op_name, param_types, dest_type):
+    """Add ``name(a0, ...) { return custom op_name(a0, ...); }``."""
+    function = Function(name, return_type=dest_type, param_types=param_types,
+                        param_names=[f"a{k}" for k in range(len(param_types))])
+    module.add_function(function)
+    block = function.new_block("entry")
+    dest = VirtualRegister(dest_type)
+    block.append(custom(dest, op_name, function.arguments))
+    block.append(ret(dest))
+
+
+class TestInlineCustomOps:
+    @inline_engines
+    @pytest.mark.parametrize("type_", [I32, I64], ids=str)
+    def test_every_pattern_opcode_matches_interpreter(self, engine, type_):
+        # One pattern per fusable opcode: the opcode over the inputs, then
+        # XOR with a constant, so the output node reads a temporary.
+        module = Module("pattern_ops")
+        cases = []
+        for opcode in sorted(HW_DELAY, key=lambda op: op.value):
+            arity = (3 if opcode is Opcode.SELECT
+                     else 1 if opcode in UNARY_PATTERN_OPS else 2)
+            pattern = Pattern(
+                [PatternNode(opcode, tuple(("in", k) for k in range(arity))),
+                 PatternNode(Opcode.XOR, (("node", 0), ("const", 0x5A5A5A5A)))],
+                outputs=[1], num_inputs=arity)
+            global_extension_library().register(pattern)
+            name = f"f_{opcode.value}"
+            _custom_function(module, name, pattern.name, [type_] * arity,
+                             type_)
+            values = SELECT_VALUES if arity == 3 else EDGE_VALUES
+            cases += [(name, args)
+                      for args in itertools.product(values, repeat=arity)]
+        oracle = FunctionalSimulator(module)
+        candidate = engine(module)
+        mismatches = [(name, args, expected, actual)
+                      for name, args in cases
+                      for expected, actual in [(oracle.run(name, *args),
+                                                candidate.run(name, *args))]
+                      if expected != actual]
+        assert mismatches == []
+        assert candidate.profile == oracle.profile
+        assert oracle.profile.opcode_counts["custom"] == len(cases)
+
+    @inline_engines
+    @pytest.mark.parametrize("type_", [I32, I64], ids=str)
+    def test_in_place_op_reads_its_inputs_unchanged(self, engine, type_):
+        # %a = (a + b) ^ a: the second node reads input 0 again, so
+        # writing %a before the last node would change the result.
+        pattern = Pattern(
+            [PatternNode(Opcode.ADD, (("in", 0), ("in", 1))),
+             PatternNode(Opcode.XOR, (("node", 0), ("in", 0)))],
+            outputs=[1], num_inputs=2)
+        global_extension_library().register(pattern)
+        module = Module("in_place")
+        function = Function("f", return_type=type_,
+                            param_types=[type_, type_],
+                            param_names=["x", "y"])
+        module.add_function(function)
+        block = function.new_block("entry")
+        a = VirtualRegister(type_)
+        block.append(move(a, function.arguments[0]))
+        block.append(custom(a, pattern.name, [a, function.arguments[1]]))
+        block.append(ret(a))
+        candidate = engine(module)
+        for x, y in [(5, 3), (-7, 100), (INT32_MAX, 1), (1 << 40, -1)]:
+            expected = I32.wrap((x + y) ^ x)
+            assert FunctionalSimulator(module).run("f", x, y) == expected
+            assert candidate.run("f", x, y) == expected
+
+    @inline_engines
+    def test_customized_population_matches_interpreter(
+            self, engine, seeded_population):
+        customized = 0
+        with seeded_population:
+            for name in seeded_population.names():
+                kernel, module = build_kernel_module(name)
+                toolchain = Toolchain(vliw4()).customize(
+                    module, area_budget_kgates=40.0)
+                customized += any(
+                    inst.opcode is Opcode.CUSTOM for f in module
+                    for b in f.blocks for inst in b.instructions)
+                args = kernel.arguments(GEN_SIZE, seed=11)
+                (va, aa, pa), (vb, ab, pb) = _run_pair(
+                    module, kernel.entry, args, engine)
+                assert (vb, ab, pb) == (va, aa, pa), name
+
+                # The trace model prices the customized machine within
+                # its own error bound of the cycle simulator.
+                compiled, _report = compile_module(module, toolchain.machine)
+                truth = CycleSimulator(compiled).run(kernel.entry,
+                                                     *arg_copies(args))
+                estimate = RetimingModel().price(
+                    compiled, toolchain.machine,
+                    capture_trace(module, kernel.entry, args))
+                assert truth.value == va
+                assert (abs(estimate.cycles - truth.cycles)
+                        <= max(TRACE_CYCLE_TOLERANCE * truth.cycles,
+                               estimate.error_bound_cycles)), name
+        assert customized > 0, "no kernel received CUSTOM ops"
+
+
+class TestUnregisteredCustomOp:
+    """A CUSTOM op the library does not know fails only when executed."""
+
+    MESSAGE = "custom op cop_unregistered has no registered semantics"
+
+    def _module(self):
+        """``f(x, go) = go ? cop_unregistered(x) : x``."""
+        module = Module("unregistered")
+        function = Function("f", return_type=I32, param_types=[I32, I32],
+                            param_names=["x", "go"])
+        module.add_function(function)
+        x, go = function.arguments
+        entry = function.new_block("entry")
+        then = function.new_block("then")
+        done = function.new_block("done")
+        result = VirtualRegister(I32)
+        entry.append(move(result, x))
+        entry.append(branch(go, then, done))
+        then.append(custom(result, "cop_unregistered", [x]))
+        then.append(jump(done))
+        done.append(ret(result))
+        return module
+
+    @pytest.fixture(autouse=True)
+    def _rearm_warning(self):
+        reset_native_fallback_warning()
+        yield
+        reset_native_fallback_warning()
+
+    def test_same_error_on_every_engine(self):
+        module = self._module()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            native = [make_functional_simulator(module.clone(),
+                                                engine="native")
+                      for _ in range(2)]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "native engine unavailable" in str(caught[0].message)
+        engines = [FunctionalSimulator(module), CompiledSimulator(module),
+                   *native]
+        for simulator in engines:
+            with pytest.raises(SimulationError) as exc:
+                simulator.run("f", 7, 1)
+            assert str(exc.value) == self.MESSAGE
+
+    def test_runs_when_the_op_is_not_executed(self):
+        module = self._module()
+        with pytest.warns(RuntimeWarning, match="native engine unavailable"):
+            native = make_functional_simulator(module, engine="native")
+        for simulator in (FunctionalSimulator(module),
+                          CompiledSimulator(module), native):
+            assert simulator.run("f", 7, 0) == 7
+
+    @requires_cc
+    def test_native_render_refuses_the_module(self):
+        with pytest.raises(NativeUnavailableError, match=self.MESSAGE):
+            NativeSimulator(self._module())
 
 
 # ----------------------------------------------------------------------
