@@ -39,8 +39,7 @@ from pathlib import Path
 
 from repro.arch import vliw4
 from repro.exec import (
-    CODE_STAGE, CompiledSimulator, NativeCodeCache, NativeSimulator,
-    global_native_toolchain, native_available, run_batch, translate,
+    CODE_STAGE, CompiledSimulator, NativeSimulator, global_native_toolchain, native_available, run_batch, translate,
 )
 from repro.exec.nativegen import render_c_program
 from repro.frontend import compile_c
@@ -177,17 +176,16 @@ def _customized_rows(repeats, scale, has_native):
             assert value == expected
             row[f"compiled_{label}_ms"] = round(seconds * 1e3, 3)
         if has_native:
-            native_cache = NativeCodeCache()
+            native_store = ArtifactStore()
             for label, module in (("base", base), ("custom", customized)):
-                NativeSimulator(module, native_cache=native_cache)
+                NativeSimulator(module, store=native_store)
                 # Best of at least 3 even under --shrink: the ceiling is
                 # asserted.
                 seconds, value = _best_time(
-                    lambda m: NativeSimulator(m, native_cache=native_cache),
+                    lambda m: NativeSimulator(m, store=native_store),
                     module, kernel.entry, args, max(repeats, 3))
                 assert value == expected
                 row[f"native_{label}_ms"] = round(seconds * 1e3, 3)
-            native_cache.clear()
             row["native_custom_ratio"] = round(
                 row["native_custom_ms"] / row["native_base_ms"], 2)
         rows.append(row)
@@ -243,16 +241,15 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
                 # Warm native: the .so is compiled once (construction
                 # outside the timer, mirroring the warm compiled case);
                 # fresh simulators then share the loaded program.
-                native_cache = NativeCodeCache()
-                NativeSimulator(module, native_cache=native_cache)
+                native_store = ArtifactStore()
+                NativeSimulator(module, store=native_store)
                 native_s, native_value = _best_time(
-                    lambda m: NativeSimulator(m, native_cache=native_cache),
+                    lambda m: NativeSimulator(m, store=native_store),
                     module, kernel.entry, args, repeats)
                 assert native_value == expected
                 row["native_ms"] = round(native_s * 1e3, 3)
                 row["native_speedup"] = round(interp_s / native_s, 1)
                 row["native_vs_compiled"] = round(warm_s / native_s, 1)
-                native_cache.clear()
             rows.append(row)
         return rows, _customized_rows(repeats, scale, has_native)
 

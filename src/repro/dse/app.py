@@ -35,13 +35,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..app.runner import AppReport, AppRunner
 from ..app.spec import ApplicationSpec
 from ..arch.machine import MachineDescription
-from ..core.customizer import IsaCustomizer
-from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary
-from ..core.selection import SelectionConfig
 from ..exec.registry import validate_engine
 from ..pipeline import CompilePipeline
-from .objectives import Evaluation, KernelMeasurement
+from .objectives import Evaluation, KernelMeasurement, customized_isa
 
 
 class ApplicationMix:
@@ -214,42 +210,14 @@ class AppEvaluator:
                  custom_area_budget: float = 0.0) -> AppEvaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA."""
         evaluation = AppEvaluation(machine=machine, fidelity=self.fidelity)
-        library = ExtensionLibrary()
-        working_machine = machine
-
         modules = {key: module.clone()
                    for key, module in self._modules.items()}
+        weighted = [(modules[(spec.name, node.name)], weight)
+                    for spec, weight in self.mix.applications()
+                    for node in spec.nodes]
 
-        if custom_area_budget > 0.0:
-            customizer = IsaCustomizer(
-                machine,
-                enumeration=EnumerationConfig(max_outputs=1),
-                selection_config=SelectionConfig(
-                    area_budget_kgates=custom_area_budget
-                ),
-                library=library,
-            )
-            weighted = [(modules[(spec.name, node.name)], weight)
-                        for spec, weight in self.mix.applications()
-                        for node in spec.nodes]
-            result = customizer.customize_for_area(
-                weighted, name=f"{machine.name}+x{int(custom_area_budget)}"
-            )
-            working_machine = result.machine
-            evaluation.machine = working_machine
-            evaluation.customized = True
-            evaluation.custom_ops = result.report.operations_selected
-
-        from ..core.library import global_extension_library
-
-        global_lib = global_extension_library()
-        added = []
-        for entry in library:
-            if entry.name not in global_lib:
-                global_lib.register(entry.pattern, entry.operation)
-                added.append(entry.name)
-
-        try:
+        with customized_isa(evaluation, weighted,
+                            custom_area_budget) as working_machine:
             for spec, weight in self.mix.applications():
                 try:
                     runner = AppRunner(
@@ -275,9 +243,6 @@ class AppEvaluator:
                         "p95_us": 0.0, "p99_us": 0.0, "jitter_us": 0.0,
                         "energy_per_window_uj": 0.0,
                     })
-        finally:
-            for name in added:
-                global_lib.remove(name)
 
         return evaluation
 

@@ -39,17 +39,19 @@ Orthogonally, ``fidelity=`` selects the timing model itself:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..arch.area import estimate_area
 from ..arch.machine import MachineDescription
 from ..core.customizer import IsaCustomizer
 from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary
+from ..core.library import ExtensionLibrary, global_extension_library
 from ..core.selection import SelectionConfig
 from ..backend.mcode import CompiledModule
 from ..exec.registry import EVALUATION_ENGINES, validate_engine
+from ..ir import Module
 from ..pipeline import CompilePipeline
 from ..sim.cycle import CycleSimulator
 from ..sim.functional import ExecutionProfile
@@ -140,6 +142,48 @@ class Evaluation:
         }
 
 
+@contextmanager
+def customized_isa(evaluation: Evaluation,
+                   weighted: Sequence[Tuple[Module, float]],
+                   area_budget_kgates: float) -> Iterator[MachineDescription]:
+    """Customize ``evaluation.machine`` for ``weighted`` and yield it.
+
+    With a positive budget, the ``(module, weight)`` pairs are rewritten
+    in place to use operations chosen by one area-budgeted customization
+    (named ``"{machine}+x{budget}"``) into a private extension library,
+    and ``evaluation`` records the customized machine.  The simulators
+    resolve custom ops through the process-wide library, so the private
+    entries are installed there for the body and removed afterwards.
+    """
+    library = ExtensionLibrary()
+    machine = evaluation.machine
+    if area_budget_kgates > 0.0:
+        customizer = IsaCustomizer(
+            machine,
+            enumeration=EnumerationConfig(max_outputs=1),
+            selection_config=SelectionConfig(
+                area_budget_kgates=area_budget_kgates),
+            library=library,
+        )
+        result = customizer.customize_for_area(
+            weighted, name=f"{machine.name}+x{int(area_budget_kgates)}")
+        evaluation.machine = result.machine
+        evaluation.customized = True
+        evaluation.custom_ops = result.report.operations_selected
+
+    global_lib = global_extension_library()
+    added = []
+    for entry in library:
+        if entry.name not in global_lib:
+            global_lib.register(entry.pattern, entry.operation)
+            added.append(entry.name)
+    try:
+        yield evaluation.machine
+    finally:
+        for name in added:
+            global_lib.remove(name)
+
+
 class Evaluator:
     """Compiles and measures workload mixes on candidate machines."""
 
@@ -190,42 +234,12 @@ class Evaluator:
                  custom_area_budget: float = 0.0) -> Evaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA first."""
         evaluation = Evaluation(machine=machine, fidelity=self.fidelity)
-        library = ExtensionLibrary()
-        working_machine = machine
-
         modules = {name: module.clone() for name, module in self._modules.items()}
+        weighted = [(modules[kernel.name], weight)
+                    for kernel, weight in self.mix.kernels()]
 
-        if custom_area_budget > 0.0:
-            customizer = IsaCustomizer(
-                machine,
-                enumeration=EnumerationConfig(max_outputs=1),
-                selection_config=SelectionConfig(
-                    area_budget_kgates=custom_area_budget
-                ),
-                library=library,
-            )
-            weighted = [(modules[kernel.name], weight)
-                        for kernel, weight in self.mix.kernels()]
-            result = customizer.customize_for_area(
-                weighted, name=f"{machine.name}+x{int(custom_area_budget)}"
-            )
-            working_machine = result.machine
-            evaluation.machine = working_machine
-            evaluation.customized = True
-            evaluation.custom_ops = result.report.operations_selected
-
-        # The cycle simulator resolves custom ops through the global library;
-        # temporarily install this evaluation's private library entries.
-        from ..core.library import global_extension_library
-
-        global_lib = global_extension_library()
-        added = []
-        for entry in library:
-            if entry.name not in global_lib:
-                global_lib.register(entry.pattern, entry.operation)
-                added.append(entry.name)
-
-        try:
+        with customized_isa(evaluation, weighted,
+                            custom_area_budget) as working_machine:
             for kernel, weight in self.mix.kernels():
                 module = modules[kernel.name]
                 args = kernel.arguments(self.size, seed=self.seed)
@@ -261,9 +275,6 @@ class Evaluator:
                         kernel=kernel.name, weight=weight, cycles=0,
                         correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
                     ))
-        finally:
-            for name in added:
-                global_lib.remove(name)
 
         return evaluation
 

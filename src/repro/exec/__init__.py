@@ -10,7 +10,8 @@ This package is the performance tier of the simulation stack:
   (native, falling back to compiled);
 * :mod:`repro.exec.native` — :class:`NativeSimulator`, the generated-C
   JIT tier: modules rendered to C, compiled on the fly and driven via
-  ctypes, with ``.so`` artifacts shared through the artifact store;
+  ctypes, with ``.so`` bytes and loaded programs kept as stages of the
+  artifact store;
 * :mod:`repro.exec.cache` — translation as a stage of the artifact
   store, keyed by module structure, so identical modules are translated
   once;
@@ -39,9 +40,9 @@ from .engine import (
     reset_native_fallback_warning, run_batch,
 )
 from .native import (
-    NATIVE_STAGE, NativeCacheStats, NativeCodeCache, NativeCompileError,
-    NativeProgram, NativeSimulator, NativeToolchain, NativeUnavailableError,
-    global_native_cache, global_native_toolchain, native_available,
+    NATIVE_STAGE, PROGRAM_STAGE, NativeCompileError, NativeProgram,
+    NativeSimulator, NativeToolchain, NativeUnavailableError,
+    global_native_toolchain, load_native, native_available,
     reset_global_native_cache, reset_native_toolchain,
 )
 from .translator import TranslatedProgram, translate_module
@@ -55,10 +56,9 @@ __all__ = [
     "translate",
     "BatchResult", "CompiledSimulator", "make_functional_simulator",
     "reset_native_fallback_warning", "run_batch",
-    "NATIVE_STAGE", "NativeCacheStats", "NativeCodeCache",
-    "NativeCompileError", "NativeProgram", "NativeSimulator",
-    "NativeToolchain", "NativeUnavailableError",
-    "global_native_cache", "global_native_toolchain", "native_available",
+    "NATIVE_STAGE", "PROGRAM_STAGE", "NativeCompileError", "NativeProgram",
+    "NativeSimulator", "NativeToolchain", "NativeUnavailableError",
+    "global_native_toolchain", "load_native", "native_available",
     "reset_global_native_cache", "reset_native_toolchain",
     "TranslatedProgram", "translate_module",
 ]

@@ -221,7 +221,6 @@ def make_functional_simulator(module: Module, engine: str = "interpreter",
     if engine == "interpreter":
         from ..sim.functional import FunctionalSimulator
 
-        kwargs.pop("native_cache", None)
         kwargs.pop("store", None)
         return FunctionalSimulator(module, **kwargs)
     if engine == "native":
@@ -239,7 +238,6 @@ def make_functional_simulator(module: Module, engine: str = "interpreter",
                     f"the compiled engine", RuntimeWarning, stacklevel=2)
             engine = "compiled"
     if engine == "compiled":
-        kwargs.pop("native_cache", None)
         return CompiledSimulator(module, **kwargs)
     raise ValueError(
         f"engine '{engine}' is registered but has no constructor here; "

@@ -12,13 +12,18 @@ their pattern's base operations, so a run of a customized module never
 leaves C; the module fingerprint hashes every op's registered pattern,
 so a ``.so`` is keyed by the semantics it was rendered with.
 
-Build artifacts flow through the content-addressed
-:class:`~repro.pipeline.ArtifactStore` under the ``"native"``
-stage, so a service's shared :class:`DiskArtifactStore` lets every worker
-reuse one compile.  Failures are *quarantined* by cache key: a module
-whose render or compile fails once is never retried in this process, and
-a stored ``.so`` that fails to load is recompiled from source exactly
-once (replacing the bad artifact) before the key is quarantined.
+The ``.so`` bytes are the ``"native"`` stage of the content-addressed
+:class:`~repro.pipeline.ArtifactStore`, so a service's shared
+:class:`DiskArtifactStore` lets every worker reuse one compile.  The
+loaded program is the store's memory-only ``"exec.native"`` stage
+(:func:`load_native`), in the caller's store or in the process-wide one
+translations use.  A program owns its ``dlopen`` handle and file and
+releases them when it is collected, so a store eviction or ``clear()``
+never unloads code that a live simulator runs.  Failures are
+*quarantined* by key: a module whose render, compile or load fails once
+is never retried in this process; a stored ``.so`` that fails to load
+is first recompiled from source exactly once (replacing the bad
+artifact).
 
 When no C compiler is available — or a module is unsupported —
 :func:`repro.exec.make_functional_simulator` falls back to the
@@ -27,6 +32,7 @@ threaded-code engine with a single process-wide :class:`RuntimeWarning`.
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import os
 import shutil
@@ -35,17 +41,16 @@ import sys
 import tempfile
 import threading
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..ir import Module
 from ..pipeline.fingerprints import NATIVE_SCHEMA, native_fingerprint
+from ..pipeline.stage import Stage
 from ..sim.functional import (
     CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError,
 )
 from ..sim.memory import MemoryError_
-from .cache import module_fingerprint
+from .cache import _GLOBAL_CODE_STORE, module_fingerprint
 from .engine import CompiledSimulator
 from .nativegen import (
     RENDER_SCHEMA, RenderedProgram, TRAP_BAD_CALL, TRAP_DEPTH, TRAP_DIV0,
@@ -217,44 +222,69 @@ def native_available() -> bool:
 
 
 # ----------------------------------------------------------------------
-# Compiled-library cache.
+# Loaded programs: the ``exec.native`` stage of the artifact store.
 # ----------------------------------------------------------------------
 
-@dataclass
-class NativeCacheStats:
-    """Counters of one :class:`NativeCodeCache`."""
+#: artifact-store stage name of loaded native programs.
+PROGRAM_STAGE = "exec.native"
 
-    hits: int = 0
-    misses: int = 0
-    builds: int = 0
-    store_hits: int = 0
-    compile_errors: int = 0
-    unsupported: int = 0
-    quarantined: int = 0
-    evictions: int = 0
-    unloads: int = 0
+_LIB_DIR: Optional[str] = None
 
-    def as_dict(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses,
-                "builds": self.builds, "store_hits": self.store_hits,
-                "compile_errors": self.compile_errors,
-                "unsupported": self.unsupported,
-                "quarantined": self.quarantined,
-                "evictions": self.evictions, "unloads": self.unloads}
+
+def _lib_dir() -> str:
+    """The process-wide directory of loaded ``.so`` files (removed at exit)."""
+    global _LIB_DIR
+    if _LIB_DIR is None:
+        _LIB_DIR = tempfile.mkdtemp(prefix="repro-native-libs-")
+        atexit.register(shutil.rmtree, _LIB_DIR, ignore_errors=True)
+    return _LIB_DIR
+
+
+def _unload(lib: ctypes.CDLL, path: str) -> None:
+    import _ctypes
+
+    try:
+        _ctypes.dlclose(lib._handle)
+    except OSError:  # pragma: no cover - platform quirk, never fatal
+        pass
+    _unlink(path)
+
+
+def _unlink(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 class NativeProgram:
-    """One loaded shared object plus its render metadata."""
+    """One loaded shared object plus its render metadata.
 
-    __slots__ = ("key", "path", "lib", "rendered", "_runners")
+    Loading writes ``so_bytes`` to a fresh file of the process-wide lib
+    dir, so two loads never share a path.  The program owns its
+    ``dlopen`` handle and that file and releases both when it is
+    collected (or at exit), never earlier: a simulator holding the
+    program runs whatever the store that served it evicts or clears.
+    """
 
-    def __init__(self, key: str, path: str, lib: ctypes.CDLL,
+    __slots__ = ("key", "path", "lib", "rendered", "_runners", "__weakref__")
+
+    def __init__(self, key: str, so_bytes: bytes,
                  rendered: RenderedProgram) -> None:
+        fd, path = tempfile.mkstemp(suffix=".so", dir=_lib_dir())
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(so_bytes)
+            lib = ctypes.CDLL(path)
+        except OSError:
+            _unlink(path)
+            raise
         self.key = key
         self.path = path
         self.lib = lib
         self.rendered = rendered
         self._runners: Dict[int, object] = {}
+        weakref.finalize(self, _unload, lib, path)
 
     def runner(self, index: int):
         """The ``repro_run_<index>`` entry point, argtypes configured."""
@@ -270,231 +300,94 @@ class NativeProgram:
         return runner
 
 
-def _dlclose(lib: ctypes.CDLL) -> None:
-    import _ctypes
+class ProgramStage(Stage):
+    """IR module → loaded :class:`NativeProgram`.
 
-    try:
-        _ctypes.dlclose(lib._handle)
-    except OSError:  # pragma: no cover - platform quirk, never fatal
-        pass
-
-
-def _unlink(path: str) -> None:
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-
-
-class NativeCodeCache:
-    """LRU of loaded native programs, with store-backed ``.so`` sharing.
-
-    Keys are :func:`~repro.pipeline.fingerprints.native_fingerprint`
-    digests (module structure × toolchain ABI).  Keys whose render,
-    compile or load failed are *quarantined*: subsequent requests return
-    ``None`` immediately (the engine falls back to threaded code) and the
-    bad artifact is never re-loaded.
-
-    The ``.so`` bytes live in the artifact store (stage ``"native"``),
-    but the loaded programs keep their own LRU: they own ``dlopen``
-    handles and files, which a store eviction could not unload.
-    ``clear()`` / eviction ``dlclose`` the shared objects and delete
-    their files, so callers must not clear while :class:`NativeSimulator`
-    instances built from the evicted programs are still in use (a
-    cleared translation store has no such hazard: live simulators keep
-    their translation objects).  A ``lib_dir``
-    the cache made itself is removed by ``clear()`` (and when the cache
-    is collected or the process exits); a caller-supplied one is left in
-    place, emptied of the cache's files.
+    Keyed like the ``native`` stage it builds through, in the same
+    store (module structure × toolchain ABI), so a
+    :class:`~repro.service.DiskArtifactStore` still shares the ``.so``
+    bytes across processes.  A loaded program cannot leave the process,
+    so the stage is memory-only.  A failure raises
+    :class:`NativeUnavailableError` with the reason; a stored ``.so``
+    that fails to load is recompiled from source once, replacing the
+    bad entry.
     """
 
-    def __init__(self, capacity: Optional[int] = 64,
-                 toolchain: Optional[NativeToolchain] = None,
-                 lib_dir: Optional[str] = None) -> None:
-        self.capacity = capacity
-        self._toolchain = toolchain
-        self.stats = NativeCacheStats()
-        self.last_record = None  # StageRecord of the latest store round-trip
-        self._entries: "OrderedDict[str, NativeProgram]" = OrderedDict()
-        self._quarantine: Dict[str, str] = {}
-        self._lib_dir = lib_dir
-        #: removes the lib_dir this cache made itself (None: caller's dir).
-        self._lib_dir_finalizer: Optional[weakref.finalize] = None
-        self._lock = threading.RLock()
+    name = PROGRAM_STAGE
+    memory_only = True
 
-    @property
-    def toolchain(self) -> NativeToolchain:
-        return (self._toolchain if self._toolchain is not None
-                else global_native_toolchain())
+    def key(self, module: Module, key: str, store, toolchain) -> str:
+        return key
 
-    @property
-    def lib_dir(self) -> str:
-        if self._lib_dir is None:
-            self._lib_dir = tempfile.mkdtemp(prefix="repro-native-libs-")
-            self._lib_dir_finalizer = weakref.finalize(
-                self, shutil.rmtree, self._lib_dir, ignore_errors=True)
-        return self._lib_dir
+    def build(self, module: Module, key: str, store,
+              toolchain: NativeToolchain) -> NativeProgram:
+        from ..pipeline.compile import NativeStage
 
-    # ------------------------------------------------------------------
-    def key_for(self, module: Module) -> str:
-        return native_fingerprint(module_fingerprint(module),
-                                  self.toolchain.abi_id())
-
-    def quarantine_reason(self, key: str) -> Optional[str]:
-        return self._quarantine.get(key)
-
-    def _quarantine_key(self, key: str, reason: str) -> None:
-        self._quarantine[key] = reason
-        self.stats.quarantined += 1
-
-    # ------------------------------------------------------------------
-    def get_or_compile(self, module: Module,
-                       store=None) -> Optional[NativeProgram]:
-        """The loaded native program for ``module``, or ``None``.
-
-        ``None`` means "use the fallback": no compiler, unsupported
-        module, or a quarantined key.  ``store`` (any
-        :class:`SupportsArtifactStore`) shares ``.so`` bytes across
-        processes under the ``"native"`` stage.
-        """
-        if not self.toolchain.available:
-            return None
-        with self._lock:
-            self.last_record = None
-            key = self.key_for(module)
-            if key in self._quarantine:
-                return None
-            program = self._entries.get(key)
-            if program is not None:
-                self.stats.hits += 1
-                self._entries.move_to_end(key)
-                return program
-            self.stats.misses += 1
-
-            try:
-                rendered = render_c_program(module)
-            except UnsupportedNativeModule as exc:
-                self.stats.unsupported += 1
-                self._quarantine_key(key, f"unsupported: {exc}")
-                return None
-
-            try:
-                so_bytes, from_store = self._obtain_bytes(
-                    module, rendered, key, store)
-            except NativeCompileError as exc:
-                self.stats.compile_errors += 1
-                self._quarantine_key(key, f"compile error: {exc}")
-                return None
-
-            program = self._load(key, rendered, so_bytes, from_store,
-                                 store)
-            if program is None:
-                return None
-            self._entries[key] = program
-            if (self.capacity is not None
-                    and len(self._entries) > self.capacity):
-                _evicted_key, evicted = self._entries.popitem(last=False)
-                self._unload(evicted)
-                self.stats.evictions += 1
-            return program
-
-    def _obtain_bytes(self, module: Module, rendered: RenderedProgram,
-                      key: str, store) -> Tuple[bytes, bool]:
-        """(so_bytes, came_from_store) — compiling through the store stage."""
-        if store is not None:
-            from ..pipeline.compile import NativeStage
-
-            stage = NativeStage(toolchain=self.toolchain,
-                                rendered=rendered, key=key)
-            payload, record = stage.run(store, module)
-            self.last_record = record
-            if record.hit:
-                self.stats.store_hits += 1
-            else:
-                self.stats.builds += 1
-            return payload, record.hit
-        self.stats.builds += 1
-        from ..obs import global_tracer
-
-        with global_tracer().span("engine.compile", key=key[:16]):
-            return self.toolchain.compile(rendered.source), False
-
-    def _load(self, key: str, rendered: RenderedProgram, so_bytes: bytes,
-              from_store: bool, store) -> Optional[NativeProgram]:
-        path = os.path.join(self.lib_dir, f"{key}.so")
         try:
-            lib = self._materialize(path, so_bytes)
+            rendered = render_c_program(module)
+        except UnsupportedNativeModule as exc:
+            raise NativeUnavailableError(f"unsupported: {exc}") from exc
+        try:
+            so_bytes, record = NativeStage().run(store, key, rendered.source,
+                                                 toolchain)
+        except NativeCompileError as exc:
+            raise NativeUnavailableError(f"compile error: {exc}") from exc
+        try:
+            return NativeProgram(key, so_bytes, rendered)
         except OSError as exc:
-            if from_store:
-                # A corrupt stored artifact: rebuild from source exactly
-                # once, replacing the bad store entry, then give up.
-                try:
-                    so_bytes = self.toolchain.compile(rendered.source)
-                    self.stats.builds += 1
-                    if store is not None:
-                        store.put(NATIVE_STAGE, key, so_bytes)
-                    lib = self._materialize(path, so_bytes)
-                except (NativeCompileError, OSError) as exc2:
-                    self._quarantine_key(key, f"load failed: {exc2}")
-                    return None
-            else:
-                self._quarantine_key(key, f"load failed: {exc}")
-                return None
-        return NativeProgram(key, path, lib, rendered)
-
-    @staticmethod
-    def _materialize(path: str, so_bytes: bytes) -> ctypes.CDLL:
-        """Write and load ``path``; the file exists only while loaded."""
-        tmp = f"{path}.tmp.{os.getpid()}"
+            if not record.hit:
+                raise NativeUnavailableError(f"load failed: {exc}") from exc
+        # A corrupt stored artifact: rebuild from source exactly once,
+        # replacing the bad store entry, then give up.
         try:
-            with open(tmp, "wb") as handle:
-                handle.write(so_bytes)
-            os.replace(tmp, path)
-            return ctypes.CDLL(path)
-        except OSError:
-            _unlink(tmp)
-            _unlink(path)
+            so_bytes = toolchain.compile(rendered.source)
+            store.put(NATIVE_STAGE, key, so_bytes)
+            return NativeProgram(key, so_bytes, rendered)
+        except (NativeCompileError, OSError) as exc:
+            raise NativeUnavailableError(f"load failed: {exc}") from exc
+
+
+_PROGRAMS = ProgramStage()
+#: reason of every key whose render, compile or load failed; never retried.
+_QUARANTINE: Dict[str, str] = {}
+#: serializes native builds (and quarantine updates) in this process.
+_BUILD_LOCK = threading.Lock()
+
+
+def load_native(module: Module, store=None) -> NativeProgram:
+    """The loaded native program of ``module``.
+
+    Served by the ``exec.native`` stage of ``store`` (default: the
+    process-wide store of :func:`repro.exec.translate`).  Raises
+    :class:`NativeUnavailableError` when there is no compiler or the
+    module's key is quarantined, which it is from its first failure on.
+    """
+    toolchain = global_native_toolchain()
+    if not toolchain.available:
+        raise NativeUnavailableError("no C compiler found")
+    key = native_fingerprint(module_fingerprint(module), toolchain.abi_id())
+    if store is None:
+        store = _GLOBAL_CODE_STORE
+    with _BUILD_LOCK:
+        reason = _QUARANTINE.get(key)
+        if reason is not None:
+            raise NativeUnavailableError(reason)
+        try:
+            program, _record = _PROGRAMS.run(store, module, key, store,
+                                             toolchain)
+        except NativeUnavailableError as exc:
+            _QUARANTINE[key] = str(exc)
             raise
-
-    def _unload(self, program: NativeProgram) -> None:
-        _dlclose(program.lib)
-        _unlink(program.path)
-        self.stats.unloads += 1
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries
-
-    def clear(self, forget_quarantine: bool = False) -> None:
-        """Unload every library and delete its file (see the class
-        docstring's caveat); remove the lib_dir if the cache made it."""
-        with self._lock:
-            for program in self._entries.values():
-                self._unload(program)
-            self._entries.clear()
-            if self._lib_dir_finalizer is not None:
-                self._lib_dir_finalizer()
-                self._lib_dir_finalizer = None
-                self._lib_dir = None
-            if forget_quarantine:
-                self._quarantine.clear()
-
-
-_GLOBAL_NATIVE_CACHE = NativeCodeCache()
-
-
-def global_native_cache() -> NativeCodeCache:
-    """The process-wide native code cache."""
-    return _GLOBAL_NATIVE_CACHE
+    return program
 
 
 def reset_global_native_cache() -> None:
-    """Unload and forget every native program (tests and benchmarks)."""
-    _GLOBAL_NATIVE_CACHE.clear(forget_quarantine=True)
-    _GLOBAL_NATIVE_CACHE.stats = NativeCacheStats()
+    """Forget the quarantine and empty the process-wide store (tests and
+    benchmarks start cold passes with it).  Programs that simulators
+    still hold stay loaded until those are released."""
+    with _BUILD_LOCK:
+        _QUARANTINE.clear()
+    _GLOBAL_CODE_STORE.clear()
 
 
 # ----------------------------------------------------------------------
@@ -519,6 +412,8 @@ class NativeSimulator(CompiledSimulator):
     after which visit counters, the allocator cursor, steps and taken
     branches are synced back so profiles stay bit-identical.
 
+    The program comes from the ``exec.native`` stage of ``store`` (see
+    :func:`load_native`) and stays loaded while the simulator lives.
     Raises :class:`NativeUnavailableError` from the constructor when no
     native program can be produced (no compiler, unsupported module,
     quarantined key); :func:`make_functional_simulator` turns that into
@@ -526,24 +421,10 @@ class NativeSimulator(CompiledSimulator):
     """
 
     def __init__(self, module: Module, memory_size: int = 1 << 20,
-                 max_steps: int = 50_000_000,
-                 native_cache: Optional[NativeCodeCache] = None,
-                 store=None,
-                 program: Optional[NativeProgram] = None) -> None:
+                 max_steps: int = 50_000_000, store=None) -> None:
         super().__init__(module, memory_size=memory_size,
                          max_steps=max_steps, store=store)
-        self.native_cache = (native_cache if native_cache is not None
-                             else global_native_cache())
-        if program is None:
-            if not self.native_cache.toolchain.available:
-                raise NativeUnavailableError("no C compiler found")
-            program = self.native_cache.get_or_compile(module, store=store)
-            if program is None:
-                reason = self.native_cache.quarantine_reason(
-                    self.native_cache.key_for(module))
-                raise NativeUnavailableError(
-                    reason or "module not available natively")
-        self.native = program
+        program = self.native = load_native(module, store)
         # Sanity: the renderer and the translator must agree on layout.
         for name, translated in self.program.functions.items():
             meta = program.rendered.functions.get(name)

@@ -257,11 +257,11 @@ class ModuleTranslator:
     the cycle simulator builds its timed blocks from them.
     """
 
-    def __init__(self, module: Module, library=None) -> None:
+    def __init__(self, module: Module) -> None:
         from ..core.library import global_extension_library
 
         self.module = module
-        self.library = library if library is not None else global_extension_library()
+        self.library = global_extension_library()
         self.program = TranslatedProgram(module.name)
         self._layout_globals()
         # Every function exists before any is translated, so CALL closures
@@ -529,10 +529,11 @@ class ModuleTranslator:
         return do_custom
 
 
-def translate_module(module: Module, library=None) -> TranslatedProgram:
+def translate_module(module: Module) -> TranslatedProgram:
     """Translate ``module`` into threaded code.
 
-    ``library`` defaults to the process-wide extension library; it supplies
-    the patterns CUSTOM operations expand to at translation time.
+    CUSTOM operations expand to the patterns bound in the process-wide
+    extension library at translation time, the library
+    :func:`~repro.exec.cache.module_fingerprint` hashes into the key.
     """
-    return ModuleTranslator(module, library=library).translate()
+    return ModuleTranslator(module).translate()

@@ -180,8 +180,15 @@ class Instruction:
         )
 
     def is_fusable(self) -> bool:
-        """True if the instruction may be absorbed into a custom operation."""
-        return self.opcode in FUSABLE_OPCODES
+        """True if the instruction may be absorbed into a custom operation.
+
+        Float-typed instructions never are: a pattern computes every
+        node at i32.
+        """
+        return (self.opcode in FUSABLE_OPCODES
+                and not any(value.type.is_float()
+                            for value in (self.dest, *self.operands)
+                            if value is not None))
 
     def is_memory(self) -> bool:
         return self.opcode in (Opcode.LOAD, Opcode.STORE)

@@ -139,55 +139,28 @@ class EncodeStage(Stage):
 
 
 class NativeStage(Stage):
-    """IR module × native toolchain ABI → shared-object bytes.
+    """Rendered C source × native toolchain → shared-object bytes.
 
-    The build artifact of the generated-C execution engine
-    (:mod:`repro.exec.native`): the module is rendered to one C source
-    file and compiled into a ``.so`` whose raw bytes are the payload —
-    plain data, so a service's shared
+    The build artifact of the generated-C execution engine: the raw
+    bytes of the ``.so`` compiled from a module's rendered unit.  They
+    are plain data, so a service's shared
     :class:`~repro.service.DiskArtifactStore` lets every worker reuse
-    one compile.  Keyed by the structural module fingerprint times the
-    toolchain's ABI digest (compiler identity/version/flags/platform and
-    the renderer schema), so an incompatible compiler never serves a
-    stale binary.
-
-    Normally constructed *pre-rendered* by
-    :meth:`repro.exec.native.NativeCodeCache.get_or_compile` (which owns
-    render failures and quarantine); the standalone path renders on
-    demand for direct pipeline use.
+    one compile.  The key is the caller's
+    :func:`~repro.pipeline.fingerprints.native_fingerprint` of the
+    structural module fingerprint times the toolchain's ABI digest
+    (compiler identity/version/flags/platform and the renderer schema),
+    so an incompatible compiler never serves a stale binary.  Its caller
+    is the ``exec.native`` stage of :mod:`repro.exec.native`, which
+    renders the module and loads the bytes.
     """
 
     name = "native"
 
-    def __init__(self, toolchain=None, rendered=None,
-                 key: Optional[str] = None) -> None:
-        self._toolchain = toolchain
-        self._rendered = rendered
-        self._key = key
+    def key(self, key: str, source: str, toolchain) -> str:
+        return key
 
-    def _resolve(self, module: Module):
-        from ..exec.native import global_native_toolchain
-        from ..exec.nativegen import render_c_program
-
-        if self._toolchain is None:
-            self._toolchain = global_native_toolchain()
-        if self._rendered is None:
-            self._rendered = render_c_program(module)
-        return self._toolchain, self._rendered
-
-    def key(self, module: Module) -> str:
-        if self._key is not None:
-            return self._key
-        from .fingerprints import native_fingerprint
-
-        toolchain, _rendered = self._resolve(module)
-        self._key = native_fingerprint(module_fingerprint(module),
-                                       toolchain.abi_id())
-        return self._key
-
-    def build(self, module: Module) -> bytes:
-        toolchain, rendered = self._resolve(module)
-        return toolchain.compile(rendered.source)
+    def build(self, key: str, source: str, toolchain) -> bytes:
+        return toolchain.compile(source)
 
 
 class TraceStage(Stage):
@@ -287,24 +260,6 @@ class CompilePipeline:
             opt_record = StageRecord(stage=stage.name, key=opt_key, hit=False,
                                      seconds=seconds)
             return stage.replicate(module), [front_record, opt_record]
-
-    def native(self, module: Module):
-        """Load (or compile) ``module``'s native program via this store.
-
-        Returns ``(program, record)``: the loaded
-        :class:`~repro.exec.native.NativeProgram` — or ``None`` when the
-        native engine cannot serve the module (no compiler, unsupported,
-        quarantined) — plus the ``native`` stage's
-        :class:`~repro.pipeline.stage.StageRecord` when the store was
-        consulted (``None`` for in-memory cache hits and failures).
-        Machine independent, like the front half: one ``.so`` serves
-        every design point of a sweep.
-        """
-        from ..exec.native import global_native_cache
-
-        cache = global_native_cache()
-        program = cache.get_or_compile(module, store=self.store)
-        return program, cache.last_record
 
     def trace(self, module: Module, entry: str, args):
         """Profile ``entry(args)`` once; returns ``(KernelTrace, record)``.

@@ -4,9 +4,10 @@ An :class:`ArtifactStore` maps ``(stage, key)`` to a
 :class:`StageArtifact` in an in-memory LRU (``capacity`` bounds the
 entry count across all stages).  Every cached artifact of the stack
 lives in one: compile stages, design-point evaluations, native ``.so``
-bytes and threaded-code translations (stage ``exec.code``).  Artifacts
-that must survive the process go to the subclass
-:class:`repro.service.DiskArtifactStore`, the one disk format.
+bytes, threaded-code translations (stage ``exec.code``) and loaded
+native programs (stage ``exec.native``).  Artifacts that must survive
+the process go to the subclass :class:`repro.service.DiskArtifactStore`,
+the one disk format.
 
 Cache statistics live in the store's :class:`~repro.obs.MetricsRegistry`
 as ``store_*{stage=...}`` counters; :class:`StageStats` (defined in

@@ -207,6 +207,33 @@ class TestRewriteAndCustomizer:
         assert functional == expected
         assert cycle.value == expected
 
+    def test_float_instructions_are_never_fused(self):
+        # A pattern computes every node at i32, so fusing the float
+        # SELECT of this running max would truncate 7.75 to 7.0.
+        source = """
+        float pick(float *x, int n, float lo) {
+            float best = lo;
+            for (int i = 0; i < n; i++) {
+                float v = x[i];
+                best = v > best ? v : best;
+            }
+            return best;
+        }
+        """
+        module = compile_c(source, module_name="pick")
+        optimize(module, level=3)
+        args = lambda: ([0.5, 2.25, -3.0, 7.75], 4, 1.5)
+        assert FunctionalSimulator(module.clone()).run("pick", *args()) == 7.75
+        customize_isa(module, vliw4(), area_budget_kgates=40.0)
+        for function in module:
+            for block in function.blocks:
+                for inst in block.instructions:
+                    if inst.opcode is Opcode.CUSTOM:
+                        values = [inst.dest, *inst.operands]
+                        assert not any(v.type.is_float() for v in values
+                                       if v is not None), inst
+        assert FunctionalSimulator(module.clone()).run("pick", *args()) == 7.75
+
     def test_customization_reduces_cycles(self):
         kernel = get_kernel("saturated_add")
         module = compile_c(kernel.source)

@@ -19,8 +19,9 @@ to resolve in the built object.
 Failure modes have defined semantics, tested here: a missing C compiler
 degrades to the compiled engine with a single process-wide warning; a
 module whose compile fails is quarantined and never retried; a corrupt
-stored ``.so`` is recompiled from source exactly once; clearing a native
-cache ``dlclose``\\ s its libraries and deletes their files, so repeated
+stored ``.so`` is recompiled from source exactly once; a loaded program
+``dlclose``\\ s its library and deletes its file when it is collected,
+never while a simulator holds it, so store evictions and repeated
 session lifetimes leak neither mappings nor disk; a call chain past
 ``MAX_CALL_DEPTH`` raises the same error on every engine.
 """
@@ -33,7 +34,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tempfile
 import warnings
 from pathlib import Path
 
@@ -45,11 +45,11 @@ from repro.arch.presets import PRESETS, get_preset
 from repro.backend import compile_module
 from repro.core import HW_DELAY, Pattern, PatternNode, global_extension_library
 from repro.exec import (
-    CODE_STAGE, NATIVE_STAGE, CompiledSimulator, NativeCodeCache,
+    CODE_STAGE, NATIVE_STAGE, PROGRAM_STAGE, CompiledSimulator,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
-    global_native_cache, make_functional_simulator, native_available,
-    reset_global_native_cache, reset_native_fallback_warning,
-    reset_native_toolchain, run_batch,
+    global_native_toolchain, load_native, make_functional_simulator,
+    module_fingerprint, native_available, reset_global_native_cache,
+    reset_native_fallback_warning, reset_native_toolchain, run_batch,
 )
 from repro.exec import cache as cache_module
 from repro.exec import native as native_module
@@ -65,6 +65,7 @@ from repro.ir.types import I32, I64
 from repro.model import TRACE_CYCLE_TOLERANCE, RetimingModel, capture_trace
 from repro.opt import optimize
 from repro.pipeline import ArtifactStore
+from repro.pipeline.fingerprints import native_fingerprint
 from repro.sim import (
     MAX_CALL_DEPTH, CycleSimulator, FunctionalSimulator, SimulationError,
 )
@@ -482,7 +483,9 @@ class TestMissingCompilerFallback:
 
 
 class TestCompileErrorQuarantine:
-    def _failing_toolchain(self):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Source handed to a process-wide toolchain that always fails."""
         toolchain = NativeToolchain(cc="none")
         toolchain.cc = "fake-cc"
         toolchain._version = "fake-cc 0.0"
@@ -493,32 +496,34 @@ class TestCompileErrorQuarantine:
             raise NativeCompileError("fake-cc: exploded")
 
         toolchain.compile = explode
-        return toolchain, calls
+        monkeypatch.setattr(native_module, "_TOOLCHAIN", toolchain)
+        reset_global_native_cache()
+        yield calls
+        reset_global_native_cache()
 
-    def test_failed_compile_is_never_retried(self, tmp_path):
+    def test_failed_compile_is_never_retried(self, calls):
         _kernel, module = build_kernel_module("dot_product")
-        toolchain, calls = self._failing_toolchain()
-        cache = NativeCodeCache(toolchain=toolchain, lib_dir=str(tmp_path))
-        assert cache.get_or_compile(module) is None
+        store = ArtifactStore()
+        with pytest.raises(NativeUnavailableError,
+                           match="compile error: fake-cc: exploded"):
+            load_native(module, store)
         assert len(calls) == 1
-        assert cache.stats.compile_errors == 1
-        assert cache.stats.quarantined == 1
-        # Quarantined: the compiler is not invoked again, even for clones.
-        assert cache.get_or_compile(module.clone()) is None
-        assert len(calls) == 1
-        reason = cache.quarantine_reason(cache.key_for(module))
-        assert reason and "compile error" in reason
-
-    def test_quarantined_module_degrades_to_compiled(self, tmp_path):
-        kernel, module = build_kernel_module("dot_product")
-        toolchain, _calls = self._failing_toolchain()
-        cache = NativeCodeCache(toolchain=toolchain, lib_dir=str(tmp_path))
+        assert store.stats(NATIVE_STAGE).puts == 0
+        assert store.stats(PROGRAM_STAGE).puts == 0
+        # Quarantined: the compiler is not invoked again, even for clones
+        # in other stores.
         with pytest.raises(NativeUnavailableError, match="compile error"):
-            NativeSimulator(module, native_cache=cache)
+            load_native(module.clone(), ArtifactStore())
+        assert len(calls) == 1
+
+    def test_quarantined_module_degrades_to_compiled(self, calls):
+        kernel, module = build_kernel_module("dot_product")
+        with pytest.raises(NativeUnavailableError, match="compile error"):
+            NativeSimulator(module)
         reset_native_fallback_warning()
         with pytest.warns(RuntimeWarning):
             simulator = make_functional_simulator(
-                module.clone(), engine="native", native_cache=cache)
+                module.clone(), engine="native")
         assert isinstance(simulator, CompiledSimulator)
         args = kernel.arguments(None, seed=13)
         assert (simulator.run(kernel.entry, *arg_copies(args))
@@ -528,74 +533,75 @@ class TestCompileErrorQuarantine:
 
 @requires_cc
 class TestCorruptStoredArtifact:
-    def test_recompiled_once_and_store_repaired(self, tmp_path):
+    def test_recompiled_once_and_store_repaired(self):
         kernel, module = build_kernel_module("crc32")
-        cache = NativeCodeCache(lib_dir=str(tmp_path))
         store = ArtifactStore()
-        key = cache.key_for(module)
+        key = native_fingerprint(module_fingerprint(module),
+                                 global_native_toolchain().abi_id())
         store.put(NATIVE_STAGE, key, b"this is not a shared object")
 
-        simulator = NativeSimulator(module, native_cache=cache, store=store)
+        simulator = NativeSimulator(module, store=store)
         args = kernel.arguments(None, seed=8)
         assert (simulator.run(kernel.entry, *arg_copies(args))
                 == kernel.expected(args))
-        # The bad artifact was rebuilt from source (exactly one compile)
-        # and the store entry replaced with the working .so.
-        assert cache.stats.builds == 1
+        # The bad artifact was rebuilt from source and the store entry
+        # replaced with the working .so: the second put.
+        assert store.stats(NATIVE_STAGE).puts == 2
         repaired = store.get(NATIVE_STAGE, key)
         assert repaired is not None
         assert repaired.payload[:4] == b"\x7fELF"
-        cache.clear()
+        assert simulator.native.key == key
 
 
 @requires_cc
-class TestUnloadAcrossSessions:
-    def test_cleared_cache_dlcloses_and_recompiles_cleanly(self):
+class TestProgramLifetime:
+    def test_evicted_program_runs_until_its_simulator_is_released(self):
+        kernel, module = build_kernel_module("crc32")
+        store = ArtifactStore(capacity=1)
+        simulator = NativeSimulator(module, store=store)
+        path = simulator.native.path
+        assert (PROGRAM_STAGE, simulator.native.key) in store
+        store.put("other", "entry", b"")
+        assert store.stats(PROGRAM_STAGE).evictions == 1
+        assert (PROGRAM_STAGE, simulator.native.key) not in store
+        # Evicted from the store, still loaded for its simulator.
+        args = kernel.arguments(None, seed=5)
+        assert (simulator.run(kernel.entry, *arg_copies(args))
+                == FunctionalSimulator(module).run(kernel.entry,
+                                                   *arg_copies(args)))
+        assert os.path.exists(path)
+        del simulator
+        gc.collect()
+        assert not os.path.exists(path)
+
+    def test_closed_session_unloads_its_programs(self):
         from repro.api import Session
         from repro.api.requests import RunRequest
 
-        reset_global_native_cache()
+        lib_dir = Path(native_module._lib_dir())
+        before = set(lib_dir.iterdir())
         request = RunRequest(kernel="dot_product", engine="native", size=32)
-        with Session() as first:
-            before = first.execute(request)
-        loaded = len(global_native_cache())
-        assert before.correct and loaded >= 1
-        # End of lifetime: every library is dlclosed...
-        global_native_cache().clear()
-        assert len(global_native_cache()) == 0
-        assert global_native_cache().stats.unloads >= loaded
-        # ...and a later session recompiles (or re-materializes) cleanly.
-        with Session() as second:
-            after = second.execute(request)
-        assert after.correct and after.value == before.value
+        with Session() as session:
+            response = session.execute(request)
+            loaded = set(lib_dir.iterdir()) - before
+        assert response.correct and loaded
+        del session
+        gc.collect()
+        assert not loaded & set(lib_dir.iterdir())
+
+    def test_reset_keeps_live_programs_and_reloads_cleanly(self):
+        kernel, module = build_kernel_module("dot_product")
+        args = kernel.arguments(16, seed=4)
+        first = NativeSimulator(module)
         reset_global_native_cache()
-
-
-@requires_cc
-class TestLibraryFileCleanup:
-    def test_evicted_and_cleared_libraries_leave_no_files(self, tmp_path,
-                                                          monkeypatch):
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        cache = NativeCodeCache(capacity=1)
-        first = cache.get_or_compile(build_kernel_module("crc32")[1])
-        assert Path(cache.lib_dir).parent == tmp_path
-        assert os.path.exists(first.path)
-        second = cache.get_or_compile(build_kernel_module("dot_product")[1])
-        assert cache.stats.evictions == 1
-        assert not os.path.exists(first.path)
-        assert os.path.exists(second.path)
-        cache.clear()
-        assert list(tmp_path.iterdir()) == []
-
-    def test_caller_lib_dir_is_emptied_not_removed(self, tmp_path):
-        lib_dir = tmp_path / "libs"
-        lib_dir.mkdir()
-        cache = NativeCodeCache(lib_dir=str(lib_dir))
-        for name in ("crc32", "dot_product"):
-            assert cache.get_or_compile(build_kernel_module(name)[1])
-        assert len(list(lib_dir.iterdir())) == 2
-        cache.clear()
-        assert lib_dir.is_dir() and list(lib_dir.iterdir()) == []
+        second = NativeSimulator(module.clone())
+        # One key, two loads: each owns its own file.
+        assert second.native is not first.native
+        assert second.native.key == first.native.key
+        assert second.native.path != first.native.path
+        for simulator in (first, second):
+            assert (simulator.run(kernel.entry, *arg_copies(args))
+                    == kernel.expected(args))
 
 
 # ----------------------------------------------------------------------
@@ -747,24 +753,19 @@ class TestFreestandingPrelude:
 
     @requires_cc
     @pytest.mark.skipif(shutil.which("nm") is None, reason="no nm on this host")
-    def test_built_objects_leave_no_symbol_unresolved(self, tmp_path):
+    def test_built_objects_leave_no_symbol_unresolved(self):
         """-nostdlib holds only while the unit needs nothing from libc."""
-        assert "-nostdlib" in global_native_cache().toolchain.flags
+        assert "-nostdlib" in global_native_toolchain().flags
         modules = [build_kernel_module(name)[1] for name in sorted(KERNELS)]
         modules.append(_module_from_source(FLOAT_SOURCE, "fscale"))
         modules.append(_customized_crc32()[1])
-        cache = NativeCodeCache(lib_dir=str(tmp_path))
-        try:
-            for module in modules:
-                program = cache.get_or_compile(module)
-                assert program is not None, cache.quarantine_reason(
-                    cache.key_for(module))
-                undefined = subprocess.run(
-                    ["nm", "-D", "--undefined-only", program.path],
-                    capture_output=True, text=True, check=True).stdout
-                assert undefined.strip() == "", (module.name, undefined)
-        finally:
-            cache.clear()
+        store = ArtifactStore()
+        for module in modules:
+            program = load_native(module, store)
+            undefined = subprocess.run(
+                ["nm", "-D", "--undefined-only", program.path],
+                capture_output=True, text=True, check=True).stdout
+            assert undefined.strip() == "", (module.name, undefined)
 
 
 # ----------------------------------------------------------------------
