@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from repro.arch import estimate_area, vliw4
 from repro.backend import compile_module
-from repro.core import EnumerationConfig, IsaCustomizer, SelectionConfig
+from repro.core import IsaCustomizer, SelectionConfig
 from repro.frontend import compile_c
 from repro.opt import optimize
 from repro.sim import CycleSimulator
@@ -52,7 +52,6 @@ def main() -> None:
     # Customize once for the weighted area.
     customizer = IsaCustomizer(
         base,
-        enumeration=EnumerationConfig(max_outputs=1),
         selection_config=SelectionConfig(area_budget_kgates=45.0, max_operations=8),
     )
     result = customizer.customize_for_area(
@@ -71,7 +70,8 @@ def main() -> None:
         print(f"{name:<16} {weight:>6.1f} {baseline[name]:>8} {cycles:>8} "
               f"{baseline[name] / cycles:>8.2f}x")
 
-    # A kernel from the same area the customizer never saw: apply the library.
+    # A kernel from the same area the customizer never saw: apply the
+    # customized machine's operations.
     held_out = get_kernel("sad16")
     unseen = compile_c(held_out.source, module_name=held_out.name)
     optimize(unseen, level=3)

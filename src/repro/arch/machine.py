@@ -53,7 +53,7 @@ class CustomOperation:
 
     The semantics of the operation are carried by the
     :class:`repro.core.patterns.Pattern` registered under the same name in
-    the module's :class:`repro.core.library.ExtensionLibrary`; the machine
+    the process-wide :class:`repro.core.library.ExtensionLibrary`; the machine
     description only records its pipeline/cost characteristics.
     """
 

@@ -2,8 +2,8 @@
 
 The flow is: profile -> enumerate convex dataflow cuts -> merge by
 canonical pattern signature -> select fused operations under area and
-opcode-space budgets -> register them in an extension library -> rewrite
-the program(s) -> extend the machine description.
+opcode-space budgets -> register them in the process-wide extension
+library -> rewrite the program(s) -> extend the machine description.
 """
 
 from .patterns import (

@@ -4,8 +4,8 @@
 programs — an application *area*) plus a base machine description into a
 customized family member: it profiles, enumerates candidate fused
 operations, selects under area/encoding budgets, registers the winners in
-an extension library, rewrites the program(s) to use them and returns the
-extended machine description.
+the process-wide extension library, rewrites the program(s) to use them
+and returns the extended machine description.
 
 This is the paper's headline flow — "CPUs that are customized to their
 use" produced automatically by the toolchain rather than by a hand-built
@@ -19,10 +19,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.machine import MachineDescription
 from ..ir import Module
-from .identification import (
-    Candidate, EnumerationConfig, identify_candidates,
-)
-from .library import ExtensionLibrary, global_extension_library
+from .identification import SINGLE_OUTPUT_CONFIG, Candidate, identify_candidates
+from .library import global_extension_library
 from .rewrite import apply_selection, custom_op_usage, rewrite_with_library
 from .selection import SelectionConfig, SelectionResult, select
 
@@ -57,7 +55,6 @@ class CustomizationResult:
 
     machine: MachineDescription
     modules: List[Module]
-    library: ExtensionLibrary
     report: CustomizationReport
     selection: SelectionResult
 
@@ -71,13 +68,9 @@ class IsaCustomizer:
     """Automated instruction-set customization for one machine family."""
 
     def __init__(self, base_machine: MachineDescription,
-                 enumeration: Optional[EnumerationConfig] = None,
-                 selection_config: Optional[SelectionConfig] = None,
-                 library: Optional[ExtensionLibrary] = None) -> None:
+                 selection_config: Optional[SelectionConfig] = None) -> None:
         self.base_machine = base_machine
-        self.enumeration = enumeration or EnumerationConfig(max_outputs=1)
         self.selection_config = selection_config or SelectionConfig()
-        self.library = library if library is not None else global_extension_library()
 
     # ------------------------------------------------------------------
     # Profiling.
@@ -128,7 +121,7 @@ class IsaCustomizer:
         # Identify per module, then merge by signature with area weights.
         merged: Dict[str, Candidate] = {}
         for module, weight in weighted_modules:
-            for candidate in identify_candidates(module, self.enumeration):
+            for candidate in identify_candidates(module, SINGLE_OUTPUT_CONFIG):
                 for occurrence in candidate.occurrences:
                     occurrence.frequency *= weight
                 existing = merged.get(candidate.signature)
@@ -144,10 +137,11 @@ class IsaCustomizer:
         # Register winners and extend the machine description.
         machine_name = name or f"{self.base_machine.name}+custom"
         machine = self.base_machine.clone(machine_name)
+        library = global_extension_library()
         for candidate in selection.selected:
-            entry = self.library.find_by_signature(candidate.signature)
+            entry = library.find_by_signature(candidate.signature)
             if entry is None:
-                entry = self.library.register(candidate.pattern)
+                entry = library.register(candidate.pattern)
             if not machine.has_custom_op(entry.name):
                 machine.add_custom_op(entry.operation)
         machine.notes = (machine.notes + " " if machine.notes else "") + (
@@ -158,7 +152,7 @@ class IsaCustomizer:
         # Rewrite every module in the area.
         sites: Dict[str, int] = {}
         for module in modules:
-            counts = apply_selection(module, selection.selected, self.library)
+            counts = apply_selection(module, selection.selected)
             for op_name, count in counts.items():
                 sites[op_name] = sites.get(op_name, 0) + count
 
@@ -174,42 +168,32 @@ class IsaCustomizer:
             sites_rewritten=sites,
         )
         return CustomizationResult(
-            machine=machine, modules=list(modules), library=self.library,
-            report=report, selection=selection,
+            machine=machine, modules=list(modules), report=report,
+            selection=selection,
         )
 
     # ------------------------------------------------------------------
     # Applying an existing customization to new code.
     # ------------------------------------------------------------------
-    def apply_to(self, module: Module,
-                 machine: Optional[MachineDescription] = None) -> Dict[str, int]:
-        """Rewrite ``module`` using the already-registered extensions.
+    @staticmethod
+    def apply_to(module: Module, machine: MachineDescription) -> Dict[str, int]:
+        """Rewrite ``module`` to use ``machine``'s registered extensions.
 
-        Only extensions present on ``machine`` (when given) are used, so a
-        module can be retargeted to any member of the customized family.
+        Only extensions present on ``machine`` are used, so a module can be
+        retargeted to any member of the customized family.
         """
-        if machine is None or not machine.custom_ops:
-            library = self.library
-        else:
-            library = ExtensionLibrary()
-            for op_name in machine.custom_ops:
-                entry = self.library.entry(op_name)
-                if entry is not None:
-                    library.register(entry.pattern, entry.operation)
-        return rewrite_with_library(module, library, self.enumeration)
+        return rewrite_with_library(module, machine)
 
 
 def customize_isa(module: Module, base_machine: MachineDescription,
                   area_budget_kgates: float = 40.0,
                   max_operations: int = 8,
-                  name: Optional[str] = None,
-                  library: Optional[ExtensionLibrary] = None) -> CustomizationResult:
+                  name: Optional[str] = None) -> CustomizationResult:
     """One-call convenience wrapper around :class:`IsaCustomizer`."""
     customizer = IsaCustomizer(
         base_machine,
         selection_config=SelectionConfig(
             area_budget_kgates=area_budget_kgates, max_operations=max_operations
         ),
-        library=library,
     )
     return customizer.customize(module, name=name)

@@ -86,7 +86,7 @@ class Candidate:
         return self.pattern.hardware_area_kgates()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationConfig:
     """Constraints on the candidate search."""
 
@@ -97,6 +97,11 @@ class EnumerationConfig:
     max_candidates_per_block: int = 512
     #: ignore blocks executed fewer than this many times (profile-weighted).
     min_block_frequency: float = 0.0
+
+
+#: The search the customizer and the rewriter run: a machine's custom
+#: operations write one register, so only single-output cuts can be used.
+SINGLE_OUTPUT_CONFIG = EnumerationConfig(max_outputs=1)
 
 
 def _cut_masks(block: BasicBlock,

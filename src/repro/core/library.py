@@ -3,15 +3,19 @@
 The library is the hand-off point between the customizer (which invents
 operations), the machine description (which records their cost), the
 compiler back end (which schedules them), and the simulators (which need
-their semantics to execute them).  A process-wide library instance is used
-so that simulators can resolve custom-op names without threading the
-library through every call; tests reset it between cases.
+their semantics to execute them).  There is one library per process:
+every customizer registers into it and every simulator, translator,
+renderer and timing model resolves custom-op names through it.  A name is
+the sha256 of its pattern's signature, so the library only grows, by
+distinct signatures, and registering a pattern again is idempotent; which
+operations a program may use is decided by its machine's ``custom_ops``.
+:func:`reset_global_library` empties it between tests and benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from ..arch.machine import CustomOperation
 from .patterns import Pattern
@@ -68,14 +72,6 @@ class ExtensionLibrary:
         self._by_signature[pattern.signature()] = operation.name
         return entry
 
-    def register_all(self, patterns: List[Pattern]) -> List[ExtensionEntry]:
-        return [self.register(p) for p in patterns]
-
-    def remove(self, name: str) -> None:
-        entry = self._by_name.pop(name, None)
-        if entry is not None:
-            self._by_signature.pop(entry.pattern.signature(), None)
-
     def clear(self) -> None:
         self._by_name.clear()
         self._by_signature.clear()
@@ -97,18 +93,6 @@ class ExtensionLibrary:
     def names(self) -> List[str]:
         return sorted(self._by_name)
 
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
-    def __iter__(self) -> Iterator[ExtensionEntry]:
-        return iter(self._by_name.values())
-
-    def total_area_kgates(self) -> float:
-        return sum(entry.operation.area_kgates for entry in self)
-
 
 #: Process-wide library used by the simulators to resolve custom-op names.
 _GLOBAL_LIBRARY = ExtensionLibrary()
@@ -120,5 +104,5 @@ def global_extension_library() -> ExtensionLibrary:
 
 
 def reset_global_library() -> None:
-    """Clear the process-wide library (used by tests and the explorer)."""
+    """Clear the process-wide library (used by tests and benchmarks)."""
     _GLOBAL_LIBRARY.clear()

@@ -4,10 +4,12 @@ Two entry points:
 
 * :func:`apply_selection` replaces the recorded occurrences of selected
   candidates inside the module they were identified in.
-* :func:`rewrite_with_library` re-discovers occurrences of *already
-  registered* extensions in a fresh module (the application-area /
-  ISA-family use case: a library built from one set of programs applied to
-  a program the customizer never saw).
+* :func:`rewrite_with_library` re-discovers occurrences of a machine's
+  *already registered* extensions in a fresh module (the application-area
+  / ISA-family use case: operations chosen for one set of programs applied
+  to a program the customizer never saw).
+
+Both resolve operations through the process-wide extension library.
 
 Both only rewrite single-output occurrences — the machine's custom
 operations write one register — and both verify that collapsing the cut
@@ -16,13 +18,15 @@ into one instruction cannot reorder it past a consumer.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..arch.machine import MachineDescription
 from ..ir import BasicBlock, Instruction, Module, Opcode, VirtualRegister
 from ..ir.instructions import custom as make_custom
-from .identification import Candidate, EnumerationConfig, Occurrence, enumerate_block_cuts
-from .library import ExtensionLibrary
+from .identification import (
+    SINGLE_OUTPUT_CONFIG, Candidate, Occurrence, enumerate_block_cuts,
+)
+from .library import global_extension_library
 from .patterns import pattern_from_cut
 
 
@@ -71,14 +75,15 @@ def _rewrite_occurrence(block: BasicBlock, occurrence: Occurrence,
     return True
 
 
-def apply_selection(module: Module, selected: Sequence[Candidate],
-                    library: ExtensionLibrary) -> Dict[str, int]:
+def apply_selection(module: Module,
+                    selected: Sequence[Candidate]) -> Dict[str, int]:
     """Rewrite all recorded occurrences of ``selected`` candidates in place.
 
-    Every selected pattern must already be registered in ``library`` (the
-    registration assigns the operation name).  Returns a map from operation
-    name to the number of sites rewritten.
+    Every selected pattern must already be registered in the extension
+    library (the registration assigns the operation name).  Returns a map
+    from operation name to the number of sites rewritten.
     """
+    library = global_extension_library()
     rewritten: Dict[str, int] = {}
     for candidate in selected:
         entry = library.find_by_signature(candidate.signature)
@@ -101,20 +106,27 @@ def apply_selection(module: Module, selected: Sequence[Candidate],
     return rewritten
 
 
-def rewrite_with_library(module: Module, library: ExtensionLibrary,
-                         config: Optional[EnumerationConfig] = None) -> Dict[str, int]:
-    """Find and rewrite occurrences of registered extensions in ``module``.
+def rewrite_with_library(module: Module,
+                         machine: MachineDescription) -> Dict[str, int]:
+    """Find and rewrite occurrences of ``machine``'s custom ops in ``module``.
 
     Used when applying an existing customized ISA to a program that was not
     part of the customization set (§6.1: the processor was tailored to an
-    application *area*; new code in that area should still benefit).
-    Larger patterns are matched first so overlapping smaller ones do not
-    steal their instructions.
+    application *area*; new code in that area should still benefit).  Only
+    operations the machine implements are matched, so a module can be
+    retargeted to any member of a customized family.  Larger patterns are
+    matched first so overlapping smaller ones do not steal their
+    instructions.
     """
-    if len(library) == 0:
+    library = global_extension_library()
+    by_signature: Dict[str, str] = {}
+    for name in machine.custom_ops:
+        entry = library.entry(name)
+        if entry is not None:
+            by_signature[entry.pattern.signature()] = entry.name
+    if not by_signature:
         return {}
-    config = config or EnumerationConfig()
-    rewritten: Dict[str, int] = {name: 0 for name in library.names()}
+    rewritten: Dict[str, int] = {name: 0 for name in sorted(by_signature.values())}
 
     for function in module.functions.values():
         for block in list(function.blocks):
@@ -124,16 +136,16 @@ def rewrite_with_library(module: Module, library: ExtensionLibrary,
             while progress:
                 progress = False
                 matches = []
-                for cut, dfg in enumerate_block_cuts(block, config):
+                for cut, dfg in enumerate_block_cuts(block, SINGLE_OUTPUT_CONFIG):
                     pattern, inputs, outputs = pattern_from_cut(
                         [inst for inst in block.instructions if inst in cut], dfg
                     )
-                    entry = library.find_by_signature(pattern.signature())
-                    if entry is None or len(outputs) != 1:
+                    name = by_signature.get(pattern.signature())
+                    if name is None or len(outputs) != 1:
                         continue
-                    matches.append((pattern.size, cut, inputs, outputs, entry))
+                    matches.append((pattern.size, cut, inputs, outputs, name))
                 matches.sort(key=lambda m: -m[0])
-                for size, cut, inputs, outputs, entry in matches:
+                for size, cut, inputs, outputs, name in matches:
                     occurrence = Occurrence(
                         function=function.name,
                         block=block.name,
@@ -142,8 +154,8 @@ def rewrite_with_library(module: Module, library: ExtensionLibrary,
                         input_values=inputs,
                         output_registers=outputs,
                     )
-                    if _rewrite_occurrence(block, occurrence, entry.name):
-                        rewritten[entry.name] += 1
+                    if _rewrite_occurrence(block, occurrence, name):
+                        rewritten[name] += 1
                         progress = True
                         break
     return {name: count for name, count in rewritten.items() if count}

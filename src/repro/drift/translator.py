@@ -27,8 +27,7 @@ from typing import Optional, Set, Tuple
 from ..arch.machine import MachineDescription
 from ..backend.codegen import compile_module
 from ..backend.mcode import CompiledModule
-from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary, global_extension_library
+from ..core.library import global_extension_library
 from ..core.patterns import expand_pattern
 from ..core.rewrite import rewrite_with_library
 from ..ir import Module, Opcode
@@ -61,15 +60,16 @@ TRANSLATION_CYCLES_PER_OP = 60
 REOPTIMIZATION_CYCLES_PER_OP = 220
 
 
-def expand_custom_ops(module: Module, library: ExtensionLibrary,
+def expand_custom_ops(module: Module,
                       supported: Optional[Set[str]] = None) -> int:
     """Expand CUSTOM instructions not in ``supported`` back to primitives.
 
     Returns the number of custom-op sites expanded.  The expansion uses the
-    pattern recorded in the library, so the result is semantically
-    identical to the fused operation.
+    pattern recorded in the extension library, so the result is
+    semantically identical to the fused operation.
     """
     supported = supported or set()
+    library = global_extension_library()
     expanded = 0
     for function in module.functions.values():
         for block in function.blocks:
@@ -98,12 +98,8 @@ def expand_custom_ops(module: Module, library: ExtensionLibrary,
 class BinaryTranslator:
     """Re-targets compiled programs between family members."""
 
-    def __init__(self, library: Optional[ExtensionLibrary] = None) -> None:
-        self.library = library if library is not None else global_extension_library()
-
     def translate(self, compiled: CompiledModule, target: MachineDescription,
-                  reoptimize: bool = False,
-                  enumeration: Optional[EnumerationConfig] = None
+                  reoptimize: bool = False
                   ) -> Tuple[CompiledModule, TranslationReport]:
         """Translate ``compiled`` (built for machine A) to run on ``target``.
 
@@ -124,18 +120,12 @@ class BinaryTranslator:
 
         # Expand fused operations the target does not implement.
         supported = set(target.custom_ops)
-        report.custom_ops_expanded = expand_custom_ops(
-            recovered, self.library, supported
-        )
+        report.custom_ops_expanded = expand_custom_ops(recovered, supported)
 
         per_op_cost = TRANSLATION_CYCLES_PER_OP
         if reoptimize:
             per_op_cost = REOPTIMIZATION_CYCLES_PER_OP
-            rematched = rewrite_with_library(
-                recovered,
-                self._library_for(target),
-                enumeration or EnumerationConfig(max_outputs=1),
-            )
+            rematched = rewrite_with_library(recovered, target)
             report.custom_ops_rematched = sum(rematched.values())
 
         report.translation_overhead_cycles = (
@@ -144,12 +134,3 @@ class BinaryTranslator:
 
         translated, _compile_report = compile_module(recovered, target)
         return translated, report
-
-    def _library_for(self, machine: MachineDescription) -> ExtensionLibrary:
-        """A view of the library restricted to the machine's operations."""
-        restricted = ExtensionLibrary()
-        for name in machine.custom_ops:
-            entry = self.library.entry(name)
-            if entry is not None:
-                restricted.register(entry.pattern, entry.operation)
-        return restricted

@@ -16,14 +16,16 @@ applications unchanged.
 
 ISA customization composes too: a positive ``custom_area_budget``
 customizes the machine against every node module of every application
-(weighted by the app's mix weight) before any window runs, exactly
-mirroring the kernel evaluator's private-library discipline.
+(weighted by the app's mix weight) before any window runs, through the
+kernel evaluator's :func:`~repro.dse.objectives.customized_isa`.
 
 One deliberate mapping: the ``"cycle"`` *engine* selector runs node
 windows on the threaded-code engine with statically reduced timing (the
 cycle-accurate simulator models caches per run, which the per-window
-loop does not need for screening); ``fidelity="cycle"`` vs ``"trace"``
-keeps its usual execute-every-window vs price-once meaning.
+loop does not need for screening), so the evaluator records ``engine``
+as ``"compiled"`` and both spellings share one memo key;
+``fidelity="cycle"`` vs ``"trace"`` keeps its usual execute-every-window
+vs price-once meaning.
 """
 
 from __future__ import annotations
@@ -166,7 +168,8 @@ class AppEvaluator:
         self.size = size
         self.seed = seed
         self.opt_level = opt_level
-        self.engine = engine
+        #: the functional engine node windows actually execute on.
+        self.engine = "compiled" if engine == "cycle" else engine
         self.fidelity = fidelity
         if pipeline is not None:
             self.pipeline = pipeline
@@ -191,11 +194,6 @@ class AppEvaluator:
         evaluation cache keys content-addressed across processes."""
         return self.mix.to_json()
 
-    @property
-    def exec_engine(self) -> str:
-        """The functional engine node windows actually execute on."""
-        return "compiled" if self.engine == "cycle" else self.engine
-
     def with_fidelity(self, fidelity: str) -> "AppEvaluator":
         """This evaluator's recipe at another fidelity (shared pipeline)."""
         if fidelity == self.fidelity:
@@ -216,33 +214,33 @@ class AppEvaluator:
                     for spec, weight in self.mix.applications()
                     for node in spec.nodes]
 
-        with customized_isa(evaluation, weighted,
-                            custom_area_budget) as working_machine:
-            for spec, weight in self.mix.applications():
-                try:
-                    runner = AppRunner(
-                        spec, working_machine, engine=self.exec_engine,
-                        opt_level=self.opt_level, fidelity=self.fidelity,
-                        pipeline=self.pipeline,
-                        modules={node.name: modules[(spec.name, node.name)]
-                                 for node in spec.nodes})
-                    report = runner.run()
-                    evaluation.measurements.append(
-                        self._measurement(spec, weight, report, runner))
-                    row = report.summary_row()
-                    row["weight"] = weight
-                    evaluation.app_rows.append(row)
-                except Exception:  # noqa: BLE001 - infeasible point
-                    evaluation.measurements.append(KernelMeasurement(
-                        kernel=spec.name, weight=weight, cycles=0,
-                        correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
-                    ))
-                    evaluation.app_rows.append({
-                        "application": spec.name, "weight": weight,
-                        "correct": False, "miss_rate": 1.0, "p50_us": 0.0,
-                        "p95_us": 0.0, "p99_us": 0.0, "jitter_us": 0.0,
-                        "energy_per_window_uj": 0.0,
-                    })
+        working_machine = customized_isa(evaluation, weighted,
+                                         custom_area_budget)
+        for spec, weight in self.mix.applications():
+            try:
+                runner = AppRunner(
+                    spec, working_machine, engine=self.engine,
+                    opt_level=self.opt_level, fidelity=self.fidelity,
+                    pipeline=self.pipeline,
+                    modules={node.name: modules[(spec.name, node.name)]
+                             for node in spec.nodes})
+                report = runner.run()
+                evaluation.measurements.append(
+                    self._measurement(spec, weight, report, runner))
+                row = report.summary_row()
+                row["weight"] = weight
+                evaluation.app_rows.append(row)
+            except Exception:  # noqa: BLE001 - infeasible point
+                evaluation.measurements.append(KernelMeasurement(
+                    kernel=spec.name, weight=weight, cycles=0,
+                    correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
+                ))
+                evaluation.app_rows.append({
+                    "application": spec.name, "weight": weight,
+                    "correct": False, "miss_rate": 1.0, "p50_us": 0.0,
+                    "p95_us": 0.0, "p99_us": 0.0, "jitter_us": 0.0,
+                    "energy_per_window_uj": 0.0,
+                })
 
         return evaluation
 

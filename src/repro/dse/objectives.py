@@ -1,11 +1,11 @@
 """Evaluation of one machine against one workload mix.
 
 The evaluator compiles each kernel of a weighted mix for the candidate
-machine (optionally customizing the ISA first, with a private extension
-library so candidate machines do not contaminate each other), runs the
-cycle simulator, and reduces the measurements to the objective metrics
-the paper's argument uses: execution time, silicon area, energy, code
-size, and their ratios.
+machine (optionally customizing the ISA first; candidate machines share
+the process-wide extension library, and each one uses only the
+operations its own ``custom_ops`` name), runs the cycle simulator, and
+reduces the measurements to the objective metrics the paper's argument
+uses: execution time, silicon area, energy, code size, and their ratios.
 
 Two measurement engines are available (``engine=``):
 
@@ -39,15 +39,12 @@ Orthogonally, ``fidelity=`` selects the timing model itself:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..arch.area import estimate_area
 from ..arch.machine import MachineDescription
 from ..core.customizer import IsaCustomizer
-from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary, global_extension_library
 from ..core.selection import SelectionConfig
 from ..backend.mcode import CompiledModule
 from ..exec.registry import EVALUATION_ENGINES, validate_engine
@@ -142,46 +139,32 @@ class Evaluation:
         }
 
 
-@contextmanager
 def customized_isa(evaluation: Evaluation,
                    weighted: Sequence[Tuple[Module, float]],
-                   area_budget_kgates: float) -> Iterator[MachineDescription]:
-    """Customize ``evaluation.machine`` for ``weighted`` and yield it.
+                   area_budget_kgates: float) -> MachineDescription:
+    """Customize ``evaluation.machine`` for ``weighted`` and return it.
 
     With a positive budget, the ``(module, weight)`` pairs are rewritten
     in place to use operations chosen by one area-budgeted customization
-    (named ``"{machine}+x{budget}"``) into a private extension library,
-    and ``evaluation`` records the customized machine.  The simulators
-    resolve custom ops through the process-wide library, so the private
-    entries are installed there for the body and removed afterwards.
+    (named ``"{machine}+x{budget}"``), and ``evaluation`` records the
+    customized machine.  The operations are registered in the
+    process-wide extension library, where they stay: names are content
+    hashes, so a concurrent evaluation that selects the same operation
+    registers the same entry.
     """
-    library = ExtensionLibrary()
     machine = evaluation.machine
     if area_budget_kgates > 0.0:
         customizer = IsaCustomizer(
             machine,
-            enumeration=EnumerationConfig(max_outputs=1),
             selection_config=SelectionConfig(
                 area_budget_kgates=area_budget_kgates),
-            library=library,
         )
         result = customizer.customize_for_area(
             weighted, name=f"{machine.name}+x{int(area_budget_kgates)}")
         evaluation.machine = result.machine
         evaluation.customized = True
         evaluation.custom_ops = result.report.operations_selected
-
-    global_lib = global_extension_library()
-    added = []
-    for entry in library:
-        if entry.name not in global_lib:
-            global_lib.register(entry.pattern, entry.operation)
-            added.append(entry.name)
-    try:
-        yield evaluation.machine
-    finally:
-        for name in added:
-            global_lib.remove(name)
+    return evaluation.machine
 
 
 class Evaluator:
@@ -238,43 +221,43 @@ class Evaluator:
         weighted = [(modules[kernel.name], weight)
                     for kernel, weight in self.mix.kernels()]
 
-        with customized_isa(evaluation, weighted,
-                            custom_area_budget) as working_machine:
-            for kernel, weight in self.mix.kernels():
-                module = modules[kernel.name]
-                args = kernel.arguments(self.size, seed=self.seed)
-                expected = kernel.expected(args)
-                try:
-                    compiled, report = self.pipeline.backend(module, working_machine)
-                    run_args = copy_run_args(args)
-                    code_bytes = (report.code.bytes_effective
-                                  if report.code is not None else 0)
-                    if self.fidelity == "trace":
-                        measurement = self._measure_trace(
-                            kernel, weight, module, compiled, working_machine,
-                            args, expected, code_bytes)
-                    elif self.engine in ("compiled", "native"):
-                        measurement = self._measure_compiled(
-                            kernel, weight, module, compiled, working_machine,
-                            run_args, expected, code_bytes)
-                    else:
-                        simulator = CycleSimulator(compiled)
-                        result = simulator.run(kernel.entry, *run_args)
-                        measurement = KernelMeasurement(
-                            kernel=kernel.name,
-                            weight=weight,
-                            cycles=result.cycles,
-                            correct=(result.value == expected),
-                            energy_uj=result.energy_uj,
-                            code_bytes=code_bytes,
-                            ipc=result.stats.ipc,
-                        )
-                    evaluation.measurements.append(measurement)
-                except Exception:  # noqa: BLE001 - infeasible point
-                    evaluation.measurements.append(KernelMeasurement(
-                        kernel=kernel.name, weight=weight, cycles=0,
-                        correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
-                    ))
+        working_machine = customized_isa(evaluation, weighted,
+                                         custom_area_budget)
+        for kernel, weight in self.mix.kernels():
+            module = modules[kernel.name]
+            args = kernel.arguments(self.size, seed=self.seed)
+            expected = kernel.expected(args)
+            try:
+                compiled, report = self.pipeline.backend(module, working_machine)
+                run_args = copy_run_args(args)
+                code_bytes = (report.code.bytes_effective
+                              if report.code is not None else 0)
+                if self.fidelity == "trace":
+                    measurement = self._measure_trace(
+                        kernel, weight, module, compiled, working_machine,
+                        args, expected, code_bytes)
+                elif self.engine in ("compiled", "native"):
+                    measurement = self._measure_compiled(
+                        kernel, weight, module, compiled, working_machine,
+                        run_args, expected, code_bytes)
+                else:
+                    simulator = CycleSimulator(compiled)
+                    result = simulator.run(kernel.entry, *run_args)
+                    measurement = KernelMeasurement(
+                        kernel=kernel.name,
+                        weight=weight,
+                        cycles=result.cycles,
+                        correct=(result.value == expected),
+                        energy_uj=result.energy_uj,
+                        code_bytes=code_bytes,
+                        ipc=result.stats.ipc,
+                    )
+                evaluation.measurements.append(measurement)
+            except Exception:  # noqa: BLE001 - infeasible point
+                evaluation.measurements.append(KernelMeasurement(
+                    kernel=kernel.name, weight=weight, cycles=0,
+                    correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
+                ))
 
         return evaluation
 

@@ -20,8 +20,6 @@ from ..backend.codegen import CompileReport
 from ..backend.mcode import CompiledModule
 from ..backend.asm import BinaryImage, encode_module, render_assembly
 from ..core.customizer import CustomizationResult, IsaCustomizer
-from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary, global_extension_library
 from ..core.selection import SelectionConfig
 from ..exec.registry import validate_engine
 from ..ir import Module
@@ -84,14 +82,12 @@ class Toolchain:
 
     def __init__(self, machine: MachineDescription, opt_level: int = 2,
                  unroll_factor: int = 4,
-                 library: Optional[ExtensionLibrary] = None,
                  engine: str = "interpreter",
                  pipeline: Optional[CompilePipeline] = None) -> None:
         validate_engine(engine, "functional")
         self.machine = machine
         self.opt_level = opt_level
         self.unroll_factor = unroll_factor
-        self.library = library if library is not None else global_extension_library()
         #: functional-execution engine used by run_reference:
         #: "interpreter" (reference oracle), "compiled" (threaded code)
         #: or "native" (generated C, degrading to compiled without a CC).
@@ -170,26 +166,21 @@ class Toolchain:
                   profile_args: Tuple = ()) -> "Toolchain":
         """Derive a new toolchain whose machine is customized for ``module``.
 
-        The module is rewritten in place to use the new operations; the
-        returned toolchain targets the extended family member and shares
-        this toolchain's extension library.
+        The module is rewritten in place to use the new operations, which
+        are registered in the process-wide extension library; the returned
+        toolchain targets the extended family member.
         """
         customizer = IsaCustomizer(
             self.machine,
-            enumeration=EnumerationConfig(max_outputs=1),
             selection_config=SelectionConfig(
                 area_budget_kgates=area_budget_kgates,
                 max_operations=max_operations,
             ),
-            library=self.library,
         )
         result = customizer.customize(module, name=name,
                                       profile_entry=profile_entry,
                                       profile_args=profile_args)
-        derived = Toolchain(result.machine, opt_level=self.opt_level,
-                            unroll_factor=self.unroll_factor,
-                            library=self.library, engine=self.engine,
-                            pipeline=self.pipeline)
+        derived = self.retarget(result.machine)
         derived.last_customization = result  # type: ignore[attr-defined]
         return derived
 
@@ -200,8 +191,7 @@ class Toolchain:
         """The same toolchain pointed at a different family member."""
         return Toolchain(machine, opt_level=self.opt_level,
                          unroll_factor=self.unroll_factor,
-                         library=self.library, engine=self.engine,
-                         pipeline=self.pipeline)
+                         engine=self.engine, pipeline=self.pipeline)
 
     def describe(self) -> str:
         return f"Toolchain for {self.machine.describe()} (O{self.opt_level})"

@@ -302,6 +302,16 @@ class TestAppEvaluator:
             for mix in mixes}
         assert len(keys) == 2
 
+    def test_cycle_and_compiled_engines_share_one_cache_key(
+            self, api_session):
+        # Both selectors run node windows on the threaded-code engine.
+        point = next(iter(DesignSpace.small().points()))
+        mix = ApplicationMix.single(seeded_application("chain"))
+        keys = {BatchEvaluator(AppEvaluator(
+            mix, engine=engine, pipeline=api_session.pipeline)).point_key(point)
+            for engine in ("cycle", "compiled")}
+        assert len(keys) == 1
+
 
 class TestRealTimeObjectives:
     def test_objectives_reject_kernel_evaluations(self):

@@ -15,7 +15,7 @@ from repro.arch import CustomOperation, risc_baseline, vliw4
 from repro.core import (
     Candidate, EnumerationConfig, ExtensionLibrary, IsaCustomizer, Pattern,
     PatternNode, SelectionConfig, customize_isa, enumerate_block_cuts,
-    global_extension_library, identify_candidates, pattern_from_cut,
+    identify_candidates, pattern_from_cut,
     rewrite_with_library, select, select_greedy, select_knapsack,
 )
 from repro.core.rewrite import custom_op_usage
@@ -263,16 +263,15 @@ class TestRewriteAndCustomizer:
         assert report.summary()
 
     def test_library_rewrite_applies_to_unseen_program(self):
-        # Build a library from one kernel, apply it to another that contains
-        # the same abs-difference idiom.
+        # Customize a machine for one kernel, apply its operations to
+        # another that contains the same abs-difference idiom.
         donor = get_kernel("sad16")
         donor_module = compile_c(donor.source)
         optimize(donor_module, level=3)
-        library = ExtensionLibrary()
-        customizer = IsaCustomizer(vliw4(), library=library,
+        customizer = IsaCustomizer(vliw4(),
                                    selection_config=SelectionConfig(area_budget_kgates=60.0))
-        customizer.customize(donor_module)
-        assert len(library) > 0
+        machine = customizer.customize(donor_module).machine
+        assert machine.custom_ops
 
         recipient_source = (
             "int absdiff_sum(int *a, int *b, int n) {\n"
@@ -286,13 +285,10 @@ class TestRewriteAndCustomizer:
         )
         recipient = compile_c(recipient_source)
         optimize(recipient, level=3)
-        rewritten = rewrite_with_library(recipient, library,
-                                         EnumerationConfig(max_outputs=1))
+        assert rewrite_with_library(recipient, vliw4()) == {}
+        rewritten = rewrite_with_library(recipient, machine)
         assert sum(rewritten.values()) > 0
-        # Register entries globally so the simulator can execute them.
-        for entry in library:
-            if entry.name not in global_extension_library():
-                global_extension_library().register(entry.pattern, entry.operation)
+        assert set(rewritten) <= set(machine.custom_ops)
         a = [5, -3, 10, 0]
         b = [2, 4, -10, 0]
         value = FunctionalSimulator(recipient).run("absdiff_sum", a, b, 4)

@@ -3,6 +3,8 @@ design-space exploration, ISA drift, economics models, workloads."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.arch import IsaFamily, risc_baseline, vliw2, vliw4, vliw8
@@ -21,12 +23,15 @@ from repro.econ import (
     integration_advantage, matches_published_ratios, reference_set_top_design,
     unit_cost, unit_price,
 )
-from repro.core import customize_isa, global_extension_library
+from repro.core import customize_isa
 from repro.frontend import compile_c
 from repro.opt import optimize
+from repro.pipeline import CompilePipeline
 from repro.sim import CycleSimulator
 from repro.toolchain import Toolchain, run_matrix
-from repro.workloads import DOMAINS, KERNELS, compile_kernel, get_kernel, get_mix
+from repro.workloads import (
+    DOMAINS, KERNELS, WorkloadMix, compile_kernel, get_kernel, get_mix,
+)
 
 
 class TestWorkloads:
@@ -212,6 +217,81 @@ class TestDesignSpaceExploration:
         assert reference.speedup == pytest.approx(1.0)
 
 
+class TestConcurrentCustomization:
+    """Customizing evaluations share the one extension library."""
+
+    def test_finished_evaluation_keeps_ops_an_overlapping_one_uses(self):
+        # sad16 at O3 customized at 40 kgates selects the same operations
+        # for vliw4 (A) and vliw8 (B).  A customizes, B customizes, A
+        # finishes, and only then does B compile and run.
+        mix = WorkloadMix("sad16", {"sad16": 1.0})
+        a_running, b_customized, a_done = (threading.Event(),
+                                           threading.Event(),
+                                           threading.Event())
+        results = {}
+
+        def evaluate(name, machine, arrive, wait_for):
+            evaluator = Evaluator(mix, opt_level=3,
+                                  pipeline=CompilePipeline())
+            backend = evaluator.pipeline.backend
+
+            def gated(module, target):
+                arrive.set()
+                wait_for.wait(60)
+                return backend(module, target)
+
+            evaluator.pipeline.backend = gated
+            results[name] = evaluator.evaluate(machine, custom_area_budget=40.0)
+
+        thread_a = threading.Thread(
+            target=evaluate, args=("a", vliw4(), a_running, b_customized))
+        thread_b = threading.Thread(
+            target=evaluate, args=("b", vliw8(), b_customized, a_done))
+        thread_a.start()
+        assert a_running.wait(60)
+        thread_b.start()
+        thread_a.join(120)
+        a_done.set()
+        thread_b.join(120)
+
+        first, second = results["a"], results["b"]
+        assert first.feasible and first.custom_ops == 7
+        assert sorted(first.machine.custom_ops) == sorted(second.machine.custom_ops)
+        assert second.feasible
+        serial = Evaluator(mix, opt_level=3).evaluate(
+            vliw8(), custom_area_budget=40.0)
+        assert second.summary_row() == serial.summary_row()
+
+    def test_two_threads_match_serial_evaluations(self):
+        evaluator = Evaluator(get_mix("video"), size=16, opt_level=2,
+                              engine="compiled")
+        points = [DesignPoint(issue_width=width, registers=registers,
+                              custom_area_budget=40.0)
+                  for width in (1, 2, 4) for registers in (32, 64)]
+        serial = {point.name(): evaluator.evaluate(
+            point.to_machine(), point.custom_area_budget).summary_row()
+                  for point in points}
+        assert all(row["feasible"] for row in serial.values())
+
+        threaded = []
+
+        def sweep(order):
+            for point in order:
+                row = evaluator.evaluate(point.to_machine(),
+                                         point.custom_area_budget).summary_row()
+                threaded.append((point.name(), row))
+
+        threads = [threading.Thread(target=sweep, args=(order,))
+                   for order in (points, points[::-1])]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(300)
+        assert len(threaded) == 2 * len(points)
+        for name, row in threaded:
+            assert row == serial[name], name
+
+
 class TestIsaDrift:
     def _customized_program(self):
         kernel = get_kernel("saturated_add")
@@ -225,7 +305,7 @@ class TestIsaDrift:
 
     def test_expand_custom_ops_restores_primitives(self):
         kernel, module, result, _compiled = self._customized_program()
-        expanded = expand_custom_ops(module, global_extension_library(), supported=set())
+        expanded = expand_custom_ops(module, supported=set())
         assert expanded > 0
         from repro.ir import Opcode
 
