@@ -59,8 +59,7 @@ def test_e11_generated_population(benchmark):
         with population:
             validated = population.validate(pipeline=pipeline)
             report = population.report(
-                budget=BUDGET_KGATES, engine="compiled",
-                opt_level=OPT_LEVEL,
+                budget=BUDGET_KGATES, opt_level=OPT_LEVEL,
                 kernels_per_family=KERNELS_PER_FAMILY_GAIN,
                 pipeline=pipeline)
 

@@ -77,8 +77,7 @@ def test_e7_application_rt(benchmark, pytestconfig):
                     pipeline=session.pipeline)
         results = {}
         for objective in OBJECTIVES_TO_COMPARE:
-            evaluator = AppEvaluator(mix, engine="compiled",
-                                     pipeline=session.pipeline)
+            evaluator = AppEvaluator(mix, pipeline=session.pipeline)
             explorer = Explorer(evaluator, objective=objective,
                                 batch=session.batch_evaluator(evaluator))
             results[objective] = explorer.exhaustive(space)

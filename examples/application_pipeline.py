@@ -88,7 +88,7 @@ def main() -> None:
           f"({sum(1 for _ in space.points())} points):")
     winners = {}
     for objective in ("performance", "deadline_miss_rate"):
-        evaluator = AppEvaluator(mix, engine="compiled")
+        evaluator = AppEvaluator(mix)
         result = Explorer(evaluator, objective=objective).exhaustive(space)
         best = result.best
         winners[objective] = best.machine.name

@@ -50,7 +50,7 @@ import sys
 from typing import List, Optional
 
 from .requests import (
-    APP_TOPOLOGIES, EVALUATION_ENGINES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
+    APP_TOPOLOGIES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
     OBJECTIVES, RUN_ENGINES, STRATEGIES, AppRequest, AppResponse,
     CompileRequest, CustomizeRequest, ExploreRequest, MatrixRequest,
     MatrixResponse, PopulationRequest, PopulationResponse, RunRequest,
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
                            choices=STRATEGIES)
     explore_p.add_argument("--objective", default="perf_per_area",
                            choices=sorted(OBJECTIVES))
-    explore_p.add_argument("--engine", default=None,
-                           choices=EVALUATION_ENGINES)
     explore_p.add_argument("--fidelity", default=None,
                            choices=FIDELITY_LEVELS,
                            help="timing model: simulate every point (cycle) "
@@ -204,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen_p.add_argument("--seed", type=int, default=0)
     gen_p.add_argument("--families", type=_csv, default=None)
     gen_p.add_argument("--budget", type=float, default=32.0)
-    gen_p.add_argument("--engine", default="compiled",
-                       choices=EVALUATION_ENGINES)
     gen_p.add_argument("--size", type=int, default=None)
     gen_p.add_argument("--kernels-per-family", type=int, default=3)
     gen_p.add_argument("--no-validate", action="store_true",
@@ -415,7 +411,7 @@ def _build_request(args: argparse.Namespace):
         return ExploreRequest(mix=args.mix, strategy=args.strategy,
                               objective=args.objective, size=args.size,
                               seed=args.seed, opt_level=args.opt_level,
-                              engine=args.engine, fidelity=args.fidelity,
+                              fidelity=args.fidelity,
                               rescore=args.rescore, space=space or None,
                               search_seed=args.search_seed,
                               iterations=args.iterations,
@@ -430,8 +426,7 @@ def _build_request(args: argparse.Namespace):
     if args.command == "gen":
         return PopulationRequest(count=args.count, seed=args.seed,
                                  families=args.families,
-                                 budget_kgates=args.budget,
-                                 engine=args.engine, size=args.size,
+                                 budget_kgates=args.budget, size=args.size,
                                  opt_level=args.opt_level,
                                  kernels_per_family=args.kernels_per_family,
                                  validate_population=not args.no_validate,

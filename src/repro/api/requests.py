@@ -34,9 +34,7 @@ from ..arch.machine import MachineDescription
 from ..arch.presets import PRESETS, get_preset
 from ..dse.explorer import OBJECTIVES
 from ..dse.space import DesignPoint, DesignSpace
-from ..exec.registry import (
-    EVALUATION_ENGINES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
-)
+from ..exec.registry import FIDELITY_LEVELS, FUNCTIONAL_ENGINES
 from ..gen.application import APP_TOPOLOGIES
 from ..gen.spec import FAMILIES
 
@@ -376,7 +374,9 @@ class ExploreRequest(Message):
     size: Optional[int] = None
     seed: Optional[int] = None
     opt_level: Optional[int] = None
-    #: evaluation engine: "cycle" or "compiled" (session default if None).
+    #: selects nothing: ``fidelity`` is the one timing axis.  Accepted
+    #: for wire compatibility (any of :data:`RUN_ENGINES`); the response
+    #: reports the engine that ran.
     engine: Optional[str] = None
     #: timing-model fidelity: "cycle" or "trace" (session default if None).
     fidelity: Optional[str] = None
@@ -409,7 +409,7 @@ class ExploreRequest(Message):
             raise ValueError(
                 f"unknown objective '{self.objective}'; options: "
                 f"{', '.join(OBJECTIVES)}")
-        _check_engine(self.engine, EVALUATION_ENGINES, "evaluation")
+        _check_engine(self.engine, RUN_ENGINES, "evaluation")
         _check_engine(self.fidelity, FIDELITY_LEVELS, "fidelity")
         if self.space is not None:
             unknown = set(self.space) - set(SPACE_AXES)
@@ -470,6 +470,8 @@ class PopulationRequest(Message):
     seed: int = 0
     families: Optional[List[str]] = None
     budget_kgates: float = 32.0
+    #: selects nothing: the gain sweep runs the cycle simulator.
+    #: Accepted for wire compatibility (any of :data:`RUN_ENGINES`).
     engine: str = "compiled"
     size: Optional[int] = None
     opt_level: Optional[int] = None
@@ -489,7 +491,7 @@ class PopulationRequest(Message):
                 raise ValueError(
                     f"unknown families {sorted(unknown)}; options: "
                     f"{', '.join(FAMILIES)}")
-        _check_engine(self.engine, EVALUATION_ENGINES, "evaluation")
+        _check_engine(self.engine, RUN_ENGINES, "evaluation")
         if self.kernels_per_family < 1:
             raise ValueError("kernels_per_family must be at least 1")
 

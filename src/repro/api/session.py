@@ -53,7 +53,7 @@ from .requests import (
     AppRequest, AppResponse, CompileRequest, CompileResponse,
     CustomizeRequest, CustomizeResponse, ExploreRequest, ExploreResponse,
     MatrixRequest, MatrixResponse, PopulationRequest, PopulationResponse,
-    Provenance, RunRequest, RunResponse, resolve_machine,
+    RUN_ENGINES, Provenance, RunRequest, RunResponse, resolve_machine,
 )
 
 #: monotonically numbers anonymous sessions for provenance labels.
@@ -93,7 +93,12 @@ class Session:
             # touching call sites; see the README engine matrix.
             engine = os.environ.get("REPRO_ENGINE") or "interpreter"
         validate_engine(engine, "functional")
-        validate_engine(evaluation_engine, "evaluation")
+        # ``evaluation_engine`` selects nothing (``fidelity`` is the one
+        # timing axis); it is only validated, for callers that pass it.
+        if evaluation_engine not in RUN_ENGINES:
+            raise ValueError(
+                f"unknown engine '{evaluation_engine}'; options: "
+                f"{', '.join(RUN_ENGINES)}")
         validate_engine(fidelity, "fidelity")
         if pipeline is not None:
             if store is not None and store is not pipeline.store:
@@ -110,8 +115,6 @@ class Session:
         self.name = name or f"session-{next(_SESSION_COUNTER)}"
         #: default functional engine (run_reference, matrix cross-checks).
         self.engine = engine
-        #: default Evaluator measurement engine for design-space work.
-        self.evaluation_engine = evaluation_engine
         #: default timing-model fidelity ("cycle" simulates every design
         #: point; "trace" profiles once and retimes analytically).
         self.fidelity = fidelity
@@ -171,7 +174,6 @@ class Session:
     def evaluator(self, mix, *, size: Optional[int] = None,
                   opt_level: Optional[int] = None,
                   seed: Optional[int] = None,
-                  engine: Optional[str] = None,
                   fidelity: Optional[str] = None):
         """A :class:`~repro.dse.Evaluator` on this session's pipeline."""
         from ..dse.objectives import Evaluator
@@ -182,14 +184,12 @@ class Session:
         return Evaluator(
             mix, size=self._size(size), opt_level=self._opt(opt_level),
             seed=self._seed(seed),
-            engine=engine if engine is not None else self.evaluation_engine,
             fidelity=fidelity if fidelity is not None else self.fidelity,
             pipeline=self.pipeline)
 
     def app_evaluator(self, mix, *, size: Optional[int] = None,
                       opt_level: Optional[int] = None,
                       seed: Optional[int] = None,
-                      engine: Optional[str] = None,
                       fidelity: Optional[str] = None):
         """An :class:`~repro.dse.AppEvaluator` on this session's pipeline.
 
@@ -212,7 +212,6 @@ class Session:
         return AppEvaluator(
             mix, size=self._size(size), opt_level=self._opt(opt_level),
             seed=self._seed(seed),
-            engine=engine if engine is not None else self.evaluation_engine,
             fidelity=fidelity if fidelity is not None else self.fidelity,
             pipeline=self.pipeline)
 
@@ -387,8 +386,7 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.name!r}, engine={self.engine!r}, "
-                f"evaluation_engine={self.evaluation_engine!r}, "
-                f"jobs={len(self._jobs)})")
+                f"fidelity={self.fidelity!r}, jobs={len(self._jobs)})")
 
     # ------------------------------------------------------------------
     # Handlers.
@@ -530,28 +528,20 @@ class Session:
         from ..dse.space import DesignSpace
 
         started = time.perf_counter()
-        engine = (request.engine if request.engine is not None
-                  else self.evaluation_engine)
         fidelity = (request.fidelity if request.fidelity is not None
                     else self.fidelity)
         if request.rescore:
             # Screening always happens at trace fidelity when re-scoring.
             fidelity = "trace"
-        if fidelity == "trace" and not request.rescore:
-            # The trace path always profiles with the threaded-code
-            # engine; report what actually runs, not the ignored selector.
-            # (In rescore mode the frontier re-scoring *does* use the
-            # requested evaluation engine, so that label stands.)
-            engine = "compiled"
         if request.application is not None:
             evaluator = self.app_evaluator(
                 request.application, size=request.size,
                 opt_level=request.opt_level, seed=request.seed,
-                engine=engine, fidelity=fidelity)
+                fidelity=fidelity)
         else:
             evaluator = self.evaluator(
                 request.mix, size=request.size, opt_level=request.opt_level,
-                seed=request.seed, engine=engine, fidelity=fidelity)
+                seed=request.seed, fidelity=fidelity)
         explorer = self.explorer(evaluator, objective=request.objective,
                                  workers=request.workers,
                                  search_seed=request.search_seed)
@@ -575,6 +565,9 @@ class Session:
         else:
             result = explorer.annealing(space, iterations=request.iterations)
 
+        # Report what ran: the trace profiler is the threaded-code engine;
+        # cycle fidelity (and a re-scored frontier) is the cycle simulator.
+        engine = "compiled" if result.fidelity == "trace" else "cycle"
         exported = result.to_dict()
         extra_cache = {"batch": explorer.batch.stats.as_dict()}
         if result.rescore is not None:
@@ -633,7 +626,7 @@ class Session:
                     pipeline=self.pipeline)
                 valid = sum(validated.values())
             report = population.report(
-                budget=request.budget_kgates, engine=request.engine,
+                budget=request.budget_kgates,
                 size=request.size, opt_level=opt_level,
                 kernels_per_family=request.kernels_per_family,
                 workers=(self.workers if request.workers is None
@@ -642,7 +635,7 @@ class Session:
         return PopulationResponse(
             count=len(population), seed=request.seed,
             families=population.families(), valid=valid, report=report,
-            provenance=self._provenance(request.engine, started))
+            provenance=self._provenance("cycle", started))
 
     def _execute_app(self, request: AppRequest) -> AppResponse:
         from dataclasses import replace

@@ -8,8 +8,9 @@ graph one input window at a time: arguments are bound per (window,
 node) from seeded RNG draws plus whatever upstream nodes produced along
 the spec's edges, the node executes on the selected functional engine
 (interpreter / compiled / native — identical values by construction),
-and its timing is reduced statically from the machine's schedule
-exactly as :class:`~repro.dse.Evaluator` does for single kernels.
+and its timing is its measured profile reduced over the machine's
+schedule by :class:`~repro.model.RetimingModel` with cache modelling
+off (the functional engines record no address stream).
 
 Every node run is checked against a *composed oracle*: a second,
 engine-free propagation chain evaluates each node's generated Python
@@ -371,10 +372,12 @@ class AppRunner:
         )
 
     def _run_cycle(self) -> AppReport:
-        from ..dse.objectives import reduce_schedule_timing
         from ..exec.engine import make_functional_simulator
+        from ..model.retime import RetimingModel
 
         report = self._empty_report()
+        # Profiles carry no address stream: cache modelling is off.
+        retimer = RetimingModel(model_caches=False)
         stats_by_node = {stats.node: stats for stats in report.node_stats}
         tracer = global_tracer()
         clock_us = self.machine.clock_ns / 1000.0
@@ -397,9 +400,11 @@ class AppRunner:
                             self._modules[name], engine=self.engine,
                             store=self.pipeline.store)
                         value = simulator.run(generated.kernel.entry, *args)
-                        cycles, energy_uj, _ipc = reduce_schedule_timing(
+                        estimate = retimer.price(
                             self._compiled[name], self.machine,
                             simulator.profile)
+                        cycles = estimate.cycles
+                        energy_uj = estimate.energy_uj
                         node_span.note(cycles=cycles, value=value)
                     produced_engine[(name, VALUE_PORT)] = value
                     correct = value == expected

@@ -9,7 +9,7 @@ to *real-time* figures of merit — deadline-miss rate, p50/p95/p99
 window latency, jitter, and energy per window — weighted across the
 mix.  It deliberately exposes the same surface the rest of the DSE
 stack already consumes (``mix``/``size``/``opt_level``/``seed``/
-``engine``/``fidelity``/``evaluate``/``with_fidelity``), so
+``fidelity``/``evaluate``/``with_fidelity``), so
 :class:`~repro.dse.Explorer`, :class:`~repro.exec.batch.BatchEvaluator`
 memoization, service sharding and ``screen_then_rescore`` all work over
 applications unchanged.
@@ -19,11 +19,8 @@ customizes the machine against every node module of every application
 (weighted by the app's mix weight) before any window runs, through the
 kernel evaluator's :func:`~repro.dse.objectives.customized_isa`.
 
-One deliberate mapping: the ``"cycle"`` *engine* selector runs node
-windows on the threaded-code engine with statically reduced timing (the
-cycle-accurate simulator models caches per run, which the per-window
-loop does not need for screening), so the evaluator records ``engine``
-as ``"compiled"`` and both spellings share one memo key;
+Node windows always execute on the threaded-code engine (the
+functional engines are bit-identical, so the choice changes no number);
 ``fidelity="cycle"`` vs ``"trace"`` keeps its usual execute-every-window
 vs price-once meaning.
 """
@@ -158,9 +155,8 @@ class AppEvaluator:
 
     def __init__(self, mix: ApplicationMix, size: Optional[int] = None,
                  opt_level: int = 2, seed: int = 1234,
-                 engine: str = "compiled", fidelity: str = "cycle",
+                 fidelity: str = "cycle",
                  pipeline: Optional[CompilePipeline] = None) -> None:
-        validate_engine(engine, "evaluation")
         validate_engine(fidelity, "fidelity")
         self.mix = mix
         #: accepted for recipe compatibility with the kernel evaluator;
@@ -168,8 +164,6 @@ class AppEvaluator:
         self.size = size
         self.seed = seed
         self.opt_level = opt_level
-        #: the functional engine node windows actually execute on.
-        self.engine = "compiled" if engine == "cycle" else engine
         self.fidelity = fidelity
         if pipeline is not None:
             self.pipeline = pipeline
@@ -200,8 +194,7 @@ class AppEvaluator:
             return self
         return AppEvaluator(self.mix, size=self.size,
                             opt_level=self.opt_level, seed=self.seed,
-                            engine=self.engine, fidelity=fidelity,
-                            pipeline=self.pipeline)
+                            fidelity=fidelity, pipeline=self.pipeline)
 
     # ------------------------------------------------------------------
     def evaluate(self, machine: MachineDescription,
@@ -219,7 +212,7 @@ class AppEvaluator:
         for spec, weight in self.mix.applications():
             try:
                 runner = AppRunner(
-                    spec, working_machine, engine=self.engine,
+                    spec, working_machine, engine="compiled",
                     opt_level=self.opt_level, fidelity=self.fidelity,
                     pipeline=self.pipeline,
                     modules={node.name: modules[(spec.name, node.name)]

@@ -7,34 +7,19 @@ operations its own ``custom_ops`` name), runs the cycle simulator, and
 reduces the measurements to the objective metrics the paper's argument
 uses: execution time, silicon area, energy, code size, and their ratios.
 
-Two measurement engines are available (``engine=``):
+``fidelity=`` selects the timing model, the one timing axis of
+design-space evaluation:
 
 * ``"cycle"`` (default) — the cycle-accurate simulator executes the
-  scheduled code directly: exact timing including cache behaviour.
-* ``"compiled"`` — the threaded-code engine
-  (:class:`repro.exec.CompiledSimulator`) executes the kernel for the
-  value and dynamic profile, and cycles are reduced *statically* from the
-  schedule: measured block visit counts times each block's schedule
-  length, plus call and taken-branch penalties.  This matches the cycle
-  simulator except for cache-stall modelling (no i/d-cache stalls and no
-  cache access energy) and is several times faster — the screening mode
-  for large design-space sweeps.
-* ``"native"`` — same static timing reduction, but the kernel executes
-  on the generated-C engine (:class:`repro.exec.NativeSimulator`, ``.so``
-  artifacts shared through the pipeline store); degrades to
-  ``"compiled"`` with one warning when no C compiler is available.
-
-Orthogonally, ``fidelity=`` selects the timing model itself:
-
-* ``"cycle"`` (default) — per-point execution with whichever engine is
-  selected above;
+  scheduled code of every design point: exact timing including cache
+  behaviour;
 * ``"trace"`` — profile-once/estimate-many: each kernel is executed
   exactly once per (module, arguments) pair (the pipeline's ``trace``
   stage) and every design point is priced analytically by the
   :class:`repro.model.RetimingModel`, including modeled cache stalls and
   cache energy.  No per-point simulation at all — the screening mode for
-  N×M sweeps, locked to the cycle simulator by the differential harness
-  in ``tests/test_trace_model.py``.
+  large sweeps, locked to the cycle simulator by the differential
+  harness in ``tests/test_trace_model.py``.
 """
 
 from __future__ import annotations
@@ -47,11 +32,10 @@ from ..arch.machine import MachineDescription
 from ..core.customizer import IsaCustomizer
 from ..core.selection import SelectionConfig
 from ..backend.mcode import CompiledModule
-from ..exec.registry import EVALUATION_ENGINES, validate_engine
+from ..exec.registry import validate_engine
 from ..ir import Module
 from ..pipeline import CompilePipeline
 from ..sim.cycle import CycleSimulator
-from ..sim.functional import ExecutionProfile
 from ..workloads.kernels import Kernel, copy_run_args
 from ..workloads.suite import WorkloadMix
 
@@ -172,16 +156,13 @@ class Evaluator:
 
     def __init__(self, mix: WorkloadMix, size: Optional[int] = None,
                  opt_level: int = 3, seed: int = 1234,
-                 engine: str = "cycle",
                  fidelity: str = "cycle",
                  pipeline: Optional[CompilePipeline] = None) -> None:
-        validate_engine(engine, "evaluation")
         validate_engine(fidelity, "fidelity")
         self.mix = mix
         self.size = size
         self.opt_level = opt_level
         self.seed = seed
-        self.engine = engine
         self.fidelity = fidelity
         #: staged compile pipeline shared across design points (and, via
         #: the default session, across evaluators): the machine-
@@ -210,8 +191,8 @@ class Evaluator:
         if fidelity == self.fidelity:
             return self
         return Evaluator(self.mix, size=self.size, opt_level=self.opt_level,
-                         seed=self.seed, engine=self.engine,
-                         fidelity=fidelity, pipeline=self.pipeline)
+                         seed=self.seed, fidelity=fidelity,
+                         pipeline=self.pipeline)
 
     def evaluate(self, machine: MachineDescription,
                  custom_area_budget: float = 0.0) -> Evaluation:
@@ -229,20 +210,15 @@ class Evaluator:
             expected = kernel.expected(args)
             try:
                 compiled, report = self.pipeline.backend(module, working_machine)
-                run_args = copy_run_args(args)
                 code_bytes = (report.code.bytes_effective
                               if report.code is not None else 0)
                 if self.fidelity == "trace":
                     measurement = self._measure_trace(
                         kernel, weight, module, compiled, working_machine,
                         args, expected, code_bytes)
-                elif self.engine in ("compiled", "native"):
-                    measurement = self._measure_compiled(
-                        kernel, weight, module, compiled, working_machine,
-                        run_args, expected, code_bytes)
                 else:
                     simulator = CycleSimulator(compiled)
-                    result = simulator.run(kernel.entry, *run_args)
+                    result = simulator.run(kernel.entry, *copy_run_args(args))
                     measurement = KernelMeasurement(
                         kernel=kernel.name,
                         weight=weight,
@@ -276,41 +252,3 @@ class Evaluator:
             energy_uj=estimate.energy_uj, code_bytes=code_bytes,
             ipc=estimate.stats.ipc,
         )
-
-    # ------------------------------------------------------------------
-    # Functional screening engines: fast execution + static timing.
-    # ------------------------------------------------------------------
-    def _measure_compiled(self, kernel: Kernel, weight: float, module,
-                          compiled: CompiledModule, machine: MachineDescription,
-                          run_args: tuple, expected, code_bytes: int
-                          ) -> KernelMeasurement:
-        from ..exec.engine import make_functional_simulator
-
-        simulator = make_functional_simulator(
-            module, engine=self.engine, store=self.pipeline.store)
-        value = simulator.run(kernel.entry, *run_args)
-        cycles, energy_uj, ipc = reduce_schedule_timing(
-            compiled, machine, simulator.profile)
-        return KernelMeasurement(
-            kernel=kernel.name, weight=weight, cycles=cycles,
-            correct=(value == expected), energy_uj=energy_uj,
-            code_bytes=code_bytes, ipc=ipc,
-        )
-
-
-def reduce_schedule_timing(compiled: CompiledModule,
-                           machine: MachineDescription,
-                           profile: ExecutionProfile
-                           ) -> Tuple[int, float, float]:
-    """Reduce a dynamic profile over a static schedule to (cycles, uJ, ipc).
-
-    Mirrors the cycle simulator's accounting exactly except for the cache
-    models (deliberately off: the compiled engine records no address
-    stream).  One code path with trace fidelity: this is the
-    :class:`repro.model.RetimingModel` with cache modelling disabled.
-    """
-    from ..model.retime import RetimingModel
-
-    estimate = RetimingModel(model_caches=False).price(
-        compiled, machine, profile)
-    return estimate.stats.cycles, estimate.energy_uj, estimate.stats.ipc

@@ -28,8 +28,7 @@ one warning when no C compiler exists); see
 """
 
 from .registry import (
-    ENGINE_KINDS, EVALUATION_ENGINES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
-    validate_engine,
+    ENGINE_KINDS, FIDELITY_LEVELS, FUNCTIONAL_ENGINES, validate_engine,
 )
 from .batch import BatchEvaluator, BatchStats, EvaluatorSpec
 from .cache import (
@@ -48,8 +47,7 @@ from .native import (
 from .translator import TranslatedProgram, translate_module
 
 __all__ = [
-    "ENGINE_KINDS", "EVALUATION_ENGINES", "FIDELITY_LEVELS",
-    "FUNCTIONAL_ENGINES",
+    "ENGINE_KINDS", "FIDELITY_LEVELS", "FUNCTIONAL_ENGINES",
     "validate_engine",
     "BatchEvaluator", "BatchStats", "EvaluatorSpec",
     "CODE_STAGE", "module_fingerprint", "reset_global_code_cache",

@@ -13,9 +13,10 @@ and completely deterministic given the evaluator configuration.
   :class:`repro.pipeline.ArtifactStore` (the same content-addressed store
   the staged compile pipeline uses) under the ``"evaluation"`` stage,
   keyed by a SHA-256 of the full evaluation recipe (workload mix, problem
-  size, optimization level, seed, engine, design point); with a
-  :class:`~repro.service.DiskArtifactStore` as ``store``, repeated
-  explorations of the same space are nearly free even across processes.
+  size, optimization level, seed, fidelity, application mix, design
+  point); with a :class:`~repro.service.DiskArtifactStore` as ``store``,
+  repeated explorations of the same space are nearly free even across
+  processes.
 
 Worker processes are primed by fork inheritance when the platform allows
 it (the parent's evaluator, with its pre-compiled kernel IR, is reused
@@ -40,8 +41,9 @@ from ..pipeline.store import ArtifactStore, SupportsArtifactStore
 #: incompatibly (2: the memo moved into the artifact store; 3: the recipe
 #: gained the fidelity selector and evaluations carry fidelity/point
 #: fields; 4: the recipe gained the application-mix serialization so
-#: application evaluations are content-addressed).
-_CACHE_SCHEMA = 4
+#: application evaluations are content-addressed; 5: the recipe lost the
+#: engine selector, leaving fidelity the one timing axis).
+_CACHE_SCHEMA = 5
 
 #: artifact-store stage name under which evaluations are memoized.
 EVALUATION_STAGE = "evaluation"
@@ -63,7 +65,6 @@ class EvaluatorSpec:
     size: Optional[int]
     opt_level: int
     seed: int
-    engine: str
     fidelity: str = "cycle"
     #: canonical :class:`~repro.dse.app.ApplicationMix` JSON when the
     #: recipe evaluates applications (None for kernel mixes).  Carrying
@@ -74,21 +75,13 @@ class EvaluatorSpec:
 
     @staticmethod
     def from_evaluator(evaluator) -> "EvaluatorSpec":
-        fidelity = getattr(evaluator, "fidelity", "cycle")
-        engine = getattr(evaluator, "engine", "cycle")
-        if fidelity == "trace":
-            # The measurement path ignores the engine selector at trace
-            # fidelity (the profiler is always the threaded-code engine);
-            # normalize it so equivalent recipes share one cache entry.
-            engine = "compiled"
         return EvaluatorSpec(
             mix_name=evaluator.mix.name,
             weights=tuple(sorted(evaluator.mix.weights.items())),
             size=evaluator.size,
             opt_level=evaluator.opt_level,
             seed=evaluator.seed,
-            engine=engine,
-            fidelity=fidelity,
+            fidelity=getattr(evaluator, "fidelity", "cycle"),
             application=getattr(evaluator, "application_json", None),
         )
 
@@ -99,15 +92,14 @@ class EvaluatorSpec:
             mix = ApplicationMix.from_json(self.application)
             return AppEvaluator(mix, size=self.size,
                                 opt_level=self.opt_level, seed=self.seed,
-                                engine=self.engine, fidelity=self.fidelity,
-                                pipeline=pipeline)
+                                fidelity=self.fidelity, pipeline=pipeline)
         from ..dse.objectives import Evaluator
         from ..workloads.suite import WorkloadMix
 
         mix = WorkloadMix(self.mix_name, dict(self.weights))
         return Evaluator(mix, size=self.size, opt_level=self.opt_level,
-                         seed=self.seed, engine=self.engine,
-                         fidelity=self.fidelity, pipeline=pipeline)
+                         seed=self.seed, fidelity=self.fidelity,
+                         pipeline=pipeline)
 
 
 def _initialize_worker(spec: EvaluatorSpec) -> None:
@@ -208,8 +200,8 @@ class BatchEvaluator:
         """Content hash of the full evaluation recipe for ``point``."""
         recipe = (_CACHE_SCHEMA, self.spec.mix_name, self.spec.weights,
                   self.spec.size, self.spec.opt_level, self.spec.seed,
-                  self.spec.engine, self.spec.fidelity,
-                  self.spec.application, point.cache_key())
+                  self.spec.fidelity, self.spec.application,
+                  point.cache_key())
         return hashlib.sha256(repr(recipe).encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------

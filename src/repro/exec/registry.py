@@ -1,7 +1,7 @@
 """The single registry of execution-engine names.
 
 Engine strings appear at several API surfaces (``Toolchain(engine=...)``,
-``Evaluator(engine=...)``, ``run_kernel(engine=...)``); each used to
+``Evaluator(fidelity=...)``, ``run_kernel(engine=...)``); each used to
 validate them against its own private tuple.  This module is the one
 authoritative list, grouped by *kind*:
 
@@ -9,12 +9,10 @@ authoritative list, grouped by *kind*:
   the reference ``"interpreter"``, the threaded-code ``"compiled"`` and
   the generated-C ``"native"`` (which degrades to ``"compiled"`` with a
   warning when no C compiler is available);
-* ``"evaluation"`` — measurement engines of :class:`repro.dse.Evaluator`:
-  ``"cycle"`` (cycle-accurate) plus ``"compiled"``/``"native"``
-  (functional execution with statically reduced timing);
-* ``"fidelity"`` — timing-model fidelity levels: ``"cycle"`` (simulate
-  every design point) and ``"trace"`` (profile once, retime
-  analytically per point via :mod:`repro.model`).
+* ``"fidelity"`` — timing-model fidelity levels, the one timing axis of
+  design-space evaluation: ``"cycle"`` (simulate every design point) and
+  ``"trace"`` (profile once, retime analytically per point via
+  :mod:`repro.model`).
 
 Kept import-light on purpose so every layer (toolchain, dse, workloads)
 can import it without cycles.
@@ -27,15 +25,11 @@ from typing import Dict, Tuple
 #: functional-execution engines (value/profile producers).
 FUNCTIONAL_ENGINES: Tuple[str, ...] = ("interpreter", "compiled", "native")
 
-#: Evaluator measurement engines.
-EVALUATION_ENGINES: Tuple[str, ...] = ("cycle", "compiled", "native")
-
 #: timing-model fidelity levels (simulate vs. analytic retiming).
 FIDELITY_LEVELS: Tuple[str, ...] = ("cycle", "trace")
 
 ENGINE_KINDS: Dict[str, Tuple[str, ...]] = {
     "functional": FUNCTIONAL_ENGINES,
-    "evaluation": EVALUATION_ENGINES,
     "fidelity": FIDELITY_LEVELS,
 }
 

@@ -186,7 +186,7 @@ class WorkloadPopulation:
         return WorkloadMix(f"gen-{family}", {name: 1.0 for name in names})
 
     def customization_gain(self, family: str, budget: float = 32.0,
-                           engine: str = "compiled", size: Optional[int] = None,
+                           size: Optional[int] = None,
                            opt_level: int = 2, kernels_per_family: int = 3,
                            baseline=None, workers: int = 0,
                            pipeline=None) -> FamilyGain:
@@ -204,8 +204,7 @@ class WorkloadPopulation:
 
         mix = self.family_mix(family, limit=kernels_per_family)
         evaluator = Evaluator(mix, size=size, opt_level=opt_level,
-                              seed=self.seed + 1, engine=engine,
-                              pipeline=pipeline)
+                              seed=self.seed + 1, pipeline=pipeline)
         batch = BatchEvaluator(evaluator, workers=workers)
         base_point = (baseline if baseline is not None
                       else DesignPoint(issue_width=4, registers=64))
@@ -227,7 +226,7 @@ class WorkloadPopulation:
             feasible=base.feasible and custom.feasible,
         )
 
-    def report(self, budget: float = 32.0, engine: str = "compiled",
+    def report(self, budget: float = 32.0,
                size: Optional[int] = None, opt_level: int = 2,
                kernels_per_family: int = 3, workers: int = 0,
                pipeline=None) -> Dict[str, object]:
@@ -248,7 +247,7 @@ class WorkloadPopulation:
         for family in self.families():
             members = by_family.get(family, [])
             gain = self.customization_gain(
-                family, budget=budget, engine=engine, size=size,
+                family, budget=budget, size=size,
                 opt_level=opt_level, kernels_per_family=kernels_per_family,
                 workers=workers, pipeline=pipeline)
             count = max(1, len(members))

@@ -12,10 +12,10 @@ accounting term by term:
 * operation counts, NOP slots, spill/copy/custom counts — reduced from
   the schedule × visit counts (*exact*);
 * d-cache stalls — the trace's recorded address stream replayed through
-  the machine's cache model (memoized per cache geometry, so a sweep
-  replays once per distinct d-cache, not once per design point), plus an
-  analytic term for spill traffic (*approximate*: scheduled access order
-  may differ from trace order);
+  the machine's cache model (memoized per cache geometry in an artifact
+  store, so a sweep replays once per distinct d-cache, not once per
+  design point), plus an analytic term for spill traffic
+  (*approximate*: scheduled access order may differ from trace order);
 * i-cache stalls — cold-miss analysis over the exact code layout the
   cycle simulator uses, with a first-order conflict surcharge when the
   executed footprint exceeds cache capacity (*approximate*);
@@ -41,6 +41,7 @@ from ..arch.power import EnergyModel, custom_pj, operation_pj
 from ..backend.mcode import CompiledModule
 from ..ir import Opcode
 from ..obs import global_tracer
+from ..pipeline.store import ArtifactStore
 from ..sim.cache import Cache, CacheStatistics
 from ..sim.cycle import CycleStatistics, SimulationResult, code_layout
 
@@ -89,37 +90,29 @@ class RetimingModel:
     """Prices (compiled module, machine) pairs against kernel traces.
 
     One model instance can serve an entire design-space sweep: d-cache
-    replays are memoized per (trace, cache geometry) — in the supplied
-    :class:`~repro.pipeline.store.ArtifactStore` when one is given (so
-    sweeps sharing a session store share replays), or privately
-    otherwise.
+    replays are memoized per (trace, cache geometry) in ``store`` (so
+    sweeps sharing a session store share replays), or in an unbounded
+    store of the model's own when none is given.
     """
 
     def __init__(self, store=None, model_caches: bool = True) -> None:
-        self.store = store
+        self.store = store if store is not None else ArtifactStore(
+            capacity=None)
         self.model_caches = model_caches
-        self._replays: Dict[Tuple[str, str], Tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
     # D-cache replay memo.
     # ------------------------------------------------------------------
     def _dcache_counts(self, trace, config: CacheConfig) -> Tuple[int, int]:
         fingerprint = getattr(trace, "fingerprint", "") or ""
-        key = (fingerprint, _cache_geometry_key(config))
         if not fingerprint:
             return _replay_dcache(trace.memory_accesses, config)
-        cached = self._replays.get(key)
-        if cached is not None:
-            return cached
-        if self.store is not None:
-            artifact = self.store.get(REPLAY_STAGE, "|".join(key))
-            if artifact is not None:
-                self._replays[key] = artifact.payload
-                return artifact.payload
+        key = f"{fingerprint}|{_cache_geometry_key(config)}"
+        artifact = self.store.get(REPLAY_STAGE, key)
+        if artifact is not None:
+            return artifact.payload
         counts = _replay_dcache(trace.memory_accesses, config)
-        self._replays[key] = counts
-        if self.store is not None:
-            self.store.put(REPLAY_STAGE, "|".join(key), counts)
+        self.store.put(REPLAY_STAGE, key, counts)
         return counts
 
     # ------------------------------------------------------------------

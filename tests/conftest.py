@@ -46,13 +46,13 @@ def kernel_module():
 
 @pytest.fixture
 def medical_evaluator():
-    """Factory for the small compiled-engine evaluator the batch-layer
+    """Factory for the small trace-fidelity evaluator the batch-layer
     tests share: the "medical" mix at size 8."""
     from repro.dse import Evaluator
     from repro.workloads import get_mix
 
     def build(**kwargs):
-        return Evaluator(get_mix("medical"), size=8, engine="compiled",
+        return Evaluator(get_mix("medical"), size=8, fidelity="trace",
                          **kwargs)
 
     return build

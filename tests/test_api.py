@@ -474,8 +474,7 @@ class TestSubmitEquivalence:
                 size=24, opt_level=2, seed=1234, engine="cycle",
                 space=axes)).result()
         evaluator = Evaluator(get_mix("video"), size=24, opt_level=2,
-                              seed=1234, engine="cycle",
-                              pipeline=CompilePipeline())
+                              seed=1234, pipeline=CompilePipeline())
         explorer = Explorer(evaluator, objective="performance")
         result = explorer.exhaustive(DesignSpace(
             **{axis: tuple(choices) for axis, choices in axes.items()}))
@@ -508,12 +507,42 @@ class TestSubmitEquivalence:
         population = WorkloadPopulation.generate(3, seed=11,
                                                  families=["reduction"])
         with population:
-            report = population.report(budget=16.0, engine="compiled",
+            report = population.report(budget=16.0,
                                        opt_level=2, kernels_per_family=3,
                                        pipeline=CompilePipeline())
         assert response.valid == 3
         assert response.report == report
         assert response.families == ["reduction"]
+
+
+class TestEngineFieldSelectsNothing:
+    """``fidelity`` is the one timing axis: the ``engine`` field that
+    explore and population requests still carry changes no number."""
+
+    def test_population_engine_changes_no_gain(self):
+        responses = {}
+        for engine in ("compiled", "cycle"):
+            with Session() as session:
+                responses[engine] = session.execute(PopulationRequest(
+                    count=10, seed=1, engine=engine,
+                    validate_population=False))
+        assert (responses["compiled"].report["families"]
+                == responses["cycle"].report["families"])
+        for response in responses.values():
+            assert response.provenance.engine == "cycle"
+
+    def test_explore_engine_changes_no_row(self):
+        responses = {}
+        for engine in ("compiled", "cycle"):
+            with Session() as session:
+                responses[engine] = session.execute(ExploreRequest(
+                    mix="medical", size=8, engine=engine, fidelity="cycle",
+                    space={"issue_widths": [1, 4], "register_counts": [32],
+                           "cluster_counts": [1], "mul_unit_counts": [1],
+                           "mem_unit_counts": [1]}))
+        assert responses["compiled"].rows == responses["cycle"].rows
+        for response in responses.values():
+            assert response.engine == "cycle"
 
 
 class TestJobs:

@@ -248,7 +248,7 @@ class TestAppEvaluator:
 
     def test_evaluate_produces_real_time_metrics(self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
+        evaluator = AppEvaluator(mix, fidelity="trace",
                                  pipeline=api_session.pipeline)
         evaluation = evaluator.evaluate(vliw4())
         assert isinstance(evaluation, AppEvaluation)
@@ -266,10 +266,10 @@ class TestAppEvaluator:
         fan_in = seeded_application("fan_in")
         heavy_chain = AppEvaluator(
             ApplicationMix("m", [(chain, 10.0), (fan_in, 1.0)]),
-            engine="compiled", pipeline=api_session.pipeline).evaluate(vliw4())
+            fidelity="trace", pipeline=api_session.pipeline).evaluate(vliw4())
         heavy_fan = AppEvaluator(
             ApplicationMix("m", [(chain, 1.0), (fan_in, 10.0)]),
-            engine="compiled", pipeline=api_session.pipeline).evaluate(vliw4())
+            fidelity="trace", pipeline=api_session.pipeline).evaluate(vliw4())
         chain_p99 = next(r["p99_us"] for r in heavy_chain.app_rows
                          if r["application"] == chain.name)
         fan_p99 = next(r["p99_us"] for r in heavy_chain.app_rows
@@ -280,7 +280,7 @@ class TestAppEvaluator:
     def test_evaluator_spec_round_trip_rebuilds_app_evaluator(
             self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
+        evaluator = AppEvaluator(mix, fidelity="trace",
                                  pipeline=api_session.pipeline)
         spec = EvaluatorSpec.from_evaluator(evaluator)
         assert spec.application == mix.to_json()
@@ -302,15 +302,19 @@ class TestAppEvaluator:
             for mix in mixes}
         assert len(keys) == 2
 
-    def test_cycle_and_compiled_engines_share_one_cache_key(
-            self, api_session):
-        # Both selectors run node windows on the threaded-code engine.
+    def test_cycle_and_trace_fidelities_key_apart(self, api_session):
+        # Fidelity is the one timing axis of the recipe: the two runs
+        # price windows differently, so they must not share a memo entry.
         point = next(iter(DesignSpace.small().points()))
         mix = ApplicationMix.single(seeded_application("chain"))
-        keys = {BatchEvaluator(AppEvaluator(
-            mix, engine=engine, pipeline=api_session.pipeline)).point_key(point)
-            for engine in ("cycle", "compiled")}
-        assert len(keys) == 1
+        evaluators = [AppEvaluator(mix, fidelity=fidelity,
+                                   pipeline=api_session.pipeline)
+                      for fidelity in ("cycle", "trace")]
+        keys = {BatchEvaluator(e).point_key(point) for e in evaluators}
+        assert len(keys) == 2
+        rebuilt = EvaluatorSpec.from_evaluator(evaluators[1]).build(
+            pipeline=api_session.pipeline)
+        assert rebuilt.fidelity == "trace"
 
 
 class TestRealTimeObjectives:
@@ -331,8 +335,9 @@ class TestRealTimeObjectives:
                             mem_unit_counts=(1, 2), custom_budgets=(0.0,))
         winners = {}
         for objective in ("performance", "deadline_miss_rate"):
-            evaluator = AppEvaluator(mix, engine="compiled",
-                                     pipeline=api_session.pipeline)
+            # Cycle fidelity: the miss rate needs every window executed
+            # (trace fidelity prices one worst-case window for all).
+            evaluator = AppEvaluator(mix, pipeline=api_session.pipeline)
             explorer = Explorer(evaluator, objective=objective,
                                 batch=api_session.batch_evaluator(evaluator))
             winners[objective] = explorer.exhaustive(space).best.machine.name
@@ -340,7 +345,7 @@ class TestRealTimeObjectives:
 
     def test_p99_and_energy_objectives_score_every_point(self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
+        evaluator = AppEvaluator(mix, fidelity="trace",
                                  pipeline=api_session.pipeline)
         space = DesignSpace(issue_widths=(1, 4), register_counts=(32,),
                             cluster_counts=(1,), mul_unit_counts=(1,),

@@ -240,22 +240,6 @@ class TestEngineSelector:
         results = validate_suite(["dot_product", "histogram"], engine="compiled")
         assert all(results.values())
 
-    def test_evaluator_engine_validation(self):
-        with pytest.raises(ValueError):
-            Evaluator(get_mix("medical"), size=8, engine="warp")
-
-    def test_evaluator_compiled_engine_is_consistent(self):
-        mix = get_mix("medical")
-        cycle = Evaluator(mix, size=12).evaluate(DesignPoint().to_machine())
-        compiled = Evaluator(mix, size=12, engine="compiled").evaluate(
-            DesignPoint().to_machine())
-        assert cycle.feasible and compiled.feasible
-        assert compiled.total_code_bytes == cycle.total_code_bytes
-        # The compiled engine omits cache stalls, so its cycle count is a
-        # lower bound on the cycle-accurate count — but of the same scale.
-        assert 0 < compiled.weighted_cycles <= cycle.weighted_cycles
-        assert compiled.weighted_cycles > 0.5 * cycle.weighted_cycles
-
 
 class TestBatchEvaluator:
     @pytest.fixture(autouse=True)
@@ -302,7 +286,7 @@ class TestBatchEvaluator:
 
 class TestExplorerBatching:
     def _explorer(self, **kwargs):
-        evaluator = Evaluator(get_mix("medical"), size=8, engine="compiled")
+        evaluator = Evaluator(get_mix("medical"), size=8, fidelity="trace")
         return Explorer(evaluator, **kwargs)
 
     def _space(self):

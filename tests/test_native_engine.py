@@ -55,9 +55,7 @@ from repro.exec import cache as cache_module
 from repro.exec import native as native_module
 from repro.exec.native import CC_ENV, NativeCompileError
 from repro.exec.nativegen import render_c_program
-from repro.exec.registry import (
-    EVALUATION_ENGINES, FUNCTIONAL_ENGINES,
-)
+from repro.exec.registry import FUNCTIONAL_ENGINES
 from repro.frontend import compile_c
 from repro.ir import Function, Module, Opcode, VirtualRegister
 from repro.ir.instructions import branch, custom, jump, move, ret
@@ -775,7 +773,6 @@ class TestFreestandingPrelude:
 class TestEnginePlumbing:
     def test_registry_includes_native(self):
         assert "native" in FUNCTIONAL_ENGINES
-        assert "native" in EVALUATION_ENGINES
 
     def test_run_request_accepts_native_and_batch(self):
         from repro.api.requests import RunRequest

@@ -17,9 +17,7 @@ from repro.arch.machine import CustomOperation
 from repro.arch.operations import OperationClass
 from repro.backend.asm import encode_module
 from repro.dse import DesignPoint, DesignSpace, Evaluator
-from repro.exec import (
-    EVALUATION_ENGINES, FUNCTIONAL_ENGINES, BatchEvaluator, validate_engine,
-)
+from repro.exec import FUNCTIONAL_ENGINES, BatchEvaluator, validate_engine
 from repro.exec.cache import module_fingerprint
 from repro.opt import PassManager, optimize
 from repro.opt import pipeline as opt_pipeline
@@ -337,7 +335,7 @@ class TestSweepSharing:
         mix = get_mix("medical")
         n_kernels = len(mix.names())
         pipeline = CompilePipeline()
-        evaluator = Evaluator(mix, size=8, engine="compiled",
+        evaluator = Evaluator(mix, size=8, fidelity="trace",
                               pipeline=pipeline)
         for point in points:
             evaluation = evaluator.evaluate(point.to_machine())
@@ -352,7 +350,7 @@ class TestSweepSharing:
         assert backend.misses == len(points) * n_kernels
         assert backend.hits == 0
         # A second sweep over the same space is compile-free.
-        warm = Evaluator(mix, size=8, engine="compiled", pipeline=pipeline)
+        warm = Evaluator(mix, size=8, fidelity="trace", pipeline=pipeline)
         for point in points[:5]:
             warm.evaluate(point.to_machine())
         assert pipeline.store.stats("optimize").hits == n_kernels
@@ -382,15 +380,14 @@ class TestSweepSharing:
 class TestEngineRegistry:
     def test_registry_contents(self):
         assert "interpreter" in FUNCTIONAL_ENGINES
-        assert "cycle" in EVALUATION_ENGINES
         assert validate_engine("compiled") == "compiled"
-        assert validate_engine("cycle", "evaluation") == "cycle"
+        assert validate_engine("trace", "fidelity") == "trace"
 
     def test_unknown_engine_raises(self):
         with pytest.raises(ValueError, match="unknown engine"):
             validate_engine("quantum")
         with pytest.raises(ValueError, match="unknown engine"):
-            validate_engine("interpreter", "evaluation")
+            validate_engine("interpreter", "fidelity")
         with pytest.raises(KeyError):
             validate_engine("cycle", "nonsense")
 
@@ -398,7 +395,7 @@ class TestEngineRegistry:
         with pytest.raises(ValueError, match="unknown engine"):
             Toolchain(vliw4(), engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
-            Evaluator(get_mix("medical"), size=8, engine="warp")
+            Evaluator(get_mix("medical"), size=8, fidelity="warp")
 
 
 # ----------------------------------------------------------------------

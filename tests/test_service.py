@@ -584,8 +584,7 @@ class TestTasksAndWorker:
             "mix_name": batch.spec.mix_name,
             "weights": [list(p) for p in batch.spec.weights],
             "size": batch.spec.size, "opt_level": batch.spec.opt_level,
-            "seed": batch.spec.seed, "engine": batch.spec.engine,
-            "fidelity": batch.spec.fidelity,
+            "seed": batch.spec.seed, "fidelity": batch.spec.fidelity,
         }))
         result = runtime.execute({
             "task": "evaluate", "spec": spec,

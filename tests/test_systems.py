@@ -264,7 +264,7 @@ class TestConcurrentCustomization:
 
     def test_two_threads_match_serial_evaluations(self):
         evaluator = Evaluator(get_mix("video"), size=16, opt_level=2,
-                              engine="compiled")
+                              fidelity="trace")
         points = [DesignPoint(issue_width=width, registers=registers,
                               custom_area_budget=40.0)
                   for width in (1, 2, 4) for registers in (32, 64)]

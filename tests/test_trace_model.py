@@ -29,6 +29,7 @@ from repro.dse import DesignPoint, DesignSpace
 from repro.model import (
     TRACE_CYCLE_TOLERANCE, KernelTrace, RetimingModel, capture_trace,
 )
+from repro.model.retime import REPLAY_STAGE
 from repro.sim.cycle import CycleSimulator
 from repro.toolchain import run_matrix
 from repro.workloads import KERNELS, get_kernel
@@ -204,6 +205,24 @@ class TestRetimingProperties:
         assert first.energy_uj == second.energy_uj
         assert first.stats == second.stats
         assert first.error_bound_cycles == second.error_bound_cycles
+
+    def test_model_without_store_replays_each_geometry_once(
+            self, api_session):
+        """A store-less model memoizes d-cache replays in its own store."""
+        kernel = get_kernel("histogram")
+        machine = get_preset("vliw4")
+        pipeline = api_session.pipeline
+        module, _ = pipeline.front(kernel.source, kernel.name, opt_level=2)
+        compiled, _report = pipeline.backend(module, machine)
+        trace, _record = pipeline.trace(module, kernel.entry,
+                                        kernel.arguments(SIZE, seed=SEED))
+        model = RetimingModel()
+        first = model.price(compiled, machine, trace)
+        second = model.price(compiled, machine, trace)
+        stats = model.store.stats(REPLAY_STAGE)
+        assert (stats.puts, stats.hits) == (1, 1)
+        assert first.cycles == second.cycles
+        assert first.stats == second.stats
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
