@@ -5,7 +5,8 @@ possible" so that architectures can be explored per application.  This
 benchmark measures what the `repro.exec` subsystem buys, tier by tier:
 for a slice of the kernel suite it times
 
-* the reference interpreter (:class:`FunctionalSimulator`);
+* the reference interpreter (:class:`FunctionalSimulator`), whose
+  per-kernel ms is also gated on its own, banded;
 * the threaded-code engine (:class:`CompiledSimulator`), cold
   (translation included) and warm (the translation served by the
   ``exec.code`` stage of an artifact store);
@@ -301,6 +302,11 @@ def test_e9_execution_tiers(benchmark, pytestconfig):
         "mean_warm_speedup": bench_metric(summary["mean_warm_speedup"],
                                           band=4.0),
     }
+    # The interpreter's own speed, absolute: the ratios above move when
+    # either side does, so they cannot pin a regression on one tier.
+    for row in rows:
+        metrics[f"interp_ms.{row['kernel']}"] = bench_metric(
+            row["interp_ms"], direction="lower", band=4.0, slack=2.0)
     if has_native:
         metrics["best_native_speedup"] = bench_metric(
             summary["best_native_speedup"], band=4.0,

@@ -23,7 +23,7 @@ For each basic block it:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..arch.machine import MachineDescription
 from ..arch.operations import OperationClass
@@ -145,25 +145,34 @@ def _make_spill_ops(count_loads: int, count_stores: int,
 # List scheduling.
 # ----------------------------------------------------------------------
 
-def _edge_ready_time(kind: str, producer_issue: int, producer_latency: int) -> int:
-    """Earliest issue cycle of a consumer given one incoming edge."""
+def _edge_delay(kind: str, producer_latency: int) -> int:
+    """Cycles from a producer's issue to the earliest issue of a consumer
+    along one edge."""
     if kind == "flow":
-        return producer_issue + producer_latency
+        return producer_latency
     if kind == "anti":
-        return producer_issue          # may issue in the same cycle
-    return producer_issue + 1          # output / memory / order / barrier
+        return 0                       # may issue in the same cycle
+    return 1                           # output / memory / order / barrier
 
 
 def schedule_block(block: BasicBlock, machine: MachineDescription,
                    spill_plan: Optional[SpillPlan] = None
                    ) -> Tuple[ScheduledBlock, ScheduleStatistics]:
-    """List-schedule one basic block for ``machine``."""
+    """List-schedule one basic block for ``machine``.
+
+    The ready list is kept incrementally: each op counts its unissued
+    predecessors and carries its earliest issue cycle.  An op's
+    successors are released when the cycle it issued in closes, so an op
+    is ready only from the cycle after its last predecessor issued, even
+    along an ``anti`` edge.  Ready ops issue in decreasing critical-path
+    height, ties in block order.
+    """
     stats = ScheduleStatistics(blocks=1)
     dfg = build_dataflow_graph(block, include_terminator=True)
 
+    instructions = block.instructions
     ops: List[MachineOp] = [select_instruction(inst, machine)
-                            for inst in block.instructions]
-    by_inst: Dict[int, MachineOp] = {id(op.inst): op for op in ops}
+                            for inst in instructions]
 
     copies = assign_clusters(ops, dfg, machine)
     stats.copies_inserted += copies
@@ -186,87 +195,107 @@ def schedule_block(block: BasicBlock, machine: MachineDescription,
         copy_inst.annotations["xcopy"] = True
         copy_ops.append(MachineOp(copy_inst, OperationClass.IALU,
                                   max(1, machine.intercluster_latency), is_copy=True))
+    pending_extra = extra_ops + copy_ops
 
-    # Priority: critical-path height (longest latency path to any leaf).
-    height: Dict[int, int] = {}
-    for inst in reversed(block.instructions):
-        latency = by_inst[id(inst)].latency
-        height[id(inst)] = max(
-            (height[id(succ)] + (latency if kind == "flow" else 1)
-             for succ, kind in dfg.successors[inst].items()), default=0)
+    # From here on an op is its position in the block.
+    count = len(instructions)
+    position = {inst: i for i, inst in enumerate(instructions)}
+    successors = [[(position[succ], _edge_delay(kind, op.latency))
+                   for succ, kind in dfg.successors[inst].items()]
+                  for inst, op in zip(instructions, ops)]
+    waiting = [len(dfg.predecessors[inst]) for inst in instructions]
+    # Priority: critical-path height (longest latency path to any leaf);
+    # ``rank`` orders ops by decreasing height, ties in block order.
+    height = [0] * count
+    for i in reversed(range(count)):
+        latency = ops[i].latency
+        height[i] = max(
+            (height[position[succ]] + (latency if kind == "flow" else 1)
+             for succ, kind in dfg.successors[instructions[i]].items()),
+            default=0)
+    rank = [0] * count
+    for order, i in enumerate(sorted(range(count),
+                                     key=lambda i: (-height[i], i))):
+        rank[i] = order
 
     terminator = block.terminator
-    unscheduled: Set[int] = {id(inst) for inst in block.instructions}
-    issue_cycle: Dict[int, int] = {}
-    pending_extra = list(extra_ops) + list(copy_ops)
+    last = position[terminator] if terminator is not None else -1
+    earliest = [0] * count
+    candidates = [i for i in range(count) if not waiting[i]]
+    remaining = count
+    # Slot accounting runs on class indices: an Enum member hashes through
+    # a Python-level __hash__, so each op's class is looked up once here.
+    slot_index: Dict[OperationClass, int] = {}
+    for op in ops + pending_extra:
+        slot_index.setdefault(op.op_class, len(slot_index))
+    limits = [machine.slots_for(op_class) for op_class in slot_index]
+    slot = [slot_index[op.op_class] for op in ops]
+    pending = [(op, slot_index[op.op_class]) for op in pending_extra]
+    issue_width = machine.issue_width
+    cluster_width = machine.cluster_issue_width
 
     bundles: List[Bundle] = []
     cycle = 0
-    max_cycles_guard = 10 * (len(ops) + len(pending_extra)) + 64
+    max_cycles_guard = 10 * (len(ops) + len(pending)) + 64
 
-    while unscheduled or pending_extra:
+    while remaining or pending:
         if cycle > max_cycles_guard:
             raise RuntimeError(
                 f"scheduler failed to converge on block {block.name} "
                 f"for machine {machine.name}"
             )
         bundle = Bundle()
-        used_slots: Dict[OperationClass, int] = {}
+        used_slots = [0] * len(limits)
         used_per_cluster: Dict[int, int] = {}
         total_issued = 0
 
-        def can_issue(op: MachineOp) -> bool:
-            if total_issued >= machine.issue_width:
-                return False
-            if used_per_cluster.get(op.cluster, 0) >= machine.cluster_issue_width:
-                return False
-            limit = machine.slots_for(op.op_class)
-            if used_slots.get(op.op_class, 0) >= limit:
-                return False
-            return True
-
-        # Ready real operations, highest priority first.
-        ready: List[Instruction] = []
-        for inst in block.instructions:
-            if id(inst) not in unscheduled:
+        # Ready real operations, highest priority first; the terminator
+        # goes in the final bundle.
+        ready = [i for i in candidates
+                 if earliest[i] <= cycle and (i != last or remaining == 1)]
+        ready.sort(key=rank.__getitem__)
+        issued: List[int] = []
+        for i in ready:
+            if total_issued >= issue_width:
+                break
+            op = ops[i]
+            if used_per_cluster.get(op.cluster, 0) >= cluster_width:
                 continue
-            if inst is terminator and len(unscheduled) > 1:
-                continue  # the terminator goes in the final bundle
-            earliest = 0
-            blocked = False
-            for pred, kind in dfg.predecessors[inst].items():
-                if id(pred) in unscheduled:
-                    blocked = True
-                    break
-                pred_op = by_inst[id(pred)]
-                earliest = max(earliest, _edge_ready_time(
-                    kind, issue_cycle[id(pred)], pred_op.latency))
-            if not blocked and earliest <= cycle:
-                ready.append(inst)
-        ready.sort(key=lambda inst: -height[id(inst)])
-
-        for inst in ready:
-            op = by_inst[id(inst)]
-            if not can_issue(op):
+            k = slot[i]
+            if used_slots[k] >= limits[k]:
                 continue
             bundle.ops.append(op)
-            issue_cycle[id(inst)] = cycle
-            unscheduled.discard(id(inst))
-            used_slots[op.op_class] = used_slots.get(op.op_class, 0) + 1
+            issued.append(i)
+            used_slots[k] += 1
             used_per_cluster[op.cluster] = used_per_cluster.get(op.cluster, 0) + 1
             total_issued += 1
 
         # Fill remaining slots with spill/copy traffic.
-        still_pending: List[MachineOp] = []
-        for op in pending_extra:
-            if can_issue(op):
+        still_pending: List[Tuple[MachineOp, int]] = []
+        for op, k in pending:
+            if (total_issued < issue_width
+                    and used_per_cluster.get(op.cluster, 0) < cluster_width
+                    and used_slots[k] < limits[k]):
                 bundle.ops.append(op)
-                used_slots[op.op_class] = used_slots.get(op.op_class, 0) + 1
+                used_slots[k] += 1
                 used_per_cluster[op.cluster] = used_per_cluster.get(op.cluster, 0) + 1
                 total_issued += 1
             else:
-                still_pending.append(op)
-        pending_extra = still_pending
+                still_pending.append((op, k))
+        pending = still_pending
+
+        # The cycle closes: release the successors of what issued.
+        if issued:
+            remaining -= len(issued)
+            taken = set(issued)
+            candidates = [i for i in candidates if i not in taken]
+            for i in issued:
+                for succ, delay in successors[i]:
+                    if cycle + delay > earliest[succ]:
+                        earliest[succ] = cycle + delay
+                    waiting[succ] -= 1
+                    if not waiting[succ]:
+                        candidates.append(succ)
 
         bundles.append(bundle)
         cycle += 1

@@ -198,7 +198,13 @@ class Evaluator:
                  custom_area_budget: float = 0.0) -> Evaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA first."""
         evaluation = Evaluation(machine=machine, fidelity=self.fidelity)
-        modules = {name: module.clone() for name, module in self._modules.items()}
+        # Only customization rewrites modules in place; the backend stage
+        # compiles its own snapshot, so an uncustomized point reads the
+        # evaluator's modules directly.
+        modules = self._modules
+        if custom_area_budget > 0.0:
+            modules = {name: module.clone()
+                       for name, module in modules.items()}
         weighted = [(modules[kernel.name], weight)
                     for kernel, weight in self.mix.kernels()]
 

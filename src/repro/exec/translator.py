@@ -106,7 +106,8 @@ def _getter(access: _Access) -> Callable:
 
 # ----------------------------------------------------------------------
 # Opcode semantics, expressed as plain binary/unary Python functions that
-# mirror FunctionalSimulator._execute case by case.
+# mirror the reference interpreter's handlers (repro.sim.functional)
+# case by case.
 # ----------------------------------------------------------------------
 
 def _div(a, b):

@@ -9,9 +9,8 @@ custom-fit argument needs.
 Static features come from the optimized IR (:mod:`repro.ir.dataflow`
 dependence graphs): opcode histograms, memory/branch densities and a
 critical-path ILP bound per block.  Dynamic features come from an
-:class:`~repro.sim.functional.ExecutionProfile` gathered by either
-functional engine: instruction counts, load/store fractions and
-branch-taken behaviour.
+:class:`~repro.sim.functional.ExecutionProfile` of one functional run:
+instruction counts, load/store fractions and branch-taken behaviour.
 """
 
 from __future__ import annotations
@@ -166,14 +165,17 @@ def dynamic_features(profile: ExecutionProfile) -> DynamicFeatures:
 
 
 def characterize_kernel(generated, size: Optional[int] = None, seed: int = 1234,
-                        opt_level: int = 2, engine: str = "interpreter",
+                        opt_level: int = 2,
                         pipeline=None) -> WorkloadCharacterization:
     """Compile, run and characterize one :class:`GeneratedKernel`.
 
     The module is compiled through the staged pipeline (the default
-    session's unless ``pipeline`` is passed), run once on ``engine`` against
-    the kernel's oracle (a mismatch raises), and reduced to one
-    :class:`WorkloadCharacterization`.
+    session's unless ``pipeline`` is passed), run once against the
+    kernel's oracle (a mismatch raises), and reduced to one
+    :class:`WorkloadCharacterization`.  The run uses the compiled
+    (threaded-code) engine with its translations in the pipeline's
+    store; its profile is bit-identical to the reference interpreter's,
+    which :meth:`WorkloadPopulation.validate` cross-checks.
     """
     from ..api.session import default_pipeline
     from ..exec.engine import make_functional_simulator
@@ -184,7 +186,8 @@ def characterize_kernel(generated, size: Optional[int] = None, seed: int = 1234,
                                       opt_level=opt_level)
     args = kernel.arguments(size, seed=seed)
     expected = kernel.expected(args)
-    simulator = make_functional_simulator(module, engine=engine)
+    simulator = make_functional_simulator(module, engine="compiled",
+                                          store=pipeline.store)
     run_args = tuple(list(a) if isinstance(a, list) else a for a in args)
     value = simulator.run(kernel.entry, *run_args)
     if value != expected:

@@ -161,11 +161,10 @@ class WorkloadPopulation:
         return results
 
     def characterize_all(self, size: Optional[int] = None, seed: int = 1234,
-                         opt_level: int = 2, engine: str = "interpreter",
+                         opt_level: int = 2,
                          pipeline=None) -> List[WorkloadCharacterization]:
         return [characterize_kernel(gk, size=size, seed=seed,
-                                    opt_level=opt_level, engine=engine,
-                                    pipeline=pipeline)
+                                    opt_level=opt_level, pipeline=pipeline)
                 for gk in self.generated]
 
     def family_mix(self, family: str, limit: Optional[int] = None,

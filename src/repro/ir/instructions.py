@@ -166,11 +166,16 @@ class Instruction:
     # ------------------------------------------------------------------
     # Classification helpers.
     # ------------------------------------------------------------------
+    # The predicates below compare by identity: an Enum member hashes
+    # through a Python-level __hash__, so a frozenset test costs more.
     def is_terminator(self) -> bool:
-        return self.opcode in TERMINATOR_OPCODES
+        op = self.opcode
+        return op is Opcode.JUMP or op is Opcode.BRANCH or op is Opcode.RETURN
 
     def has_side_effects(self) -> bool:
-        return self.opcode in SIDE_EFFECT_OPCODES
+        op = self.opcode
+        return (op is Opcode.STORE or op is Opcode.CALL or op is Opcode.RETURN
+                or op is Opcode.JUMP or op is Opcode.BRANCH)
 
     def is_pure(self) -> bool:
         """True if the instruction can be removed when its result is dead."""
@@ -191,7 +196,8 @@ class Instruction:
                             if value is not None))
 
     def is_memory(self) -> bool:
-        return self.opcode in (Opcode.LOAD, Opcode.STORE)
+        op = self.opcode
+        return op is Opcode.LOAD or op is Opcode.STORE
 
     # ------------------------------------------------------------------
     # Operand management.

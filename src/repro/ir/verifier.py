@@ -1,9 +1,10 @@
 """IR verifier: structural well-formedness checks.
 
-The verifier is run after the front end, after every optimization pass in
-debug/test configurations, and before the back end.  It catches the classes
-of bug that otherwise show up as baffling mis-schedules or simulator
-divergence much later in the pipeline.
+The verifier is run after the front end, after every optimization pass
+(``OptimizeStage`` verifies after each pass in every configuration), and
+before the back end.  It catches the classes of bug that otherwise show
+up as baffling mis-schedules or simulator divergence much later in the
+pipeline.
 """
 
 from __future__ import annotations
@@ -51,9 +52,106 @@ _REQUIRES_DEST = {
     )
 }
 
+#: Opcodes that must not define a destination register.
+_FORBIDS_DEST = (Opcode.STORE, Opcode.JUMP, Opcode.BRANCH, Opcode.RETURN)
+
+#: Exact target counts of the control transfers that take targets.
+_TARGET_COUNTS = {Opcode.JUMP: 1, Opcode.BRANCH: 2}
+
+_OPERAND_TYPES = (VirtualRegister, Constant, GlobalVariable, UndefValue,
+                  Argument)
+
+#: id(opcode) -> (operand count or None, destination required (True),
+#: forbidden (False) or either (None), target count or None).  Keyed by
+#: id: Enum members are singletons, and an Enum member hashes through a
+#: Python-level __hash__.
+_SHAPES = {
+    id(op): (count,
+             True if op in _REQUIRES_DEST
+             else False if op in _FORBIDS_DEST else None,
+             _TARGET_COUNTS.get(op))
+    for op, count in _OPERAND_COUNTS.items()
+}
+
+
+def _well_formed(inst, block, is_last: bool, block_set) -> bool:
+    """True when ``inst`` has its block link and :func:`_instruction_errors`
+    would report nothing."""
+    if inst.block is not block:
+        return False
+    opcode = inst.opcode
+    shape = _SHAPES.get(id(opcode))
+    if shape is None:
+        return False
+    count, dest_rule, target_count = shape
+    operands = inst.operands
+    if count is not None and len(operands) != count:
+        return False
+    if dest_rule is not None and (inst.dest is not None) is not dest_rule:
+        return False
+    targets = inst.targets
+    if target_count is not None:
+        if len(targets) != target_count or not is_last:
+            return False
+    elif opcode is Opcode.RETURN:
+        if not is_last:
+            return False
+    elif opcode is Opcode.CALL:
+        if not inst.callee:
+            return False
+    elif opcode is Opcode.CUSTOM and not inst.custom_op:
+        return False
+    for target in targets:
+        if target not in block_set:
+            return False
+    for operand in operands:
+        if not isinstance(operand, _OPERAND_TYPES):
+            return False
+    return True
+
+
+def _instruction_errors(label: str, inst, is_last: bool,
+                        block_set) -> List[str]:
+    """Every invariant ``inst`` violates, in a fixed order."""
+    errors: List[str] = []
+    if inst.is_terminator() and not is_last:
+        errors.append(f"{label}: terminator is not the last instruction")
+
+    expected = _OPERAND_COUNTS.get(inst.opcode)
+    if expected is not None and len(inst.operands) != expected:
+        errors.append(
+            f"{label}: expects {expected} operands, has {len(inst.operands)}"
+        )
+    if inst.opcode in _REQUIRES_DEST and inst.dest is None:
+        errors.append(f"{label}: missing destination register")
+    if inst.opcode in _FORBIDS_DEST and inst.dest is not None:
+        errors.append(f"{label}: must not define a destination register")
+
+    if inst.opcode is Opcode.JUMP and len(inst.targets) != 1:
+        errors.append(f"{label}: jump needs exactly one target")
+    if inst.opcode is Opcode.BRANCH and len(inst.targets) != 2:
+        errors.append(f"{label}: branch needs exactly two targets")
+    if inst.opcode is Opcode.CALL and not inst.callee:
+        errors.append(f"{label}: call without a callee name")
+    if inst.opcode is Opcode.CUSTOM and not inst.custom_op:
+        errors.append(f"{label}: custom op without a name")
+    for target in inst.targets:
+        if target not in block_set:
+            errors.append(
+                f"{label}: branch target {target.name} not in function"
+            )
+    for op in inst.operands:
+        if not isinstance(op, _OPERAND_TYPES):
+            errors.append(f"{label}: invalid operand {op!r}")
+    return errors
+
 
 def verify_function(function: Function) -> List[str]:
-    """Return a list of invariant violations (empty when well formed)."""
+    """Return a list of invariant violations (empty when well formed).
+
+    Each instruction gets one combined check; the per-invariant checks
+    and their messages run only for an instruction that fails it.
+    """
     errors: List[str] = []
     where = f"function @{function.name}"
 
@@ -73,41 +171,16 @@ def verify_function(function: Function) -> List[str]:
         term = block.terminator
         if term is None:
             errors.append(f"{where}: block {block.name} is not terminated")
-        for i, inst in enumerate(block.instructions):
+        instructions = block.instructions
+        last = instructions[-1] if instructions else None
+        for i, inst in enumerate(instructions):
+            is_last = inst is last
+            if _well_formed(inst, block, is_last, block_set):
+                continue
             label = f"{where}, block {block.name}, inst {i} ({inst.opcode.value})"
             if inst.block is not block:
                 errors.append(f"{label}: stale block link")
-            if inst.is_terminator() and inst is not block.instructions[-1]:
-                errors.append(f"{label}: terminator is not the last instruction")
-
-            expected = _OPERAND_COUNTS.get(inst.opcode)
-            if expected is not None and len(inst.operands) != expected:
-                errors.append(
-                    f"{label}: expects {expected} operands, has {len(inst.operands)}"
-                )
-            if inst.opcode in _REQUIRES_DEST and inst.dest is None:
-                errors.append(f"{label}: missing destination register")
-            if inst.opcode in (Opcode.STORE, Opcode.JUMP, Opcode.BRANCH,
-                               Opcode.RETURN) and inst.dest is not None:
-                errors.append(f"{label}: must not define a destination register")
-
-            if inst.opcode is Opcode.JUMP and len(inst.targets) != 1:
-                errors.append(f"{label}: jump needs exactly one target")
-            if inst.opcode is Opcode.BRANCH and len(inst.targets) != 2:
-                errors.append(f"{label}: branch needs exactly two targets")
-            if inst.opcode is Opcode.CALL and not inst.callee:
-                errors.append(f"{label}: call without a callee name")
-            if inst.opcode is Opcode.CUSTOM and not inst.custom_op:
-                errors.append(f"{label}: custom op without a name")
-            for target in inst.targets:
-                if target not in block_set:
-                    errors.append(
-                        f"{label}: branch target {target.name} not in function"
-                    )
-            for op in inst.operands:
-                if not isinstance(op, (VirtualRegister, Constant, GlobalVariable,
-                                       UndefValue, Argument)):
-                    errors.append(f"{label}: invalid operand {op!r}")
+            errors.extend(_instruction_errors(label, inst, is_last, block_set))
 
         # Return type consistency.
         if term is not None and term.opcode is Opcode.RETURN:

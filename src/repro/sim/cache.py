@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..arch.machine import CacheConfig
 
@@ -34,6 +34,7 @@ class Cache:
         self.num_sets = config.num_sets
         self.associativity = config.associativity
         self.line_bits = (config.line_bytes - 1).bit_length()
+        self.hit_latency = config.hit_latency
         # sets[i] is an ordered list of tags, most recently used last.
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.stats = CacheStatistics()
@@ -42,18 +43,39 @@ class Cache:
         """Access ``address``; returns the added latency in cycles."""
         self.stats.accesses += 1
         line = address >> self.line_bits
-        index = line % self.num_sets
+        ways = self._sets[line % self.num_sets]
         tag = line // self.num_sets
-        ways = self._sets[index]
+        if ways and ways[-1] == tag:
+            return self.hit_latency  # the most recent way: LRU unchanged
+        return self._touch(ways, tag)
+
+    def line(self, address: int) -> Tuple[int, int]:
+        """The (set index, tag) of the line holding ``address``."""
+        line = address >> self.line_bits
+        return line % self.num_sets, line // self.num_sets
+
+    def access_lines(self, lines: Sequence[Tuple[int, int]]) -> None:
+        """Access each :meth:`line` of ``lines`` in order, exactly as
+        :meth:`access` would, in one call (a block's static fetches)."""
+        self.stats.accesses += len(lines)
+        sets = self._sets
+        for index, tag in lines:
+            ways = sets[index]
+            if not ways or ways[-1] != tag:
+                self._touch(ways, tag)
+
+    def _touch(self, ways: List[int], tag: int) -> int:
+        """Make ``tag`` the most recent of its set's ``ways``, counting a
+        miss if it was absent; returns the access latency."""
         if tag in ways:
             ways.remove(tag)
             ways.append(tag)
-            return self.config.hit_latency
+            return self.hit_latency
         self.stats.misses += 1
         ways.append(tag)
         if len(ways) > self.associativity:
             ways.pop(0)
-        return self.config.hit_latency + self.config.miss_penalty
+        return self.hit_latency + self.config.miss_penalty
 
     def reset_statistics(self) -> None:
         self.stats = CacheStatistics()

@@ -170,9 +170,9 @@ class _TimedBlock:
         #: non-custom energy charged on entry, and its per-op terms.
         self.pj = 0.0
         self.pj_ops: Tuple[float, ...] = ()
-        #: i-cache fetches issued on entry (up to the bundle of the first
-        #: custom op or call).
-        self.fetches: Tuple[int, ...] = ()
+        #: i-cache lines, as (set index, tag), fetched on entry (up to the
+        #: bundle of the first custom op or call).
+        self.fetches: Tuple[Tuple[int, int], ...] = ()
         #: closures before the terminator, the terminator (returns the
         #: next block index, or None on return), closures after it.
         self.ops: Tuple[Callable, ...] = ()
@@ -298,7 +298,7 @@ class CycleSimulator:
         blocks, index = timed
         self._activations += 1
         regs = dict(zip(function.arg_ids, args))
-        fetch = self.icache.access if self.icache is not None else None
+        fetch = self.icache.access_lines if self.icache is not None else None
         max_steps = self.max_steps
         self._depth = depth + 1
         try:
@@ -309,8 +309,8 @@ class CycleSimulator:
                 if self._steps > max_steps:
                     raise SimulationError("maximum step count exceeded")
                 self._charge(block.pj, block.pj_ops)
-                for address in block.fetches:
-                    fetch(address)
+                if block.fetches:
+                    fetch(block.fetches)
                 for op in block.ops:
                     op(regs, self)
                 index = block.terminator(regs, self)
@@ -509,8 +509,9 @@ class CycleSimulator:
         return block
 
     def _fetch_groups(self, addresses: Tuple[int, ...], ends: List[int],
-                      block: _TimedBlock) -> List[Tuple[int, ...]]:
-        """Split the block's bundle fetches at the given last bundles.
+                      block: _TimedBlock) -> List[Tuple[Tuple[int, int], ...]]:
+        """Split the block's bundle fetches at the given last bundles,
+        as the i-cache lines each group fetches.
 
         Within a group nothing else touches the i-cache, so a fetch of the
         line fetched just before is a hit on the most recent way: it is
@@ -519,7 +520,7 @@ class CycleSimulator:
         if self.icache is None:
             return [()] * len(ends)
         line_bits = self.icache.line_bits
-        groups: List[Tuple[int, ...]] = []
+        groups: List[Tuple[Tuple[int, int], ...]] = []
         start = 0
         for end in ends:
             group = []
@@ -529,7 +530,7 @@ class CycleSimulator:
                 if line == previous:
                     block.free_fetches += 1
                 else:
-                    group.append(address)
+                    group.append(self.icache.line(address))
                     previous = line
             groups.append(tuple(group))
             start = max(start, end + 1)
@@ -552,7 +553,7 @@ class CycleSimulator:
     @staticmethod
     def _segment_end(closure: Callable, energy: float, pj: float,
                      pj_ops: Tuple[float, ...],
-                     fetches: Tuple[int, ...]) -> Callable:
+                     fetches: Tuple[Tuple[int, int], ...]) -> Callable:
         """Execute a custom op or call, then charge and fetch the segment
         that follows it.  A custom op's own ``energy`` is charged first,
         in program order; a call passes 0.0, its own energy having been
@@ -562,8 +563,8 @@ class CycleSimulator:
             ctx._pj += _e
             _op(regs, ctx)
             ctx._charge(_pj, _ops)
-            for address in _fetches:
-                ctx.icache.access(address)
+            if _fetches:
+                ctx.icache.access_lines(_fetches)
         return timed
 
 

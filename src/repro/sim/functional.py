@@ -10,13 +10,14 @@ estimates.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from ..ir import (
-    Argument, Constant, Function, GlobalVariable, Instruction, IntType, Module,
-    Opcode, PointerType, UndefValue, VirtualRegister,
+    Constant, Function, GlobalVariable, IntType, Module, Opcode, PointerType,
+    UndefValue, VirtualRegister,
 )
 from ..ir.types import FloatType, I32, Type
 from .memory import Memory, ProgramImage
@@ -50,11 +51,6 @@ class ExecutionProfile:
     branches: int = 0
     taken_branches: int = 0
 
-    def record_opcode(self, opcode: Opcode) -> None:
-        self.instructions_executed += 1
-        key = opcode.value
-        self.opcode_counts[key] = self.opcode_counts.get(key, 0) + 1
-
     def record_block(self, function_name: str, block_name: str) -> None:
         per_function = self.block_counts.setdefault(function_name, {})
         per_function[block_name] = per_function.get(block_name, 0) + 1
@@ -75,27 +71,250 @@ class ExecutionProfile:
                 block.frequency = float(counts.get(block.name, 0))
 
 
-class _Frame:
-    """One activation record of the interpreted program."""
+_F32 = struct.Struct("<f")
 
-    __slots__ = ("function", "registers", "stack_base")
 
-    def __init__(self, function: Function) -> None:
-        self.function = function
-        self.registers: Dict[int, object] = {}
-        self.stack_base = 0
+def _wrapper(type_: Type) -> Callable:
+    """The function that wraps a value written to a register of
+    ``type_``: integers wrap to the width, f32 rounds, pointers are 32-bit."""
+    if isinstance(type_, IntType):
+        mask = (1 << type_.bits) - 1
+        if type_.signed:
+            half = 1 << (type_.bits - 1)
+            return lambda value: ((int(value) + half) & mask) - half
+        return lambda value: int(value) & mask
+    if isinstance(type_, FloatType):
+        if type_.bits == 32:
+            return lambda value: _F32.unpack(_F32.pack(float(value)))[0]
+        return float
+    if isinstance(type_, PointerType):
+        return lambda value: int(value) & 0xFFFFFFFF
+    return lambda value: value
 
 
 def _wrap(value, type_: Type):
-    if isinstance(type_, IntType):
-        return type_.wrap(int(value))
-    if isinstance(type_, FloatType):
-        if type_.bits == 32:
-            return struct.unpack("<f", struct.pack("<f", float(value)))[0]
-        return float(value)
-    if isinstance(type_, PointerType):
-        return int(value) & 0xFFFFFFFF
-    return value
+    return _wrapper(type_)(value)
+
+
+# ----------------------------------------------------------------------
+# Opcode handlers.  Each runs one decoded instruction (:class:`_Op`)
+# against the frame's register dict, reading operands left to right as
+# the IR semantics define.  Terminators return the next block (RETURN
+# its value); every other handler returns None.
+# ----------------------------------------------------------------------
+
+class _Op:
+    """One instruction decoded for a run.
+
+    ``args`` and ``dest`` are keys of the frame's register dict: a
+    register's id, or a negative key that the run's constant pool binds
+    to a constant, undef or global address.  ``extra`` is the static
+    datum the handler needs (a memory type, a custom op's pattern).
+    """
+
+    __slots__ = ("handler", "name", "args", "dest", "wrap", "extra", "inst")
+
+    def __init__(self, handler, name, args, dest, wrap, extra, inst) -> None:
+        self.handler = handler
+        self.name = name
+        self.args = args
+        self.dest = dest
+        self.wrap = wrap
+        self.extra = extra
+        self.inst = inst
+
+
+def _binary(fn: Callable) -> Callable:
+    def handler(sim, regs, op):
+        a, b = op.args
+        regs[op.dest] = op.wrap(fn(regs[a], regs[b]))
+    return handler
+
+
+def _compare(fn: Callable) -> Callable:
+    def handler(sim, regs, op):
+        a, b = op.args
+        regs[op.dest] = op.wrap(int(fn(regs[a], regs[b])))
+    return handler
+
+
+def _unary(fn: Callable) -> Callable:
+    def handler(sim, regs, op):
+        regs[op.dest] = op.wrap(fn(regs[op.args[0]]))
+    return handler
+
+
+def _mov(sim, regs, op):
+    regs[op.dest] = op.wrap(regs[op.args[0]])
+
+
+def _add(sim, regs, op):
+    a, b = op.args
+    regs[op.dest] = op.wrap(regs[a] + regs[b])
+
+
+def _shl(sim, regs, op):
+    a, b = op.args
+    regs[op.dest] = op.wrap(regs[a] << (regs[b] & 31))
+
+
+def _shr(sim, regs, op):
+    a, b = op.args
+    regs[op.dest] = op.wrap((regs[a] & 0xFFFFFFFF) >> (regs[b] & 31))
+
+
+def _sar(sim, regs, op):
+    a, b = op.args
+    regs[op.dest] = op.wrap(regs[a] >> (regs[b] & 31))
+
+
+def _div(sim, regs, op):
+    a, b = op.args
+    rhs = regs[b]
+    if rhs == 0:
+        raise SimulationError("integer division by zero")
+    lhs = regs[a]
+    quotient = abs(lhs) // abs(rhs)
+    regs[op.dest] = op.wrap(quotient if (lhs >= 0) == (rhs >= 0) else -quotient)
+
+
+def _rem(sim, regs, op):
+    a, b = op.args
+    rhs = regs[b]
+    if rhs == 0:
+        raise SimulationError("integer remainder by zero")
+    lhs = regs[a]
+    quotient = abs(lhs) // abs(rhs)
+    signed_q = quotient if (lhs >= 0) == (rhs >= 0) else -quotient
+    regs[op.dest] = op.wrap(lhs - signed_q * rhs)
+
+
+def _fdiv(sim, regs, op):
+    a, b = op.args
+    rhs = regs[b]
+    if rhs == 0:
+        raise SimulationError("floating division by zero")
+    regs[op.dest] = op.wrap(regs[a] / rhs)
+
+
+def _select(sim, regs, op):
+    c, t, f = op.args
+    regs[op.dest] = op.wrap(regs[t] if regs[c] else regs[f])
+
+
+def _load(sim, regs, op):
+    sim.profile.loads += 1
+    address = regs[op.args[0]]
+    regs[op.dest] = op.wrap(sim.memory.load(int(address), op.extra))
+
+
+def _store(sim, regs, op):
+    sim.profile.stores += 1
+    v, a = op.args
+    value = regs[v]
+    sim.memory.store(int(regs[a]), value, op.extra)
+
+
+def _alloca(sim, regs, op):
+    count = regs[op.args[0]]
+    element = op.extra
+    regs[op.dest] = op.wrap(sim.memory.allocate(
+        max(4, element.size * int(count)), element.alignment))
+
+
+def _jump(sim, regs, op):
+    return op.inst.targets[0]
+
+
+def _branch(sim, regs, op):
+    profile = sim.profile
+    profile.branches += 1
+    targets = op.inst.targets
+    if regs[op.args[0]]:
+        profile.taken_branches += 1
+        return targets[0]
+    return targets[1]
+
+
+def _return(sim, regs, op):
+    return regs[op.args[0]] if op.args else None
+
+
+def _call(sim, regs, op):
+    call_counts = sim.profile.call_counts
+    name = op.inst.callee
+    call_counts[name] = call_counts.get(name, 0) + 1
+    callee = sim.module.get_function(name)
+    result = sim._call(callee, [regs[key] for key in op.args])
+    if op.dest is not None:
+        regs[op.dest] = op.wrap(result if result is not None else 0)
+
+
+def _custom(sim, regs, op):
+    """An ISA-extension op: evaluate its registered pattern."""
+    pattern = op.extra
+    if pattern is None:
+        raise SimulationError(
+            f"custom op {op.inst.custom_op} has no registered semantics")
+    result = pattern.evaluate([regs[key] for key in op.args])
+    if op.dest is not None:
+        regs[op.dest] = op.wrap(result)
+
+
+def _unimplemented(sim, regs, op):  # pragma: no cover - defensive
+    raise SimulationError(f"unimplemented opcode {op.inst.opcode}")
+
+
+#: how a decoded block ends.
+_TRANSFERS, _RETURNS, _FALLS_OFF = range(3)
+
+_HANDLERS: Dict[Opcode, Callable] = {
+    Opcode.MOV: _mov,
+    Opcode.ADD: _add,
+    Opcode.SUB: _binary(operator.sub),
+    Opcode.MUL: _binary(operator.mul),
+    Opcode.DIV: _div,
+    Opcode.REM: _rem,
+    Opcode.AND: _binary(operator.and_),
+    Opcode.OR: _binary(operator.or_),
+    Opcode.XOR: _binary(operator.xor),
+    Opcode.SHL: _shl,
+    Opcode.SHR: _shr,
+    Opcode.SAR: _sar,
+    Opcode.MIN: _binary(min),
+    Opcode.MAX: _binary(max),
+    Opcode.ABS: _unary(abs),
+    Opcode.NEG: _unary(operator.neg),
+    Opcode.NOT: _unary(operator.invert),
+    Opcode.FADD: _add,
+    Opcode.FSUB: _binary(operator.sub),
+    Opcode.FMUL: _binary(operator.mul),
+    Opcode.FDIV: _fdiv,
+    Opcode.FNEG: _unary(operator.neg),
+    Opcode.CMPEQ: _compare(operator.eq),
+    Opcode.FCMPEQ: _compare(operator.eq),
+    Opcode.CMPNE: _compare(operator.ne),
+    Opcode.CMPLT: _compare(operator.lt),
+    Opcode.FCMPLT: _compare(operator.lt),
+    Opcode.CMPLE: _compare(operator.le),
+    Opcode.FCMPLE: _compare(operator.le),
+    Opcode.CMPGT: _compare(operator.gt),
+    Opcode.CMPGE: _compare(operator.ge),
+    Opcode.SEXT: _mov,
+    Opcode.ZEXT: _mov,
+    Opcode.TRUNC: _mov,
+    Opcode.ITOF: _unary(float),
+    Opcode.FTOI: _unary(int),
+    Opcode.SELECT: _select,
+    Opcode.LOAD: _load,
+    Opcode.STORE: _store,
+    Opcode.ALLOCA: _alloca,
+    Opcode.JUMP: _jump,
+    Opcode.BRANCH: _branch,
+    Opcode.RETURN: _return,
+    Opcode.CALL: _call,
+    Opcode.CUSTOM: _custom,
+}
 
 
 class FunctionalSimulator:
@@ -110,6 +329,7 @@ class FunctionalSimulator:
         self.profile = ExecutionProfile()
         self._steps = 0
         self._depth = 0
+        self._begin_decode()
 
     def reset(self) -> None:
         """Return to the state of a freshly built simulator."""
@@ -152,6 +372,8 @@ class FunctionalSimulator:
             else:
                 lowered.append(_wrap(actual, formal.type))
 
+        # Decode afresh each run: the module may have been rewritten since.
+        self._begin_decode()
         result = self._call(function, lowered)
 
         for target, address, count, element in writebacks:
@@ -165,194 +387,135 @@ class FunctionalSimulator:
         return result
 
     # ------------------------------------------------------------------
+    # Decoding: IR blocks -> tuples of :class:`_Op`.
+    # ------------------------------------------------------------------
+    def _begin_decode(self) -> None:
+        #: block -> (decoded ops up to its first terminator, how the block
+        #: ends, constant-pool size it needs).
+        self._blocks: Dict[object, tuple] = {}
+        #: negative key -> value of every constant, undef and placed global
+        #: operand decoded this run; each frame's registers start with it.
+        self._pool: Dict[int, object] = {}
+        #: id(non-register operand) -> its key (pooled or not).
+        self._keys: Dict[int, int] = {}
+
+    def _key(self, operand) -> int:
+        """The register-dict key ``operand`` is read through."""
+        if isinstance(operand, VirtualRegister):  # Arguments included
+            return operand.id
+        key = self._keys.get(id(operand))
+        if key is None:
+            key = self._keys[id(operand)] = -1 - len(self._keys)
+            if isinstance(operand, Constant):
+                self._pool[key] = operand.value
+            elif isinstance(operand, UndefValue):
+                self._pool[key] = 0
+            elif (isinstance(operand, GlobalVariable)
+                  and operand.address is not None):
+                self._pool[key] = operand.address
+            # Anything else stays unbound: reading it raises.
+        return key
+
+    def _decode(self, block) -> tuple:
+        ops = []
+        ending = _FALLS_OFF
+        for inst in block.instructions:
+            opcode = inst.opcode
+            dest = inst.dest
+            extra = None
+            if opcode is Opcode.LOAD:
+                extra = dest.type if dest is not None else None
+            elif opcode is Opcode.STORE and inst.operands:
+                extra = getattr(inst.operands[0], "type", None)
+            elif opcode is Opcode.ALLOCA:
+                extra = inst.alloc_type or I32
+            elif opcode is Opcode.CUSTOM:
+                from ..core.library import global_extension_library
+
+                extra = global_extension_library().lookup(inst.custom_op)
+            ops.append(_Op(
+                _HANDLERS.get(opcode, _unimplemented), opcode.value,
+                tuple(self._key(operand) for operand in inst.operands),
+                dest.id if dest is not None else None,
+                _wrapper(dest.type) if dest is not None else None,
+                extra, inst))
+            if opcode is Opcode.RETURN:
+                ending = _RETURNS
+                break
+            if inst.is_terminator():
+                ending = _TRANSFERS
+                break
+        decoded = (tuple(ops), ending, len(self._pool))
+        self._blocks[block] = decoded
+        return decoded
+
+    def _read_error(self, op: Optional[_Op], missing,
+                    function: Function) -> Optional[SimulationError]:
+        """The error for a register-dict miss on ``missing`` while running
+        ``op``, or None when the miss was not an operand read."""
+        if op is None:
+            return None
+        for operand in op.inst.operands:
+            if self._key(operand) != missing:
+                continue
+            if isinstance(operand, VirtualRegister):
+                return SimulationError(
+                    f"read of undefined register {operand} in {function.name}")
+            if isinstance(operand, GlobalVariable):
+                return SimulationError(f"global {operand.name} has no address")
+            return SimulationError(f"cannot evaluate operand {operand!r}")
+        return None
+
+    # ------------------------------------------------------------------
     # Interpreter core.
     # ------------------------------------------------------------------
     def _call(self, function: Function, args: Sequence):
         depth = self._depth
         if depth >= MAX_CALL_DEPTH:
             raise SimulationError(CALL_DEPTH_MESSAGE)
-        self._depth = depth + 1
-        frame = _Frame(function)
-        for formal, actual in zip(function.arguments, args):
-            frame.registers[formal.id] = actual
-
         block = function.entry
+        pool = self._pool
+        regs = dict(pool)
+        seeded = len(pool)
+        for formal, actual in zip(function.arguments, args):
+            regs[formal.id] = actual
+
+        profile = self.profile
+        counts = profile.opcode_counts
+        blocks = self._blocks
+        max_steps = self.max_steps
+        op = None
+        self._depth = depth + 1
         try:
             while True:
-                self.profile.record_block(function.name, block.name)
-                next_block = None
-                for inst in block.instructions:
+                profile.record_block(function.name, block.name)
+                decoded = blocks.get(block)
+                if decoded is None:
+                    decoded = self._decode(block)
+                ops, ending, needs = decoded
+                if needs > seeded:
+                    regs.update(pool)
+                    seeded = len(pool)
+                outcome = None
+                for op in ops:
                     self._steps += 1
-                    if self._steps > self.max_steps:
+                    if self._steps > max_steps:
                         raise SimulationError("maximum step count exceeded")
-                    self.profile.record_opcode(inst.opcode)
-                    outcome = self._execute(inst, frame)
-                    if inst.opcode is Opcode.RETURN:
-                        return outcome
-                    if inst.is_terminator():
-                        next_block = outcome
-                        break
-                if next_block is None:
+                    profile.instructions_executed += 1
+                    counts[op.name] = counts.get(op.name, 0) + 1
+                    outcome = op.handler(self, regs, op)
+                if ending == _RETURNS:
+                    return outcome
+                if ending == _FALLS_OFF:
                     raise SimulationError(
                         f"fell off the end of block {block.name} in "
                         f"{function.name}")
-                block = next_block
+                block = outcome
+        except KeyError as exc:
+            error = self._read_error(op, exc.args[0] if exc.args else None,
+                                     function)
+            if error is None:
+                raise
+            raise error from None
         finally:
             self._depth = depth
-
-    def _value(self, operand, frame: _Frame):
-        if isinstance(operand, Constant):
-            return operand.value
-        if isinstance(operand, GlobalVariable):
-            if operand.address is None:
-                raise SimulationError(f"global {operand.name} has no address")
-            return operand.address
-        if isinstance(operand, UndefValue):
-            return 0
-        if isinstance(operand, (VirtualRegister, Argument)):
-            try:
-                return frame.registers[operand.id]
-            except KeyError:
-                raise SimulationError(
-                    f"read of undefined register {operand} in {frame.function.name}"
-                ) from None
-        raise SimulationError(f"cannot evaluate operand {operand!r}")
-
-    def _set(self, inst: Instruction, frame: _Frame, value) -> None:
-        frame.registers[inst.dest.id] = _wrap(value, inst.dest.type)
-
-    def _execute(self, inst: Instruction, frame: _Frame):
-        op = inst.opcode
-        val = lambda i: self._value(inst.operands[i], frame)
-
-        if op is Opcode.MOV:
-            self._set(inst, frame, val(0))
-        elif op is Opcode.ADD:
-            self._set(inst, frame, val(0) + val(1))
-        elif op is Opcode.SUB:
-            self._set(inst, frame, val(0) - val(1))
-        elif op is Opcode.MUL:
-            self._set(inst, frame, val(0) * val(1))
-        elif op is Opcode.DIV:
-            rhs = val(1)
-            if rhs == 0:
-                raise SimulationError("integer division by zero")
-            lhs = val(0)
-            quotient = abs(lhs) // abs(rhs)
-            self._set(inst, frame, quotient if (lhs >= 0) == (rhs >= 0) else -quotient)
-        elif op is Opcode.REM:
-            rhs = val(1)
-            if rhs == 0:
-                raise SimulationError("integer remainder by zero")
-            lhs = val(0)
-            quotient = abs(lhs) // abs(rhs)
-            signed_q = quotient if (lhs >= 0) == (rhs >= 0) else -quotient
-            self._set(inst, frame, lhs - signed_q * rhs)
-        elif op is Opcode.AND:
-            self._set(inst, frame, val(0) & val(1))
-        elif op is Opcode.OR:
-            self._set(inst, frame, val(0) | val(1))
-        elif op is Opcode.XOR:
-            self._set(inst, frame, val(0) ^ val(1))
-        elif op is Opcode.SHL:
-            self._set(inst, frame, val(0) << (val(1) & 31))
-        elif op is Opcode.SHR:
-            self._set(inst, frame, (val(0) & 0xFFFFFFFF) >> (val(1) & 31))
-        elif op is Opcode.SAR:
-            self._set(inst, frame, val(0) >> (val(1) & 31))
-        elif op is Opcode.MIN:
-            self._set(inst, frame, min(val(0), val(1)))
-        elif op is Opcode.MAX:
-            self._set(inst, frame, max(val(0), val(1)))
-        elif op is Opcode.ABS:
-            self._set(inst, frame, abs(val(0)))
-        elif op is Opcode.NEG:
-            self._set(inst, frame, -val(0))
-        elif op is Opcode.NOT:
-            self._set(inst, frame, ~val(0))
-        elif op in (Opcode.FADD,):
-            self._set(inst, frame, val(0) + val(1))
-        elif op is Opcode.FSUB:
-            self._set(inst, frame, val(0) - val(1))
-        elif op is Opcode.FMUL:
-            self._set(inst, frame, val(0) * val(1))
-        elif op is Opcode.FDIV:
-            rhs = val(1)
-            if rhs == 0:
-                raise SimulationError("floating division by zero")
-            self._set(inst, frame, val(0) / rhs)
-        elif op is Opcode.FNEG:
-            self._set(inst, frame, -val(0))
-        elif op is Opcode.CMPEQ or op is Opcode.FCMPEQ:
-            self._set(inst, frame, int(val(0) == val(1)))
-        elif op is Opcode.CMPNE:
-            self._set(inst, frame, int(val(0) != val(1)))
-        elif op is Opcode.CMPLT or op is Opcode.FCMPLT:
-            self._set(inst, frame, int(val(0) < val(1)))
-        elif op is Opcode.CMPLE or op is Opcode.FCMPLE:
-            self._set(inst, frame, int(val(0) <= val(1)))
-        elif op is Opcode.CMPGT:
-            self._set(inst, frame, int(val(0) > val(1)))
-        elif op is Opcode.CMPGE:
-            self._set(inst, frame, int(val(0) >= val(1)))
-        elif op is Opcode.SEXT or op is Opcode.ZEXT or op is Opcode.TRUNC:
-            self._set(inst, frame, val(0))
-        elif op is Opcode.ITOF:
-            self._set(inst, frame, float(val(0)))
-        elif op is Opcode.FTOI:
-            self._set(inst, frame, int(val(0)))
-        elif op is Opcode.SELECT:
-            self._set(inst, frame, val(1) if val(0) else val(2))
-        elif op is Opcode.LOAD:
-            self.profile.loads += 1
-            address = val(0)
-            self._set(inst, frame, self.memory.load(int(address), inst.dest.type))
-        elif op is Opcode.STORE:
-            self.profile.stores += 1
-            value = val(0)
-            address = val(1)
-            self.memory.store(int(address), value, inst.operands[0].type)
-        elif op is Opcode.ALLOCA:
-            count = val(0)
-            element = inst.alloc_type or I32
-            address = self.memory.allocate(max(4, element.size * int(count)),
-                                           element.alignment)
-            self._set(inst, frame, address)
-        elif op is Opcode.JUMP:
-            return inst.targets[0]
-        elif op is Opcode.BRANCH:
-            self.profile.branches += 1
-            taken = bool(val(0))
-            if taken:
-                self.profile.taken_branches += 1
-            return inst.targets[0] if taken else inst.targets[1]
-        elif op is Opcode.RETURN:
-            return self._value(inst.operands[0], frame) if inst.operands else None
-        elif op is Opcode.CALL:
-            self.profile.call_counts[inst.callee] = (
-                self.profile.call_counts.get(inst.callee, 0) + 1
-            )
-            callee = self.module.get_function(inst.callee)
-            arg_values = [self._value(a, frame) for a in inst.operands]
-            result = self._call(callee, arg_values)
-            if inst.dest is not None:
-                self._set(inst, frame, result if result is not None else 0)
-        elif op is Opcode.CUSTOM:
-            result = self._execute_custom(inst, frame)
-            if inst.dest is not None:
-                self._set(inst, frame, result)
-        else:  # pragma: no cover - defensive
-            raise SimulationError(f"unimplemented opcode {op}")
-        return None
-
-    def _execute_custom(self, inst: Instruction, frame: _Frame):
-        """Execute an ISA-extension op by evaluating its registered pattern."""
-        from ..core.library import global_extension_library
-
-        pattern = global_extension_library().lookup(inst.custom_op)
-        if pattern is None:
-            raise SimulationError(
-                f"custom op {inst.custom_op} has no registered semantics"
-            )
-        inputs = [self._value(op, frame) for op in inst.operands]
-        return pattern.evaluate(inputs)

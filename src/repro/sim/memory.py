@@ -13,6 +13,15 @@ class MemoryError_(Exception):
     """Raised for out-of-range or misaligned simulated memory accesses."""
 
 
+#: precompiled little-endian codecs of the full-width scalar types.
+_SIGNED = {8: struct.Struct("<b"), 16: struct.Struct("<h"),
+           32: struct.Struct("<i"), 64: struct.Struct("<q")}
+_UNSIGNED = {8: struct.Struct("<B"), 16: struct.Struct("<H"),
+             32: struct.Struct("<I"), 64: struct.Struct("<Q")}
+_FLOATS = {32: struct.Struct("<f"), 64: struct.Struct("<d")}
+_POINTER = _UNSIGNED[32]
+
+
 class Memory:
     """A flat little-endian byte-addressed memory.
 
@@ -66,6 +75,22 @@ class Memory:
 
     def load(self, address: int, type_: Type) -> int | float:
         """Load a scalar of ``type_`` from ``address``."""
+        # Full-width scalars take one precompiled unpack; the byte-wise
+        # path below computes the same value.
+        cls = type_.__class__
+        if cls is IntType:
+            unpacker = (_SIGNED if type_.signed else _UNSIGNED).get(type_.bits)
+        elif cls is PointerType:
+            unpacker = _POINTER
+        elif cls is FloatType:
+            unpacker = _FLOATS.get(type_.bits)
+        else:
+            unpacker = None
+        if unpacker is not None:
+            if address < self.GUARD or address + unpacker.size > self.size:
+                raise MemoryError_(f"access of {unpacker.size} bytes at "
+                                   f"{address} is out of range")
+            return unpacker.unpack_from(self.data, address)[0]
         nbytes = max(1, type_.size)
         self._check(address, nbytes)
         raw = bytes(self.data[address:address + nbytes])

@@ -191,15 +191,30 @@ def run_matrix(machines: Sequence[MachineDescription],
             raise outcome
         return outcome
 
+    # Per-kernel work is the same on every machine, so it is done once:
+    # the arguments, the oracle's answer and the optimized module (or the
+    # exception compiling it raised, reported by each of its cells).
+    # Nothing below rewrites the module: the backend stage compiles a
+    # snapshot and the functional reference runs a clone.
+    prepared = {}
+    for name in names:
+        kernel = get_kernel(name)
+        args = kernel.arguments(size, seed=seed)
+        expected = kernel.expected(args)
+        try:
+            front, _records = pipeline.front(kernel.source, kernel.name,
+                                             opt_level=opt_level)
+        except Exception as exc:  # noqa: BLE001 - reported per cell
+            front = exc
+        prepared[name] = (kernel, args, expected, front)
+
     for machine in machines:
         for name in names:
-            kernel = get_kernel(name)
-            args = kernel.arguments(size, seed=seed)
-            expected = kernel.expected(args)
+            kernel, args, expected, module = prepared[name]
             cell = MatrixCell(machine=machine.name, kernel=name, correct=False)
             try:
-                module, _records = pipeline.front(kernel.source, kernel.name,
-                                                  opt_level=opt_level)
+                if isinstance(module, Exception):
+                    raise module
                 compiled, compile_report = pipeline.backend(module, machine)
 
                 if fidelity == "trace":

@@ -211,6 +211,25 @@ class TestCharacterization:
         assert payload["static"]["ilp_bound"] >= 1.0
         assert payload["dynamic"]["memory_fraction"] >= 0.0
 
+    def test_characterization_profile_matches_the_interpreter(
+            self, seeded_population):
+        """Characterization runs on the compiled engine; its dynamic
+        features equal those of a reference-interpreter run."""
+        from repro.gen import dynamic_features
+
+        pipeline = CompilePipeline()
+        for gk in seeded_population.generated[:10]:
+            result = characterize_kernel(gk, pipeline=pipeline)
+            kernel = gk.kernel
+            module, _records = pipeline.front(kernel.source, kernel.name)
+            args = kernel.arguments(None, seed=1234)
+            interpreter = FunctionalSimulator(module)
+            interpreter.run(kernel.entry, *(list(a) if isinstance(a, list)
+                                            else a for a in args))
+            assert result.dynamic == dynamic_features(interpreter.profile), \
+                gk.name
+        assert pipeline.store.stats("exec.code").puts == 10
+
     def test_characterization_raises_on_oracle_mismatch(self):
         gk = generate_kernel(sample_spec("reduction", 41))
         broken = Kernel(

@@ -11,9 +11,10 @@ from repro.ir import (
     Constant, I1, I32, IRBuilder, Opcode, VerificationError, assert_valid,
     build_cfg, build_dataflow_graph, clone_module, compute_dominators,
     estimate_block_frequencies, find_natural_loops, loop_nesting_depth,
-    reachable_blocks, remove_unreachable_blocks, topological_block_order,
-    verify_function,
+    Function, Module, VOID, reachable_blocks, remove_unreachable_blocks,
+    topological_block_order, verify_function, verify_module,
 )
+from repro.ir.block import BasicBlock
 from repro.ir import instructions as insts
 from repro.ir.values import VirtualRegister
 from repro.opt import optimize
@@ -312,6 +313,156 @@ class TestDataflowGraph:
         dfg = build_dataflow_graph(body)
         length = dfg.critical_path_length(lambda inst: 1)
         assert length >= 3
+
+
+def _verifier_subject(return_type=I32):
+    """``f(x) { entry: %t = add x, 1; ret %t }``, well formed."""
+    function = Function("f", return_type, [I32], ["x"])
+    entry = function.new_block("entry")
+    total = VirtualRegister(I32, "t")
+    entry.append(insts.binop(Opcode.ADD, total, function.arguments[0],
+                             Constant(1)))
+    entry.append(insts.ret(total))
+    return function, entry
+
+
+class TestVerifierMessages:
+    """One malformed function per verifier message; each asserts the
+    exact error list."""
+
+    HEAD = "function @f, block entry, inst"
+
+    def test_well_formed_subject(self):
+        function, _entry = _verifier_subject()
+        assert verify_function(function) == []
+
+    def test_no_blocks(self):
+        assert verify_function(Function("f", I32)) == [
+            "function @f: has no basic blocks"]
+
+    def test_duplicate_block_name(self):
+        function, _entry = _verifier_subject()
+        twin = function.add_block(BasicBlock("entry"))
+        twin.append(insts.ret(Constant(0)))
+        assert verify_function(function) == [
+            "function @f: duplicate block name entry"]
+
+    def test_stale_function_link(self):
+        function, entry = _verifier_subject()
+        entry.function = Function("g", I32)
+        assert verify_function(function) == [
+            "function @f: block entry has a stale function link"]
+
+    def test_unterminated_block(self):
+        function, entry = _verifier_subject()
+        entry.instructions.pop()
+        assert verify_function(function) == [
+            "function @f: block entry is not terminated"]
+
+    def test_stale_block_link(self):
+        function, entry = _verifier_subject()
+        entry.instructions[0].block = BasicBlock("elsewhere")
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (add): stale block link"]
+
+    def test_terminator_not_last(self):
+        function, entry = _verifier_subject()
+        entry.insert(0, insts.jump(entry))
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (jump): terminator is not the last instruction"]
+
+    def test_operand_count(self):
+        function, entry = _verifier_subject()
+        entry.instructions[0].operands.append(Constant(3))
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (add): expects 2 operands, has 3"]
+
+    def test_missing_destination(self):
+        function, entry = _verifier_subject()
+        entry.insert(0, insts.binop(Opcode.MUL, None, Constant(2),
+                                    Constant(3)))
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (mul): missing destination register"]
+
+    def test_destination_on_store(self):
+        function, entry = _verifier_subject()
+        store = insts.store(Constant(1), function.arguments[0])
+        store.dest = VirtualRegister(I32, "bogus")
+        entry.insert(0, store)
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (store): must not define a destination register"]
+
+    def test_jump_target_count(self):
+        function, entry = _verifier_subject(VOID)
+        entry.instructions[-1] = jump = insts.jump(entry)
+        jump.block = entry
+        jump.targets.append(entry)
+        assert verify_function(function) == [
+            f"{self.HEAD} 1 (jump): jump needs exactly one target"]
+
+    def test_branch_target_count(self):
+        function, entry = _verifier_subject(VOID)
+        branch = insts.branch(Constant(1, I1), entry, entry)
+        branch.targets.pop()
+        entry.instructions[-1] = branch
+        branch.block = entry
+        assert verify_function(function) == [
+            f"{self.HEAD} 1 (branch): branch needs exactly two targets"]
+
+    def test_call_without_callee(self):
+        function, entry = _verifier_subject()
+        entry.insert(0, insts.call(None, "", []))
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (call): call without a callee name"]
+
+    def test_custom_without_name(self):
+        function, entry = _verifier_subject()
+        entry.insert(0, insts.custom(VirtualRegister(I32), "", [Constant(1)]))
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (custom): custom op without a name"]
+
+    def test_branch_target_outside_function(self):
+        function, entry = _verifier_subject(VOID)
+        foreign = BasicBlock("foreign")
+        entry.instructions[-1] = jump = insts.jump(foreign)
+        jump.block = entry
+        assert verify_function(function) == [
+            f"{self.HEAD} 1 (jump): branch target foreign not in function"]
+
+    def test_invalid_operand(self):
+        function, entry = _verifier_subject()
+        entry.instructions[0].operands[1] = "junk"
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (add): invalid operand 'junk'"]
+
+    def test_value_returned_from_void_function(self):
+        function, _entry = _verifier_subject(VOID)
+        assert verify_function(function) == [
+            "function @f: block entry returns a value from a void function"]
+
+    def test_void_returned_from_value_function(self):
+        function, entry = _verifier_subject()
+        entry.instructions[-1].operands.clear()
+        assert verify_function(function) == [
+            "function @f: block entry returns void from a non-void function"]
+
+    def test_call_to_unknown_function(self):
+        function, entry = _verifier_subject()
+        entry.insert(0, insts.call(None, "g", []))
+        module = Module("m")
+        module.add_function(function)
+        assert verify_module(module) == [
+            "function @f: calls unknown function @g"]
+
+    def test_errors_accumulate_in_block_order(self):
+        function, entry = _verifier_subject()
+        entry.instructions[0].operands.append(Constant(3))
+        entry.instructions[0].block = None
+        entry.instructions[-1].operands.clear()
+        assert verify_function(function) == [
+            f"{self.HEAD} 0 (add): stale block link",
+            f"{self.HEAD} 0 (add): expects 2 operands, has 3",
+            "function @f: block entry returns void from a non-void function"]
 
 
 class TestVerifierAndClone:

@@ -147,6 +147,14 @@ class TestInstructions:
         assert branch.is_terminator()
         assert branch.targets == [block_a, block_b]
 
+    @pytest.mark.parametrize("opcode", list(Opcode))
+    def test_predicates_agree_with_the_opcode_sets(self, opcode):
+        inst = Instruction(opcode)
+        assert inst.is_terminator() == (opcode in insts.TERMINATOR_OPCODES)
+        assert inst.has_side_effects() == (
+            opcode in insts.SIDE_EFFECT_OPCODES)
+        assert inst.is_memory() == (opcode in (Opcode.LOAD, Opcode.STORE))
+
     def test_uses_and_defs(self):
         a = VirtualRegister(I32, "a")
         b = VirtualRegister(I32, "b")

@@ -10,11 +10,14 @@ region, alignment and typed round-trips.
 
 from __future__ import annotations
 
+import random
+import struct
+
 import pytest
 
 from repro.arch.machine import CacheConfig, MachineConfigError
 from repro.frontend import compile_c
-from repro.ir.types import F32, I8, I16, I32, IntType
+from repro.ir.types import F32, F64, I1, I8, I16, I32, I64, IntType, PointerType
 from repro.sim import Cache, Memory, ProgramImage, make_cache
 from repro.sim.memory import MemoryError_
 
@@ -100,7 +103,50 @@ class TestCacheAccounting:
             CacheConfig(size_bytes=100, line_bytes=32, associativity=2)
 
 
+    @pytest.mark.parametrize("associativity", [1, 2, 4])
+    def test_batched_line_access_matches_single_accesses(self, associativity):
+        rng = random.Random(associativity)
+        single, batched = small_cache(associativity), small_cache(associativity)
+        for _ in range(200):
+            burst = [rng.choice((0, 32, 64, 512, 4096)) + rng.randrange(0, 96)
+                     for _ in range(rng.randint(1, 6))]
+            for address in burst:
+                single.access(address)
+            batched.access_lines([batched.line(a) for a in burst])
+            assert single.stats == batched.stats
+            assert single._sets == batched._sets
+
+
 class TestMemory:
+    @pytest.mark.parametrize("type_", [
+        I1, I8, I16, I32, I64, IntType(8, signed=False),
+        IntType(16, signed=False), IntType(32, signed=False),
+        IntType(64, signed=False), F32, F64, PointerType(I32)])
+    def test_scalar_load_decodes_little_endian_bytes(self, type_):
+        memory = Memory(size=256)
+        rng = random.Random(str(type_))
+        for _ in range(50):
+            address = rng.randrange(Memory.GUARD, 256 - 8)
+            raw = bytes(rng.randrange(256) for _ in range(max(1, type_.size)))
+            memory.data[address:address + len(raw)] = raw
+            if type_.is_float():
+                expected = struct.unpack("<f" if type_.bits == 32 else "<d",
+                                         raw)[0]
+                loaded = memory.load(address, type_)
+                assert loaded == expected or (loaded != loaded
+                                              and expected != expected)
+                continue
+            expected = int.from_bytes(raw, "little")
+            if isinstance(type_, IntType):
+                expected = type_.wrap(expected)
+            assert memory.load(address, type_) == expected
+        size = max(1, type_.size)
+        for address in (Memory.GUARD - 1, 256 - size + 1, -size):
+            with pytest.raises(MemoryError_) as excinfo:
+                memory.load(address, type_)
+            assert str(excinfo.value) == (
+                f"access of {size} bytes at {address} is out of range")
+
     def test_allocate_is_aligned_and_monotonic(self):
         memory = Memory()
         first = memory.allocate(5, alignment=8)
