@@ -48,6 +48,7 @@ from ..obs import (
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.compile import CompilePipeline
 from ..pipeline.store import ArtifactStore
+from ..workloads.kernels import copy_run_args
 from .jobs import Job
 from .requests import (
     AppRequest, AppResponse, CompileRequest, CompileResponse,
@@ -64,13 +65,6 @@ _SESSION_COUNTER = itertools.count(1)
 #: regression-gate self-tests a deterministic way to inject a slowdown
 #: that must trip the perf band.
 SESSION_DELAY_ENV = "REPRO_SESSION_DELAY_S"
-
-
-def _run_args(args: tuple) -> tuple:
-    """Fresh per-run copies so simulator write-backs never alias."""
-    from ..workloads.kernels import copy_run_args
-
-    return copy_run_args(args)
 
 
 class Session:
@@ -441,7 +435,8 @@ class Session:
             expected = kernel.expected(args)
             toolchain = self.toolchain(machine, opt_level=opt_level)
             artifacts = toolchain.build(kernel.source, name=kernel.name)
-            result = toolchain.run(artifacts, kernel.entry, *_run_args(args))
+            result = toolchain.run(artifacts, kernel.entry,
+                                   *copy_run_args(args))
             return RunResponse(
                 kernel=kernel.name, machine=machine.name, engine="cycle",
                 correct=result.value == expected, value=result.value,
@@ -463,10 +458,8 @@ class Session:
                         for lane in range(request.batch)]
             expected_values = [kernel.expected(arg_set)
                                for arg_set in arg_sets]
-            result = run_batch(
-                module, kernel.entry,
-                [_run_args(arg_set) for arg_set in arg_sets],
-                engine=request.engine, store=self.store)
+            result = run_batch(module, kernel.entry, arg_sets,
+                               engine=request.engine, store=self.store)
             return RunResponse(
                 kernel=kernel.name, machine=machine.name,
                 engine=request.engine,
@@ -481,7 +474,7 @@ class Session:
         expected = kernel.expected(args)
         simulator = make_functional_simulator(
             module, engine=request.engine, store=self.store)
-        value = simulator.run(kernel.entry, *_run_args(args))
+        value = simulator.run(kernel.entry, *copy_run_args(args))
         return RunResponse(
             kernel=kernel.name, machine=machine.name, engine=request.engine,
             correct=value == expected, value=value, expected=expected,
@@ -501,16 +494,17 @@ class Session:
         toolchain = self.toolchain(machine, opt_level=opt_level)
         module = toolchain.frontend(kernel.source, kernel.name)
         base_artifacts = toolchain.build(module.clone())
-        base = toolchain.run(base_artifacts, kernel.entry, *_run_args(args))
+        base = toolchain.run(base_artifacts, kernel.entry,
+                             *copy_run_args(args))
 
         custom_toolchain = toolchain.customize(
             module, area_budget_kgates=request.area_budget_kgates,
             max_operations=request.max_operations, name=request.name,
-            profile_entry=kernel.entry, profile_args=_run_args(args))
+            profile_entry=kernel.entry, profile_args=copy_run_args(args))
         result = custom_toolchain.last_customization
         custom_artifacts = custom_toolchain.build(module)
         custom = custom_toolchain.run(custom_artifacts, kernel.entry,
-                                      *_run_args(args))
+                                      *copy_run_args(args))
         return CustomizeResponse(
             kernel=kernel.name, base_machine=machine.name,
             custom_machine=custom_toolchain.machine.name,

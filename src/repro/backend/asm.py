@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..ir import Constant, GlobalVariable, Opcode, VirtualRegister
+from ..sim.memory import global_layout
 from .mcode import Bundle, CompiledFunction, CompiledModule, MachineOp
 
 #: stable numbering of opcodes for the binary encoding.
@@ -67,17 +68,19 @@ def _register_number(value, compiled: CompiledFunction) -> int:
     return 0
 
 
-def _immediate(value) -> int:
+def _immediate(value, global_addresses: Dict[str, int]) -> int:
     if isinstance(value, Constant) and isinstance(value.value, int):
         return value.value & 0xFFFF
-    if isinstance(value, GlobalVariable) and value.address is not None:
-        return value.address & 0xFFFF
+    if isinstance(value, GlobalVariable) and value.name in global_addresses:
+        return global_addresses[value.name] & 0xFFFF
     return 0
 
 
 def encode_op(op: MachineOp, compiled: CompiledFunction,
-              custom_names: List[str]) -> int:
-    """Pack one operation into a 32-bit word."""
+              custom_names: List[str],
+              global_addresses: Dict[str, int]) -> int:
+    """Pack one operation into a 32-bit word; a global operand's immediate
+    is its address in ``global_addresses`` (0 when absent)."""
     inst = op.inst
     opcode_number = OPCODE_NUMBERS[inst.opcode] & 0x3F
     if op.is_spill or op.is_copy:
@@ -92,7 +95,7 @@ def encode_op(op: MachineOp, compiled: CompiledFunction,
     src2 = _register_number(inst.operands[1], compiled) if len(inst.operands) > 1 else 0
     imm = 0
     for operand in inst.operands:
-        imm = _immediate(operand)
+        imm = _immediate(operand, global_addresses)
         if imm:
             break
     custom_index = 0
@@ -125,8 +128,15 @@ def decode_word(word: int) -> EncodedOp:
 
 
 def encode_module(compiled: CompiledModule) -> BinaryImage:
-    """Encode a compiled module into a binary image."""
+    """Encode a compiled module into a binary image.
+
+    Globals encode at their addresses in the program layout of
+    ``compiled.source`` (:func:`repro.sim.memory.global_layout`), so the
+    image depends only on the compiled module.
+    """
     image = BinaryImage(machine_name=compiled.machine.name)
+    global_addresses = ({} if compiled.source is None
+                        else global_layout(compiled.source)[0])
     for function in compiled:
         words: List[int] = []
         bundles: List[Tuple[int, int]] = []
@@ -134,7 +144,8 @@ def encode_module(compiled: CompiledModule) -> BinaryImage:
             for bundle in block.bundles:
                 bundles.append((len(words), len(bundle.ops)))
                 for op in bundle.ops:
-                    words.append(encode_op(op, function, image.custom_op_names))
+                    words.append(encode_op(op, function, image.custom_op_names,
+                                           global_addresses))
                 if not bundle.ops:
                     words.append(NOP_WORD)
         image.words[function.name] = words

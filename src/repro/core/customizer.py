@@ -80,7 +80,7 @@ class IsaCustomizer:
         """Run the functional simulator to attach a measured profile."""
         from ..sim.functional import FunctionalSimulator
 
-        simulator = FunctionalSimulator(module.clone())
+        simulator = FunctionalSimulator(module)
         simulator.run(entry, *args)
         simulator.profile.apply_to_module(module)
 

@@ -11,7 +11,7 @@ the interpreter remains the semantic oracle and the differential tests in
 workload suite.
 
 Engine selection elsewhere in the stack (``Toolchain(engine=...)``,
-``Evaluator(engine=...)``, ``run_kernel(engine=...)``) resolves through
+``run_kernel(engine=...)``, ``Session(engine=...)``) resolves through
 :func:`make_functional_simulator`, so "interpreter", "compiled" and the
 generated-C "native" (:mod:`repro.exec.native`) are interchangeable
 functional-execution engines; "native" degrades to "compiled" with a
@@ -34,13 +34,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from ..ir import Module, PointerType
-from ..ir.types import I32
+from ..ir import Module
 from ..sim.functional import (
     CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, ExecutionProfile, SimulationError,
-    _wrap,
 )
 from ..sim.memory import Memory, ProgramImage
+from ..workloads.kernels import copy_run_args
 from .cache import translate
 from .registry import FUNCTIONAL_ENGINES, validate_engine
 from .translator import TranslatedFunction, TranslatedProgram
@@ -55,9 +54,8 @@ class CompiledSimulator:
         #: translations come from ``store`` (a session's artifact store)
         #: or, without one, from the process-wide translation store.
         self.program: TranslatedProgram = translate(module, store)
-        # ProgramImage performs the same deterministic bump allocation the
-        # translator baked into the code, so the global addresses it assigns
-        # to *this* module match the translated constants.
+        # The translated code reads and writes globals at this image's
+        # addresses: both come from the one layout of sim.memory.
         self.image = ProgramImage(module, Memory(memory_size))
         self.memory = self.image.memory
         self.max_steps = max_steps
@@ -84,10 +82,10 @@ class CompiledSimulator:
     def run(self, function_name: str, *args, copy_back: bool = True):
         """Execute ``function_name`` with Python arguments.
 
-        Same argument lowering as the interpreter: numbers by value, lists
-        and tuples copied into simulated memory and passed as pointers,
-        with list contents copied back after the call unless ``copy_back``
-        is False.
+        Arguments are lowered by the program image, as on every engine:
+        numbers by value, lists and tuples copied into simulated memory
+        and passed as pointers, with list contents copied back after the
+        call unless ``copy_back`` is False.
         """
         try:
             function = self.program.functions[function_name]
@@ -100,26 +98,10 @@ class CompiledSimulator:
                 f"got {len(args)}"
             )
 
-        lowered = []
-        writebacks = []
-        for formal_type, actual in zip(function.arg_types, args):
-            if isinstance(actual, (list, tuple)):
-                element = I32
-                if isinstance(formal_type, PointerType) and formal_type.pointee is not None:
-                    element = formal_type.pointee
-                address = self.memory.allocate(max(4, element.size * len(actual)),
-                                               element.alignment)
-                self.memory.write_array(address, list(actual), element)
-                lowered.append(address)
-                if copy_back and isinstance(actual, list):
-                    writebacks.append((actual, address, len(actual), element))
-            else:
-                lowered.append(_wrap(actual, formal_type))
-
+        lowered, writebacks = self.image.lower(function.arg_types, args,
+                                               copy_back)
         result = self._call(function, lowered)
-
-        for target, address, count, element in writebacks:
-            target[:] = self.memory.read_array(address, count, element)
+        self.image.write_back(writebacks)
         return result
 
     def run_profiled(self, function_name: str, *args):
@@ -287,8 +269,6 @@ def run_batch(module: Module, entry: str, arg_sets: Sequence[Sequence],
     for index, arg_set in enumerate(arg_sets):
         if index:
             simulator.reset()
-        run_args = tuple(list(a) if isinstance(a, list) else a
-                         for a in arg_set)
-        values.append(simulator.run(entry, *run_args))
+        values.append(simulator.run(entry, *copy_run_args(arg_set)))
         instructions.append(simulator.profile.instructions_executed)
     return BatchResult(values, engine, instructions)

@@ -10,9 +10,9 @@ round only on destination writes, which the rendered code mirrors with
 ``(double)(float)`` casts).  Destination wraps inline the exact masks of
 :func:`repro.sim.functional._wrap`, memory accesses replicate
 :class:`repro.sim.Memory`'s guard/bounds checks and bump allocator, and
-global addresses are baked in as constants using the same
-deterministic layout the threaded-code translator computes.  A CUSTOM
-op is rendered inline as its pattern's base operations
+global addresses are baked in as constants read from
+:func:`repro.sim.memory.global_layout`, the layout every engine loads.
+A CUSTOM op is rendered inline as its pattern's base operations
 (:func:`repro.core.patterns.expand_pattern` over the pattern registered
 in the process-wide extension library), so the unit calls nothing
 outside itself.
@@ -54,7 +54,7 @@ from ..ir import (
     Opcode, PointerType, UndefValue, VirtualRegister,
 )
 from ..ir.types import FloatType, I32, Type, VoidType
-from ..sim.memory import Memory
+from ..sim.memory import Memory, global_layout
 
 #: bump when the rendered C or the ctx/trap contract changes; part of the
 #: native cache key via the toolchain ABI id.
@@ -210,13 +210,12 @@ class _Renderer:
         self.bad_calls: List[str] = []
         self.flat_blocks: List[Tuple[str, str]] = []
         self.functions_meta: Dict[str, RenderedFunction] = {}
-        self.global_addresses: Dict[str, int] = {}
+        self.global_addresses, _end = global_layout(module)
         self._fn_index = {name: i
                           for i, name in enumerate(module.functions)}
 
     # ------------------------------------------------------------------
     def render(self) -> RenderedProgram:
-        self._layout_globals()
         contexts = []
         base = 0
         for index, function in enumerate(self.module.functions.values()):
@@ -263,18 +262,6 @@ class _Renderer:
         )
 
     # ------------------------------------------------------------------
-    def _layout_globals(self) -> None:
-        # Same deterministic bump layout as ProgramImage._load_globals and
-        # ModuleTranslator._layout_globals.
-        cursor = Memory.GUARD
-        for name, gvar in self.module.globals.items():
-            vtype = gvar.value_type
-            alignment = vtype.alignment
-            nbytes = max(4, vtype.size)
-            address = (cursor + alignment - 1) // alignment * alignment
-            cursor = address + nbytes
-            self.global_addresses[name] = address
-
     def _return_class(self, function: Function) -> str:
         rt = function.return_type
         if rt is None or isinstance(rt, VoidType):

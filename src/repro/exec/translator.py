@@ -49,7 +49,7 @@ from ..ir import (
 from ..core.patterns import PatternError, expand_pattern
 from ..ir.types import FloatType, I32, Type
 from ..sim.functional import SimulationError
-from ..sim.memory import Memory
+from ..sim.memory import global_layout
 
 
 # ----------------------------------------------------------------------
@@ -202,46 +202,24 @@ class TranslatedBlock:
 class TranslatedFunction:
     """A function translated to threaded code."""
 
-    __slots__ = ("name", "arg_ids", "arg_types", "blocks", "source")
+    __slots__ = ("name", "arg_ids", "arg_types", "blocks")
 
     def __init__(self, function: Function) -> None:
         self.name = function.name
         self.arg_ids = tuple(a.id for a in function.arguments)
+        #: the formals' types, which the program image lowers arguments to.
         self.arg_types = tuple(a.type for a in function.arguments)
         self.blocks: List[TranslatedBlock] = []
-        #: source IR function (used only for argument lowering / errors).
-        self.source = function
-
-
-class GlobalSlot:
-    """Deterministic load address of one module global."""
-
-    __slots__ = ("name", "address", "value_type", "initializer")
-
-    def __init__(self, name: str, address: int, value_type: Type,
-                 initializer) -> None:
-        self.name = name
-        self.address = address
-        self.value_type = value_type
-        # Snapshot list initializers so later module mutation cannot leak
-        # into a cached program.
-        self.initializer = (list(initializer)
-                            if isinstance(initializer, (list, tuple))
-                            else initializer)
 
 
 class TranslatedProgram:
     """An immutable compiled snapshot of one module."""
 
-    __slots__ = ("module_name", "functions", "globals_layout", "data_break",
-                 "static_instructions")
+    __slots__ = ("module_name", "functions", "static_instructions")
 
     def __init__(self, module_name: str) -> None:
         self.module_name = module_name
         self.functions: Dict[str, TranslatedFunction] = {}
-        self.globals_layout: List[GlobalSlot] = []
-        #: first free memory address after the globals are loaded.
-        self.data_break = Memory.GUARD
         self.static_instructions = 0
 
 
@@ -252,7 +230,9 @@ class TranslatedProgram:
 class ModuleTranslator:
     """Translates one module; use :func:`translate_module` for the one-shot API.
 
-    Construction lays out the globals and creates every (still empty)
+    Construction reads the global addresses of the one program layout
+    (:func:`repro.sim.memory.global_layout`, which every engine's memory
+    image loads) and creates every (still empty)
     :class:`TranslatedFunction`, so :meth:`instruction` and
     :meth:`terminator` can also translate single instructions on demand —
     the cycle simulator builds its timed blocks from them.
@@ -264,7 +244,7 @@ class ModuleTranslator:
         self.module = module
         self.library = global_extension_library()
         self.program = TranslatedProgram(module.name)
-        self._layout_globals()
+        self._global_addresses, _end = global_layout(module)
         # Every function exists before any is translated, so CALL closures
         # can capture callee TranslatedFunctions even for mutual recursion.
         for function in module.functions.values():
@@ -275,22 +255,6 @@ class ModuleTranslator:
         for function in self.module.functions.values():
             self._translate_function(function)
         return self.program
-
-    # ------------------------------------------------------------------
-    def _layout_globals(self) -> None:
-        """Replicate ProgramImage's deterministic bump allocation."""
-        cursor = Memory.GUARD
-        for name, gvar in self.module.globals.items():
-            vtype = gvar.value_type
-            alignment = vtype.alignment
-            nbytes = max(4, vtype.size)
-            address = (cursor + alignment - 1) // alignment * alignment
-            cursor = address + nbytes
-            self.program.globals_layout.append(
-                GlobalSlot(name, address, vtype, gvar.initializer))
-        self.program.data_break = cursor
-        self._global_addresses = {slot.name: slot.address
-                                  for slot in self.program.globals_layout}
 
     # ------------------------------------------------------------------
     def access(self, operand) -> _Access:

@@ -20,6 +20,7 @@ from typing import Dict, Optional
 
 from ..ir import Module, Opcode, build_dataflow_graph
 from ..sim.functional import ExecutionProfile
+from ..workloads.kernels import copy_run_args
 
 _BRANCH_OPS = (Opcode.BRANCH.value, Opcode.JUMP.value)
 
@@ -188,8 +189,7 @@ def characterize_kernel(generated, size: Optional[int] = None, seed: int = 1234,
     expected = kernel.expected(args)
     simulator = make_functional_simulator(module, engine="compiled",
                                           store=pipeline.store)
-    run_args = tuple(list(a) if isinstance(a, list) else a for a in args)
-    value = simulator.run(kernel.entry, *run_args)
+    value = simulator.run(kernel.entry, *copy_run_args(args))
     if value != expected:
         raise AssertionError(
             f"generated kernel {kernel.name} disagrees with its oracle: "

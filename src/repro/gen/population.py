@@ -20,7 +20,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence
 
-from ..workloads.kernels import register_kernel, unregister_kernel
+from ..workloads.kernels import (
+    copy_run_args, register_kernel, unregister_kernel,
+)
 from ..workloads.suite import WorkloadMix
 from .characterize import WorkloadCharacterization, characterize_kernel
 from .generator import GeneratedKernel, generate_kernel
@@ -152,11 +154,9 @@ class WorkloadPopulation:
             expected = kernel.expected(args)
             ok = True
             for engine in engines:
-                simulator = make_functional_simulator(module.clone(),
-                                                      engine=engine)
-                run_args = tuple(list(a) if isinstance(a, list) else a
-                                 for a in args)
-                ok = ok and (simulator.run(kernel.entry, *run_args) == expected)
+                simulator = make_functional_simulator(module, engine=engine)
+                value = simulator.run(kernel.entry, *copy_run_args(args))
+                ok = ok and value == expected
             results[kernel.name] = ok
         return results
 

@@ -25,7 +25,6 @@ def clone_module(module: Module) -> Module:
         if isinstance(init, list):
             init = list(init)
         new_gvar = new_module.add_global(gvar.name, gvar.value_type, init)
-        new_gvar.address = gvar.address
         global_map[id(gvar)] = new_gvar
     for function in module.functions.values():
         new_module.add_function(clone_function(function, global_map))

@@ -99,18 +99,17 @@ class Argument(VirtualRegister):
 
 
 class GlobalVariable(Value):
-    """A module-level variable with a fixed address assigned at link time.
+    """A module-level variable.
 
     ``initializer`` is either ``None`` (zero-filled), a list of numbers
-    (array contents) or a single number.
+    (array contents) or a single number.  Its address is not part of the
+    IR: :func:`repro.sim.memory.global_layout` places it.
     """
 
     def __init__(self, name: str, type_: Type, initializer=None) -> None:
         super().__init__(PointerType(type_), name)
         self.value_type = type_
         self.initializer = initializer
-        #: assigned by the linker / simulator loader.
-        self.address: Optional[int] = None
 
     def __str__(self) -> str:
         return f"@{self.name}"

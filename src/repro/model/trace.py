@@ -12,11 +12,11 @@ threaded-code engine under a recording memory — and stored through the
 fingerprinted pipeline stage on the machine-independent side of the
 boundary.
 
-Layout compatibility with the cycle simulator: the cycle simulator
-reserves its spill area (4 KiB, 16-aligned) immediately after the
-program image and *before* the arguments are lowered, so the tracing run
-reserves the same region.  Addresses recorded here are therefore exactly
-the addresses the cycle simulator's d-cache sees for every machine.
+Layout compatibility with the cycle simulator: both engines load the
+program through :class:`~repro.sim.memory.ProgramImage`, which places
+the globals, the spill area and the lowered arguments the same way on
+every engine.  Addresses recorded here are therefore exactly the
+addresses the cycle simulator's d-cache sees for every machine.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from ..exec.cache import module_fingerprint
 from ..exec.engine import CompiledSimulator
 from ..ir import Module
 from ..pipeline.fingerprints import TRACE_SCHEMA
-from ..sim.cycle import SPILL_AREA_ALIGN, SPILL_AREA_BYTES
 from ..sim.functional import ExecutionProfile
 from ..workloads.kernels import copy_run_args
 
@@ -116,10 +115,6 @@ class _TracingSimulator(CompiledSimulator):
 
     def __init__(self, module: Module, **kwargs) -> None:
         super().__init__(module, **kwargs)
-        # Mirror CycleSimulator.__init__: reserving the spill area between
-        # the program image and the lowered arguments keeps every
-        # subsequent address identical to cycle-simulation layout.
-        self.memory.allocate(SPILL_AREA_BYTES, SPILL_AREA_ALIGN)
         self.memory = TracingMemory(self.memory)
 
     def _call(self, function, args):

@@ -41,19 +41,12 @@ from ..arch.operations import OperationClass
 from ..arch.power import EnergyModel, EnergyReport, custom_pj, operation_pj
 from ..backend.mcode import CompiledModule, MachineOp, ScheduledBlock
 from ..ir import Module, Opcode
-from ..ir.types import I32, PointerType
 from .cache import Cache, CacheStatistics, make_cache
-from .functional import (
-    CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError, _wrap,
-)
+from .functional import CALL_DEPTH_MESSAGE, MAX_CALL_DEPTH, SimulationError
 from .memory import Memory, ProgramImage
 
 #: base address of the code image the i-cache model fetches from.
 CODE_BASE = 0x1000
-
-#: the spill area reserved after the program image (size, alignment).
-SPILL_AREA_BYTES = 4096
-SPILL_AREA_ALIGN = 16
 
 
 def code_layout(compiled: CompiledModule,
@@ -201,8 +194,8 @@ class CycleSimulator:
         self.compiled = compiled
         self.machine: MachineDescription = compiled.machine
         self.module: Module = compiled.source
-        # The translator lays out globals exactly as ProgramImage does, so
-        # the addresses baked into its closures match this memory.
+        # The translator bakes the image's global addresses into its
+        # closures; spill traffic probes the d-cache at its spill area.
         self.image = ProgramImage(self.module, Memory(memory_size))
         self.memory: Memory = self.image.memory
         self.max_steps = max_steps
@@ -210,8 +203,6 @@ class CycleSimulator:
         self.energy = EnergyModel(self.machine)
         self.icache: Optional[Cache] = make_cache(self.machine.icache)
         self.dcache: Optional[Cache] = make_cache(self.machine.dcache)
-        self._spill_area = self.memory.allocate(SPILL_AREA_BYTES,
-                                                SPILL_AREA_ALIGN)
         self._translator = ModuleTranslator(self.module)
         self._layout = code_layout(compiled)
         #: function name -> (timed blocks in compiled order, entry index).
@@ -239,22 +230,8 @@ class CycleSimulator:
                 f"got {len(args)}"
             )
 
-        lowered = []
-        writebacks = []
-        for formal, actual in zip(source.arguments, args):
-            if isinstance(actual, (list, tuple)):
-                element = I32
-                if isinstance(formal.type, PointerType) and formal.type.pointee is not None:
-                    element = formal.type.pointee
-                address = self.memory.allocate(max(4, element.size * len(actual)),
-                                               element.alignment)
-                self.memory.write_array(address, list(actual), element)
-                lowered.append(address)
-                if copy_back and isinstance(actual, list):
-                    writebacks.append((actual, address, len(actual), element))
-            else:
-                lowered.append(_wrap(actual, formal.type))
-
+        lowered, writebacks = self.image.lower(
+            [formal.type for formal in source.arguments], args, copy_back)
         icache_mark = self._cache_mark(self.icache)
         dcache_mark = self._cache_mark(self.dcache)
         self._pj = self.energy.report.dynamic_pj
@@ -264,8 +241,7 @@ class CycleSimulator:
         finally:
             self._fold(icache_mark, dcache_mark)
 
-        for target, address, count, element in writebacks:
-            target[:] = self.memory.read_array(address, count, element)
+        self.image.write_back(writebacks)
 
         self.energy.charge_cycles(self.stats.cycles)
         if self.icache is not None:
@@ -469,7 +445,7 @@ class CycleSimulator:
                 block.spills += 1
                 if dcache is not None:
                     def probe_spill(regs, ctx, _probe=dcache,
-                                    _a=self._spill_area):
+                                    _a=self.image.spill_area):
                         _probe(_a)
                     closures.append(probe_spill)
                 continue

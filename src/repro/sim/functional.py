@@ -356,28 +356,12 @@ class FunctionalSimulator:
                 f"got {len(args)}"
             )
 
-        lowered = []
-        writebacks = []
-        for formal, actual in zip(function.arguments, args):
-            if isinstance(actual, (list, tuple)):
-                element = I32
-                if isinstance(formal.type, PointerType) and formal.type.pointee is not None:
-                    element = formal.type.pointee
-                address = self.memory.allocate(max(4, element.size * len(actual)),
-                                               element.alignment)
-                self.memory.write_array(address, list(actual), element)
-                lowered.append(address)
-                if copy_back and isinstance(actual, list):
-                    writebacks.append((actual, address, len(actual), element))
-            else:
-                lowered.append(_wrap(actual, formal.type))
-
+        lowered, writebacks = self.image.lower(
+            [formal.type for formal in function.arguments], args, copy_back)
         # Decode afresh each run: the module may have been rewritten since.
         self._begin_decode()
         result = self._call(function, lowered)
-
-        for target, address, count, element in writebacks:
-            target[:] = self.memory.read_array(address, count, element)
+        self.image.write_back(writebacks)
         return result
 
     def run_profiled(self, function_name: str, *args):
@@ -411,8 +395,8 @@ class FunctionalSimulator:
             elif isinstance(operand, UndefValue):
                 self._pool[key] = 0
             elif (isinstance(operand, GlobalVariable)
-                  and operand.address is not None):
-                self._pool[key] = operand.address
+                  and operand.name in self.image.global_addresses):
+                self._pool[key] = self.image.global_addresses[operand.name]
             # Anything else stays unbound: reading it raises.
         return key
 

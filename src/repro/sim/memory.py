@@ -1,12 +1,20 @@
-"""Byte-addressed simulated memory shared by the functional and cycle simulators."""
+"""Byte-addressed simulated memory and the one program layout.
+
+Every engine (interpreter, compiled, native, cycle, trace capture) loads
+a program through :class:`ProgramImage`, and the code generators read
+the same :func:`global_layout`, so an address means the same thing on
+each of them.
+"""
 
 from __future__ import annotations
 
 import ctypes
 import struct
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..ir import ArrayType, FloatType, IntType, Module, PointerType, Type
+from ..ir import (
+    I32, ArrayType, FloatType, IntType, Module, PointerType, Type,
+)
 
 
 class MemoryError_(Exception):
@@ -164,34 +172,98 @@ class Memory:
         return [self.load(address + i * element.size, element) for i in range(count)]
 
 
+#: the spill area every engine reserves right after the globals (size,
+#: alignment); the cycle simulator's spill traffic probes its d-cache there.
+SPILL_AREA_BYTES = 4096
+SPILL_AREA_ALIGN = 16
+
+
+def global_layout(module: Module) -> Tuple[Dict[str, int], int]:
+    """Where ``module``'s globals live: name -> address, in declaration
+    order from :attr:`Memory.GUARD`, and the first address after them.
+
+    This is the one layout of a program's data: simulators load it, the
+    translator, the C renderer and the binary encoder bake its addresses
+    into code.
+    """
+    addresses: Dict[str, int] = {}
+    cursor = Memory.GUARD
+    for name, gvar in module.globals.items():
+        vtype = gvar.value_type
+        alignment = vtype.alignment
+        address = (cursor + alignment - 1) // alignment * alignment
+        addresses[name] = address
+        cursor = address + max(4, vtype.size)
+    return addresses, cursor
+
+
 class ProgramImage:
-    """A module loaded into memory: global addresses plus the memory itself."""
+    """A module loaded into memory, laid out the same for every engine.
+
+    From the bottom up: the guard, the globals at :func:`global_layout`'s
+    addresses, the spill area (``spill_area``), then, from ``first_free``,
+    the arguments :meth:`lower` copies in and the run's ALLOCAs.
+    """
 
     def __init__(self, module: Module, memory: Optional[Memory] = None) -> None:
         self.module = module
         self.memory = memory or Memory()
-        self.global_addresses: Dict[str, int] = {}
-        self._load_globals()
+        self.global_addresses, self._globals_end = global_layout(module)
+        self._load()
 
     def reset(self) -> None:
-        """Zero the memory and lay the globals out again, as on load."""
+        """Zero the memory and load the program again, as on construction."""
         self.memory.reset()
-        self.global_addresses.clear()
-        self._load_globals()
+        self._load()
 
-    def _load_globals(self) -> None:
+    def _load(self) -> None:
+        memory = self.memory
+        memory.allocate(self._globals_end - Memory.GUARD, 1)
         for name, gvar in self.module.globals.items():
-            vtype = gvar.value_type
-            if isinstance(vtype, ArrayType):
-                address = self.memory.allocate(max(4, vtype.size), vtype.alignment)
+            if isinstance(gvar.value_type, ArrayType):
                 if gvar.initializer:
-                    self.memory.write_array(address, gvar.initializer, vtype.element)
-            else:
-                address = self.memory.allocate(max(4, vtype.size), vtype.alignment)
-                if gvar.initializer is not None:
-                    self.memory.store(address, gvar.initializer, vtype)
-            gvar.address = address
-            self.global_addresses[name] = address
+                    memory.write_array(self.global_addresses[name],
+                                       gvar.initializer,
+                                       gvar.value_type.element)
+            elif gvar.initializer is not None:
+                memory.store(self.global_addresses[name], gvar.initializer,
+                             gvar.value_type)
+        self.spill_area = memory.allocate(SPILL_AREA_BYTES, SPILL_AREA_ALIGN)
+        self.first_free = self.spill_area + SPILL_AREA_BYTES
 
     def address_of(self, name: str) -> int:
         return self.global_addresses[name]
+
+    def lower(self, types: Sequence[Type], args: Sequence,
+              copy_back: bool = True) -> Tuple[List, List]:
+        """Pass Python ``args`` to formals of ``types``.
+
+        Numbers are passed by value, wrapped to the formal's type.  Lists
+        and tuples are copied into memory (as the pointee of a pointer
+        formal, else as ``i32``) and passed as their address.  Returns the
+        lowered values and the write-backs :meth:`write_back` applies
+        after the call: one per list, unless ``copy_back`` is False.
+        """
+        from .functional import _wrap
+
+        lowered: List = []
+        writebacks: List = []
+        for formal, actual in zip(types, args):
+            if isinstance(actual, (list, tuple)):
+                element = I32
+                if isinstance(formal, PointerType) and formal.pointee is not None:
+                    element = formal.pointee
+                address = self.memory.allocate(
+                    max(4, element.size * len(actual)), element.alignment)
+                self.memory.write_array(address, list(actual), element)
+                lowered.append(address)
+                if copy_back and isinstance(actual, list):
+                    writebacks.append((actual, address, element))
+            else:
+                lowered.append(_wrap(actual, formal))
+        return lowered, writebacks
+
+    def write_back(self, writebacks: List) -> None:
+        """Copy each lowered list's final contents back into it."""
+        for target, address, element in writebacks:
+            target[:] = self.memory.read_array(address, len(target), element)

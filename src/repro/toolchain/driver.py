@@ -147,7 +147,7 @@ class Toolchain:
         """
         from ..exec.engine import make_functional_simulator
 
-        simulator = make_functional_simulator(module.clone(), engine=self.engine,
+        simulator = make_functional_simulator(module, engine=self.engine,
                                               store=self.pipeline.store)
         return simulator.run(entry, *args)
 

@@ -181,7 +181,7 @@ def run_matrix(machines: Sequence[MachineDescription],
         if kernel.name not in references:
             try:
                 reference = make_functional_simulator(
-                    module.clone(), engine=engine, store=pipeline.store)
+                    module, engine=engine, store=pipeline.store)
                 references[kernel.name] = reference.run(
                     kernel.entry, *copy_run_args(args))
             except Exception as exc:  # noqa: BLE001 - re-raised per cell

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import Module
-from .kernels import DOMAINS, KERNELS, Kernel, get_kernel
+from .kernels import DOMAINS, KERNELS, Kernel, copy_run_args, get_kernel
 
 
 def compile_kernel(name: str, pipeline=None) -> Module:
@@ -70,8 +70,7 @@ def run_kernel(name: str, size: Optional[int] = None, seed: int = 1234,
     args = kernel.arguments(size, seed=seed)
     expected = kernel.expected(args)
     simulator = make_functional_simulator(module, engine=engine)
-    run_args = tuple(list(a) if isinstance(a, list) else a for a in args)
-    value = simulator.run(kernel.entry, *run_args)
+    value = simulator.run(kernel.entry, *copy_run_args(args))
     return KernelRun(kernel=name, engine=engine, value=value,
                      expected=expected,
                      instructions=simulator.profile.instructions_executed)

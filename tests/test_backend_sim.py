@@ -205,7 +205,7 @@ class TestCodegenAndAsm:
         assert image.total_words > 0
         function = compiled.get("dot_product")
         first_op = function.blocks[0].bundles[0].ops[0]
-        word = encode_op(first_op, function, [])
+        word = encode_op(first_op, function, [], {})
         decoded = decode_word(word)
         assert decoded.opcode is first_op.inst.opcode
 

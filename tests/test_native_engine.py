@@ -345,13 +345,14 @@ class TestInlineCustomOps:
             assert candidate.run("f", x, y) == expected
 
     @inline_engines
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_customized_population_matches_interpreter(
-            self, engine, seeded_population):
+            self, engine, preset, seeded_population):
         customized = 0
         with seeded_population:
             for name in seeded_population.names():
                 kernel, module = build_kernel_module(name)
-                toolchain = Toolchain(vliw4()).customize(
+                toolchain = Toolchain(get_preset(preset)).customize(
                     module, area_budget_kgates=40.0)
                 customized += any(
                     inst.opcode is Opcode.CUSTOM for f in module
