@@ -28,8 +28,11 @@ from repro.obs import (
 
 
 def main() -> None:
-    journal_path = os.path.join(tempfile.mkdtemp(prefix="repro-obs-"),
-                                "journal.jsonl")
+    with tempfile.TemporaryDirectory(prefix="repro-obs-") as root:
+        observe(os.path.join(root, "journal.jsonl"))
+
+
+def observe(journal_path: str) -> None:
 
     # obs="trace" turns on spans + manifests for this session only
     # (the process default stays whatever REPRO_OBS says; "metrics"

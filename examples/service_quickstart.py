@@ -29,7 +29,11 @@ KERNELS = ["crc32", "dot_product", "viterbi_acs"]
 
 
 def main() -> None:
-    root = tempfile.mkdtemp(prefix="repro-service-")
+    with tempfile.TemporaryDirectory(prefix="repro-service-") as root:
+        serve(root)
+
+
+def serve(root: str) -> None:
     with ServiceDaemon(root, workers=2, worker_mode="thread",
                        name="quickstart") as daemon:
         print(f"daemon up: endpoint={daemon.endpoint}")

@@ -18,9 +18,7 @@ from .identification import (
     Candidate, EnumerationConfig, Occurrence, enumerate_block_cuts,
     filter_overlapping_occurrences, identify_candidates,
 )
-from .selection import (
-    SelectionConfig, SelectionResult, select, select_greedy, select_knapsack,
-)
+from .selection import SelectionConfig, SelectionResult, select
 from .rewrite import (
     RewriteError, apply_selection, custom_op_usage, rewrite_with_library,
 )
@@ -35,8 +33,7 @@ __all__ = [
     "reset_global_library",
     "Candidate", "EnumerationConfig", "Occurrence", "enumerate_block_cuts",
     "filter_overlapping_occurrences", "identify_candidates",
-    "SelectionConfig", "SelectionResult", "select", "select_greedy",
-    "select_knapsack",
+    "SelectionConfig", "SelectionResult", "select",
     "RewriteError", "apply_selection", "custom_op_usage",
     "rewrite_with_library",
     "CustomizationReport", "CustomizationResult", "IsaCustomizer",

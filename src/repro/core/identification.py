@@ -24,12 +24,12 @@ area and opcode-space cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..arch.machine import MachineDescription
 from ..arch.operations import classify
 from ..ir import (
-    BasicBlock, DataflowGraph, Function, Instruction, Module,
+    BasicBlock, DataflowGraph, Instruction, Module,
     build_dataflow_graph, estimate_block_frequencies,
 )
 from .patterns import Pattern, pattern_from_cut
@@ -95,8 +95,6 @@ class EnumerationConfig:
     max_size: int = 10
     min_size: int = 2
     max_candidates_per_block: int = 512
-    #: ignore blocks executed fewer than this many times (profile-weighted).
-    min_block_frequency: float = 0.0
 
 
 #: The search the customizer and the rewriter run: a machine's custom
@@ -194,30 +192,20 @@ def enumerate_block_cuts(block: BasicBlock,
 
 
 def identify_candidates(module: Module,
-                        config: Optional[EnumerationConfig] = None,
-                        functions: Optional[Sequence[str]] = None,
-                        use_static_frequencies: bool = True) -> List[Candidate]:
+                        config: Optional[EnumerationConfig] = None) -> List[Candidate]:
     """Enumerate and merge ISE candidates across a module.
 
-    When the module carries no measured profile (all block frequencies are
-    the default 1.0) and ``use_static_frequencies`` is true, static loop-
-    nesting estimates are computed first so inner-loop candidates dominate.
+    When a function carries no measured profile (all block frequencies are
+    the default 1.0), static loop-nesting estimates are computed first so
+    inner-loop candidates dominate.
     """
     config = config or EnumerationConfig()
     by_signature: Dict[str, Candidate] = {}
 
-    selected_functions: Iterable[Function]
-    if functions is None:
-        selected_functions = module.functions.values()
-    else:
-        selected_functions = [module.get_function(name) for name in functions]
-
-    for function in selected_functions:
-        if use_static_frequencies and all(b.frequency == 1.0 for b in function.blocks):
+    for function in module.functions.values():
+        if all(b.frequency == 1.0 for b in function.blocks):
             estimate_block_frequencies(function)
         for block in function.blocks:
-            if block.frequency < config.min_block_frequency:
-                continue
             dfg, masks = _cut_masks(block, config)
             for mask in masks:
                 instructions = dfg.index.members(mask)

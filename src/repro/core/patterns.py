@@ -6,8 +6,9 @@ convex cuts of basic-block dataflow graphs by the identification stage,
 deduplicated by a canonical signature (so the same computation found in
 two kernels is recognised as one candidate), costed by the hardware-datapath
 model, matched against other programs by the rewriter, and given to the
-simulators as custom operations' semantics: :meth:`Pattern.evaluate` is
-the interpreter's reference, and :func:`expand_pattern` turns a pattern
+simulators as custom operations' semantics: :meth:`Pattern.evaluate`
+gives the interpreter a custom op's value from the shared operation table
+of :mod:`repro.ir.semantics`, and :func:`expand_pattern` turns a pattern
 back into base IR instructions, which the compiled and native engines run
 inline and ISA-drift translation splices into a binary.
 """
@@ -19,8 +20,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..ir import (
-    COMMUTATIVE_OPCODES, Constant, Instruction, IntType, Opcode, VirtualRegister,
+    COMMUTATIVE_OPCODES, FUSABLE_OPCODES, Constant, Instruction, IntType, Opcode,
+    VirtualRegister,
 )
+from ..ir.semantics import BINARY, UNARY, select, wrapper
 from ..ir.types import I32, I64, PointerType
 
 #: Hardware delay of each primitive, in units of one 32-bit adder delay.
@@ -49,6 +52,11 @@ HW_AREA_KGATES = {
     Opcode.SELECT: 0.7, Opcode.MOV: 0.0,
     Opcode.SEXT: 0.1, Opcode.ZEXT: 0.1, Opcode.TRUNC: 0.1,
 }
+
+#: the function of the operand values each fusable opcode computes.
+_PRIMITIVES = {op: select if op is Opcode.SELECT else BINARY.get(op) or UNARY[op]
+               for op in FUSABLE_OPCODES}
+_wrap_i32 = wrapper(I32)
 
 #: Adder delays that fit in one pipeline stage of the custom functional
 #: unit (slightly more than one, reflecting slack in the base machine's
@@ -195,15 +203,15 @@ class Pattern:
     def evaluate(self, inputs: Sequence[int]):
         """Execute the pattern on integer inputs; returns the first output.
 
-        Multi-output patterns return a tuple.  All arithmetic is wrapped to
-        32 bits, matching the simulated machine.
+        Multi-output patterns return a tuple.  Each node computes its
+        opcode's function in :mod:`repro.ir.semantics`, wrapped to 32 bits
+        as a register write of ``I32``, matching the simulated machine.
         """
         if len(inputs) != self.num_inputs:
             raise PatternError(
                 f"pattern {self.name} expects {self.num_inputs} inputs, "
                 f"got {len(inputs)}"
             )
-        i32 = I32
         values: Dict[int, int] = {}
 
         def operand_value(operand) -> int:
@@ -215,8 +223,13 @@ class Pattern:
             return values[ref]
 
         for index, node in enumerate(self.nodes):
-            ops = [operand_value(o) for o in node.operands]
-            values[index] = i32.wrap(_evaluate_primitive(node.opcode, ops))
+            try:
+                fn = _PRIMITIVES[node.opcode]
+            except KeyError:
+                raise PatternError(
+                    f"opcode {node.opcode} cannot appear in a pattern") from None
+            values[index] = _wrap_i32(
+                fn(*[operand_value(o) for o in node.operands]))
 
         results = tuple(values[i] for i in self.outputs)
         return results[0] if len(results) == 1 else results
@@ -232,54 +245,6 @@ class Pattern:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Pattern {self.name} {self.signature()}>"
-
-
-def _evaluate_primitive(opcode: Opcode, ops: List[int]) -> int:
-    if opcode is Opcode.ADD:
-        return ops[0] + ops[1]
-    if opcode is Opcode.SUB:
-        return ops[0] - ops[1]
-    if opcode is Opcode.MUL:
-        return ops[0] * ops[1]
-    if opcode is Opcode.AND:
-        return ops[0] & ops[1]
-    if opcode is Opcode.OR:
-        return ops[0] | ops[1]
-    if opcode is Opcode.XOR:
-        return ops[0] ^ ops[1]
-    if opcode is Opcode.SHL:
-        return ops[0] << (ops[1] & 31)
-    if opcode is Opcode.SHR:
-        return (ops[0] & 0xFFFFFFFF) >> (ops[1] & 31)
-    if opcode is Opcode.SAR:
-        return ops[0] >> (ops[1] & 31)
-    if opcode is Opcode.MIN:
-        return min(ops[0], ops[1])
-    if opcode is Opcode.MAX:
-        return max(ops[0], ops[1])
-    if opcode is Opcode.ABS:
-        return abs(ops[0])
-    if opcode is Opcode.NEG:
-        return -ops[0]
-    if opcode is Opcode.NOT:
-        return ~ops[0]
-    if opcode is Opcode.CMPEQ:
-        return int(ops[0] == ops[1])
-    if opcode is Opcode.CMPNE:
-        return int(ops[0] != ops[1])
-    if opcode is Opcode.CMPLT:
-        return int(ops[0] < ops[1])
-    if opcode is Opcode.CMPLE:
-        return int(ops[0] <= ops[1])
-    if opcode is Opcode.CMPGT:
-        return int(ops[0] > ops[1])
-    if opcode is Opcode.CMPGE:
-        return int(ops[0] >= ops[1])
-    if opcode is Opcode.SELECT:
-        return ops[1] if ops[0] else ops[2]
-    if opcode in (Opcode.MOV, Opcode.SEXT, Opcode.ZEXT, Opcode.TRUNC):
-        return ops[0]
-    raise PatternError(f"opcode {opcode} cannot appear in a pattern")
 
 
 def expand_pattern(pattern: Pattern, operands: Sequence,

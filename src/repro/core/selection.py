@@ -1,18 +1,11 @@
 """Selection of ISA extensions under area and opcode-space budgets.
 
 Given the candidate list produced by identification, selection decides
-which fused operations actually become part of the customized ISA.  Two
-selectors are provided:
-
-* :func:`select_greedy` — the classic benefit-per-kgate greedy heuristic
-  with overlap resolution; fast and within a few percent of optimal on the
-  workload suite.
-* :func:`select_knapsack` — a dynamic-programming 0/1 knapsack on a scaled
-  area axis, used by tests and by the ablation experiment to bound how much
-  the greedy heuristic leaves on the table.
-
-Both respect the encoding budget (opcode points, :mod:`repro.arch.encoding`)
-in addition to the area budget.
+which fused operations actually become part of the customized ISA.
+:func:`select` is the classic benefit-per-kgate greedy heuristic with
+overlap resolution: candidates are taken by descending estimated benefit
+per kgate while the area budget, the encoding budget (opcode points,
+:mod:`repro.arch.encoding`) and the operation count allow.
 """
 
 from __future__ import annotations
@@ -37,8 +30,6 @@ class SelectionConfig:
     max_operations: int = 8
     #: candidates whose estimated benefit is below this are never selected.
     min_benefit: float = 1.0
-    #: selection algorithm: "greedy" or "knapsack".
-    algorithm: str = "greedy"
 
 
 @dataclass
@@ -62,8 +53,8 @@ def _candidate_cost(candidate: Candidate) -> Tuple[float, int]:
     return area, points
 
 
-def select_greedy(candidates: Sequence[Candidate], machine: MachineDescription,
-                  config: Optional[SelectionConfig] = None) -> SelectionResult:
+def select(candidates: Sequence[Candidate], machine: MachineDescription,
+           config: Optional[SelectionConfig] = None) -> SelectionResult:
     """Pick candidates by descending benefit density until budgets run out."""
     config = config or SelectionConfig()
     result = SelectionResult()
@@ -100,72 +91,3 @@ def select_greedy(candidates: Sequence[Candidate], machine: MachineDescription,
         c.estimated_benefit(machine) for c in result.selected
     )
     return result
-
-
-def select_knapsack(candidates: Sequence[Candidate], machine: MachineDescription,
-                    config: Optional[SelectionConfig] = None,
-                    area_resolution: float = 0.5) -> SelectionResult:
-    """0/1 knapsack selection on a discretised area axis.
-
-    The area budget is discretised to ``area_resolution`` kgates; the
-    opcode and operation-count budgets are enforced afterwards by dropping
-    the least-dense selections (they bind rarely, and this keeps the DP
-    one-dimensional).
-    """
-    config = config or SelectionConfig()
-    usable: List[Tuple[float, float, int, Candidate]] = []
-    result = SelectionResult()
-    for candidate in candidates:
-        benefit = candidate.estimated_benefit(machine)
-        if benefit < config.min_benefit or not candidate.occurrences:
-            result.rejected.append(candidate)
-            continue
-        area, points = _candidate_cost(candidate)
-        usable.append((benefit, area, points, candidate))
-
-    capacity = int(config.area_budget_kgates / area_resolution)
-    # dp[w] = (best benefit, chosen indices) using area <= w*resolution.
-    best = [0.0] * (capacity + 1)
-    chosen: List[List[int]] = [[] for _ in range(capacity + 1)]
-    for index, (benefit, area, points, candidate) in enumerate(usable):
-        weight = max(1, -int(-area // area_resolution))  # ceil: never exceed budget
-        for w in range(capacity, weight - 1, -1):
-            alternative = best[w - weight] + benefit
-            if alternative > best[w]:
-                best[w] = alternative
-                chosen[w] = chosen[w - weight] + [index]
-
-    picked = chosen[capacity]
-    # Enforce the remaining budgets greedily by density.
-    picked.sort(key=lambda i: -(usable[i][0] / max(usable[i][1], 0.1)))
-    for index in picked:
-        benefit, area, points, candidate = usable[index]
-        if len(result.selected) >= config.max_operations:
-            result.rejected.append(candidate)
-            continue
-        if result.opcode_points_used + points > config.opcode_budget:
-            result.rejected.append(candidate)
-            continue
-        result.selected.append(candidate)
-        result.area_used_kgates += area
-        result.opcode_points_used += points
-    for _, _, _, candidate in usable:
-        if candidate not in result.selected and candidate not in result.rejected:
-            result.rejected.append(candidate)
-
-    filter_overlapping_occurrences(result.selected)
-    result.estimated_cycles_saved = sum(
-        c.estimated_benefit(machine) for c in result.selected
-    )
-    return result
-
-
-def select(candidates: Sequence[Candidate], machine: MachineDescription,
-           config: Optional[SelectionConfig] = None) -> SelectionResult:
-    """Dispatch to the selector named in ``config.algorithm``."""
-    config = config or SelectionConfig()
-    if config.algorithm == "knapsack":
-        return select_knapsack(candidates, machine, config)
-    if config.algorithm == "greedy":
-        return select_greedy(candidates, machine, config)
-    raise ValueError(f"unknown selection algorithm '{config.algorithm}'")

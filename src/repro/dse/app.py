@@ -201,8 +201,11 @@ class AppEvaluator:
                  custom_area_budget: float = 0.0) -> AppEvaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA."""
         evaluation = AppEvaluation(machine=machine, fidelity=self.fidelity)
-        modules = {key: module.clone()
-                   for key, module in self._modules.items()}
+        # Only customization rewrites modules in place (see
+        # Evaluator.evaluate); an uncustomized point reads them directly.
+        modules = self._modules
+        if custom_area_budget > 0.0:
+            modules = {key: module.clone() for key, module in modules.items()}
         weighted = [(modules[(spec.name, node.name)], weight)
                     for spec, weight in self.mix.applications()
                     for node in spec.nodes]

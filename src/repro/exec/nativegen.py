@@ -8,7 +8,7 @@ wrapped integer value the interpreter can produce fits) or ``double``
 (floats — the interpreter stores Python floats and applies the f32
 round only on destination writes, which the rendered code mirrors with
 ``(double)(float)`` casts).  Destination wraps inline the exact masks of
-:func:`repro.sim.functional._wrap`, memory accesses replicate
+:func:`repro.ir.semantics.wrapper`, memory accesses replicate
 :class:`repro.sim.Memory`'s guard/bounds checks and bump allocator, and
 global addresses are baked in as constants read from
 :func:`repro.sim.memory.global_layout`, the layout every engine loads.
@@ -309,7 +309,7 @@ class _Renderer:
         return f"((double){expr})" if klass == "i" else expr
 
     def _wrap(self, type_: Type, klass: str, expr: str) -> str:
-        """Destination-write wrap, mirroring repro.sim.functional._wrap."""
+        """Destination-write wrap, mirroring repro.ir.semantics.wrapper."""
         if isinstance(type_, IntType):
             e = self._as_int(klass, expr)
             if type_.bits == 64:

@@ -1,15 +1,19 @@
 """Threaded-code translation of IR modules.
 
 The functional interpreter (:class:`repro.sim.FunctionalSimulator`) pays a
-large constant cost per executed instruction: a long ``if/elif`` chain over
-:class:`~repro.ir.Opcode`, an ``isinstance`` chain per operand, and several
-profile dictionary updates.  This module removes all of that cost *once, at
-translation time*: every basic block is pre-translated into a tuple of
-specialized Python closures (classic threaded code).  Operand accessors are
+constant cost per executed instruction: a handler dispatch through its
+opcode table, generic operand reads, and several profile dictionary
+updates.  This module removes that cost *once, at translation time*:
+every basic block is pre-translated into a tuple of specialized Python
+closures (classic threaded code).  Operand accessors are
 resolved when the closure is built — constants and global addresses are
 baked in as Python values, register reads become a single dict index — and
 the opcode dispatch disappears entirely because each closure *is* its
-opcode's semantics.
+opcode's semantics.  Those semantics are not restated here: a closure
+calls the operation's function from :mod:`repro.ir.semantics` (the table
+the constant folder and custom-op patterns share) and that module's
+register-write :func:`~repro.ir.semantics.wrapper`; the interpreter is
+the independent reference they are tested against.
 
 Profile accounting is hoisted out of the hot loop: within one basic block
 the instruction sequence is static, so the per-visit profile contribution
@@ -38,17 +42,15 @@ therefore misses the stored translation).
 
 from __future__ import annotations
 
-import operator
-import struct
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..ir import (
-    Argument, Constant, Function, GlobalVariable, Instruction, IntType, Module,
-    Opcode, PointerType, UndefValue, VirtualRegister,
+    Argument, Constant, Function, GlobalVariable, Instruction, Module, Opcode,
+    UndefValue, VirtualRegister,
 )
 from ..core.patterns import PatternError, expand_pattern
-from ..ir.types import FloatType, I32, Type
-from ..sim.functional import SimulationError
+from ..ir.semantics import BINARY, UNARY, SimulationError, wrapper
+from ..ir.types import I32
 from ..sim.memory import global_layout
 
 
@@ -61,37 +63,6 @@ from ..sim.memory import global_layout
 _Access = Tuple[str, object]
 
 
-def _wrap_fn(type_: Type) -> Callable:
-    """A wrap function matching :func:`repro.sim.functional._wrap` for ``type_``."""
-    if isinstance(type_, IntType):
-        # Inlined IntType.wrap(int(value)): the int() coercion matters — the
-        # interpreter truncates a float landing in an int destination.
-        mask = (1 << type_.bits) - 1
-        if type_.signed:
-            sign_bit = 1 << (type_.bits - 1)
-            excess = 1 << type_.bits
-            def wrap_sint(value):
-                value = int(value) & mask
-                return value - excess if value >= sign_bit else value
-            return wrap_sint
-        def wrap_uint(value):
-            return int(value) & mask
-        return wrap_uint
-    if isinstance(type_, FloatType):
-        if type_.bits == 32:
-            def wrap_f32(value):
-                return struct.unpack("<f", struct.pack("<f", float(value)))[0]
-            return wrap_f32
-        return float
-    if isinstance(type_, PointerType):
-        def wrap_ptr(value):
-            return int(value) & 0xFFFFFFFF
-        return wrap_ptr
-    def wrap_id(value):
-        return value
-    return wrap_id
-
-
 def _getter(access: _Access) -> Callable:
     """Turn an accessor descriptor into a callable ``regs -> value``."""
     kind, ref = access
@@ -102,76 +73,6 @@ def _getter(access: _Access) -> Callable:
     def get_reg(regs, _i=ref):
         return regs[_i]
     return get_reg
-
-
-# ----------------------------------------------------------------------
-# Opcode semantics, expressed as plain binary/unary Python functions that
-# mirror the reference interpreter's handlers (repro.sim.functional)
-# case by case.
-# ----------------------------------------------------------------------
-
-def _div(a, b):
-    if b == 0:
-        raise SimulationError("integer division by zero")
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
-
-
-def _rem(a, b):
-    if b == 0:
-        raise SimulationError("integer remainder by zero")
-    quotient = abs(a) // abs(b)
-    signed_q = quotient if (a >= 0) == (b >= 0) else -quotient
-    return a - signed_q * b
-
-
-def _fdiv(a, b):
-    if b == 0:
-        raise SimulationError("floating division by zero")
-    return a / b
-
-
-_BINARY_SEMANTICS: Dict[Opcode, Callable] = {
-    Opcode.ADD: operator.add,
-    Opcode.SUB: operator.sub,
-    Opcode.MUL: operator.mul,
-    Opcode.DIV: _div,
-    Opcode.REM: _rem,
-    Opcode.AND: operator.and_,
-    Opcode.OR: operator.or_,
-    Opcode.XOR: operator.xor,
-    Opcode.SHL: lambda a, b: a << (b & 31),
-    Opcode.SHR: lambda a, b: (a & 0xFFFFFFFF) >> (b & 31),
-    Opcode.SAR: lambda a, b: a >> (b & 31),
-    Opcode.MIN: lambda a, b: min(a, b),
-    Opcode.MAX: lambda a, b: max(a, b),
-    Opcode.FADD: operator.add,
-    Opcode.FSUB: operator.sub,
-    Opcode.FMUL: operator.mul,
-    Opcode.FDIV: _fdiv,
-    Opcode.CMPEQ: lambda a, b: int(a == b),
-    Opcode.FCMPEQ: lambda a, b: int(a == b),
-    Opcode.CMPNE: lambda a, b: int(a != b),
-    Opcode.CMPLT: lambda a, b: int(a < b),
-    Opcode.FCMPLT: lambda a, b: int(a < b),
-    Opcode.CMPLE: lambda a, b: int(a <= b),
-    Opcode.FCMPLE: lambda a, b: int(a <= b),
-    Opcode.CMPGT: lambda a, b: int(a > b),
-    Opcode.CMPGE: lambda a, b: int(a >= b),
-}
-
-_UNARY_SEMANTICS: Dict[Opcode, Callable] = {
-    Opcode.MOV: lambda a: a,
-    Opcode.ABS: abs,
-    Opcode.NEG: operator.neg,
-    Opcode.NOT: operator.invert,
-    Opcode.FNEG: operator.neg,
-    Opcode.SEXT: lambda a: a,
-    Opcode.ZEXT: lambda a: a,
-    Opcode.TRUNC: lambda a: a,
-    Opcode.ITOF: float,
-    Opcode.FTOI: int,
-}
 
 
 # ----------------------------------------------------------------------
@@ -354,17 +255,17 @@ class ModuleTranslator:
         """Threaded code for one non-terminator instruction."""
         op = inst.opcode
 
-        if op in _BINARY_SEMANTICS:
-            return self._build_binary(inst, _BINARY_SEMANTICS[op])
-        if op in _UNARY_SEMANTICS:
-            return self._build_unary(inst, _UNARY_SEMANTICS[op])
+        if op in BINARY:
+            return self._build_binary(inst, BINARY[op])
+        if op in UNARY:
+            return self._build_unary(inst, UNARY[op])
 
         if op is Opcode.SELECT:
             get_c = _getter(self.access(inst.operands[0]))
             get_t = _getter(self.access(inst.operands[1]))
             get_f = _getter(self.access(inst.operands[2]))
             dest = inst.dest.id
-            wrap = _wrap_fn(inst.dest.type)
+            wrap = wrapper(inst.dest.type)
             def do_select(regs, ctx, _c=get_c, _t=get_t, _f=get_f,
                           _d=dest, _w=wrap):
                 regs[_d] = _w(_t(regs) if _c(regs) else _f(regs))
@@ -373,7 +274,7 @@ class ModuleTranslator:
         if op is Opcode.LOAD:
             dest = inst.dest.id
             dtype = inst.dest.type
-            wrap = _wrap_fn(dtype)
+            wrap = wrapper(dtype)
             kind, ref = self.access(inst.operands[0])
             if kind == "r":
                 def do_load(regs, ctx, _a=ref, _d=dest, _t=dtype, _w=wrap):
@@ -402,7 +303,7 @@ class ModuleTranslator:
             element = inst.alloc_type or I32
             size, alignment = element.size, element.alignment
             dest = inst.dest.id
-            wrap = _wrap_fn(inst.dest.type)
+            wrap = wrapper(inst.dest.type)
             def do_alloca(regs, ctx, _n=get_count, _s=size, _al=alignment,
                           _d=dest, _w=wrap):
                 regs[_d] = _w(ctx.memory.allocate(max(4, _s * int(_n(regs))), _al))
@@ -421,7 +322,7 @@ class ModuleTranslator:
         (ak, av) = self.access(inst.operands[0])
         (bk, bv) = self.access(inst.operands[1])
         dest = inst.dest.id
-        wrap = _wrap_fn(inst.dest.type)
+        wrap = wrapper(inst.dest.type)
         # Specialize the four operand-kind combinations so the hot path is a
         # closure call plus dict indexing — no accessor indirection.
         if ak == "r" and bk == "r":
@@ -443,7 +344,7 @@ class ModuleTranslator:
     def _build_unary(self, inst: Instruction, fn: Callable) -> Callable:
         kind, ref = self.access(inst.operands[0])
         dest = inst.dest.id
-        wrap = _wrap_fn(inst.dest.type)
+        wrap = wrapper(inst.dest.type)
         if kind == "r":
             def op_r(regs, ctx, _a=ref, _d=dest, _fn=fn, _w=wrap):
                 regs[_d] = _w(_fn(regs[_a]))
@@ -465,7 +366,7 @@ class ModuleTranslator:
             return do_bad_call
         if inst.dest is not None:
             dest = inst.dest.id
-            wrap = _wrap_fn(inst.dest.type)
+            wrap = wrapper(inst.dest.type)
             def do_call(regs, ctx, _g=getters, _f=callee, _d=dest, _w=wrap):
                 result = ctx._call(_f, [get(regs) for get in _g])
                 regs[_d] = _w(result if result is not None else 0)

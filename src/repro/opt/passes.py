@@ -5,7 +5,9 @@ they made, so the pass manager can iterate to a fixed point.  They are
 deliberately conservative: a pass only fires when it can prove (locally)
 that the transformation preserves semantics, because every mis-compile
 shows up later as a silent divergence between the functional reference
-simulator and the cycle simulator.
+simulator and the cycle simulator.  Constant folding computes with the
+operation table of :mod:`repro.ir.semantics`, the one the engines run, so
+a folded constant is the value the instruction would have produced.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from ..ir import (
     VirtualRegister, remove_unreachable_blocks,
 )
 from ..ir.instructions import move
+from ..ir.semantics import BINARY, UNARY, SimulationError, select
 from ..ir.types import FloatType, I1, I32
 
 
@@ -24,50 +27,22 @@ from ..ir.types import FloatType, I1, I32
 # Constant folding and algebraic simplification.
 # ----------------------------------------------------------------------
 
-_INT_FOLDERS = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.MUL: lambda a, b: a * b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.SHL: lambda a, b: a << (b & 31),
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-    Opcode.CMPEQ: lambda a, b: int(a == b),
-    Opcode.CMPNE: lambda a, b: int(a != b),
-    Opcode.CMPLT: lambda a, b: int(a < b),
-    Opcode.CMPLE: lambda a, b: int(a <= b),
-    Opcode.CMPGT: lambda a, b: int(a > b),
-    Opcode.CMPGE: lambda a, b: int(a >= b),
-}
-
-
-def _fold_int(inst: Instruction, lhs: int, rhs: int) -> Optional[int]:
-    """Fold an integer binary op; returns None when folding is unsafe."""
-    op = inst.opcode
-    if op in _INT_FOLDERS:
-        return _INT_FOLDERS[op](lhs, rhs)
-    if op is Opcode.DIV:
-        if rhs == 0:
-            return None
-        quotient = abs(lhs) // abs(rhs)
-        return quotient if (lhs >= 0) == (rhs >= 0) else -quotient
-    if op is Opcode.REM:
-        if rhs == 0:
-            return None
-        quotient = abs(lhs) // abs(rhs)
-        signed_q = quotient if (lhs >= 0) == (rhs >= 0) else -quotient
-        return lhs - signed_q * rhs
-    if op is Opcode.SHR:
-        return (lhs & 0xFFFFFFFF) >> (rhs & 31)
-    if op is Opcode.SAR:
-        return lhs >> (rhs & 31)
-    return None
+#: the opcodes folded when every operand is an integer constant: the
+#: integer binary operations and NEG/NOT/ABS.  Float operations stay
+#: unfolded.
+_FOLDABLE = frozenset({
+    Opcode.ADD, Opcode.SUB, Opcode.MUL, Opcode.DIV, Opcode.REM, Opcode.AND,
+    Opcode.OR, Opcode.XOR, Opcode.SHL, Opcode.SHR, Opcode.SAR, Opcode.MIN,
+    Opcode.MAX, Opcode.CMPEQ, Opcode.CMPNE, Opcode.CMPLT, Opcode.CMPLE,
+    Opcode.CMPGT, Opcode.CMPGE, Opcode.NEG, Opcode.NOT, Opcode.ABS,
+})
 
 
 def constant_fold(function: Function) -> int:
-    """Replace operations on constant operands with constant moves."""
+    """Replace operations on constant operands with constant moves.
+
+    A division by zero is left for run time to report.
+    """
     changes = 0
     for block in function.blocks:
         for inst in block.instructions:
@@ -76,28 +51,20 @@ def constant_fold(function: Function) -> int:
             ops = inst.operands
             if not ops or not all(isinstance(op, Constant) for op in ops):
                 continue
-            result = None
-            result_type = inst.dest.type
-            if inst.opcode in (Opcode.NEG, Opcode.NOT, Opcode.ABS):
-                value = ops[0].value
-                if isinstance(value, int):
-                    result = {-value: None}  # placeholder; handled below
-                    if inst.opcode is Opcode.NEG:
-                        result = -value
-                    elif inst.opcode is Opcode.NOT:
-                        result = ~value
-                    else:
-                        result = abs(value)
-            elif len(ops) == 2 and all(isinstance(o.value, int) for o in ops):
-                result = _fold_int(inst, ops[0].value, ops[1].value)
-            elif inst.opcode is Opcode.SELECT and isinstance(ops[0].value, int):
-                result_const = ops[1] if ops[0].value else ops[2]
+            if inst.opcode is Opcode.SELECT and isinstance(ops[0].value, int):
                 inst.opcode = Opcode.MOV
-                inst.operands = [result_const]
+                inst.operands = [select(ops[0].value, ops[1], ops[2])]
                 changes += 1
                 continue
-            if result is None or not isinstance(result, int):
+            fn = (BINARY if len(ops) == 2 else UNARY).get(inst.opcode)
+            if (inst.opcode not in _FOLDABLE or fn is None
+                    or not all(isinstance(op.value, int) for op in ops)):
                 continue
+            try:
+                result = fn(*(op.value for op in ops))
+            except SimulationError:
+                continue
+            result_type = inst.dest.type
             if isinstance(result_type, IntType):
                 result = result_type.wrap(result)
             inst.opcode = Opcode.MOV

@@ -3,9 +3,12 @@
 This is the semantic oracle of the whole toolchain: the cycle simulator,
 the binary translator and every optimization and customization pass are
 validated against it (the "fast and accurate simulation of everything"
-discipline of §3.1).  It also doubles as the statistical profiler — block
-execution counts collected here drive the ISE selector's benefit
-estimates.
+discipline of §3.1).  Its opcode handlers and register-write wrap are
+written out here on purpose, apart from the shared table of
+:mod:`repro.ir.semantics` that the other engines, the constant folder and
+custom-op patterns read, so that the two can be checked against each
+other.  It also doubles as the statistical profiler — block execution
+counts collected here drive the ISE selector's benefit estimates.
 """
 
 from __future__ import annotations
@@ -19,12 +22,9 @@ from ..ir import (
     Constant, Function, GlobalVariable, IntType, Module, Opcode, PointerType,
     UndefValue, VirtualRegister,
 )
+from ..ir.semantics import SimulationError
 from ..ir.types import FloatType, I32, Type
 from .memory import Memory, ProgramImage
-
-
-class SimulationError(Exception):
-    """Raised when the simulated program performs an illegal operation."""
 
 
 #: the deepest chain of active calls, the entry function included, that
@@ -90,10 +90,6 @@ def _wrapper(type_: Type) -> Callable:
     if isinstance(type_, PointerType):
         return lambda value: int(value) & 0xFFFFFFFF
     return lambda value: value
-
-
-def _wrap(value, type_: Type):
-    return _wrapper(type_)(value)
 
 
 # ----------------------------------------------------------------------

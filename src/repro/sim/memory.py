@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..ir import (
     I32, ArrayType, FloatType, IntType, Module, PointerType, Type,
 )
+from ..ir.semantics import wrapper
 
 
 class MemoryError_(Exception):
@@ -244,8 +245,6 @@ class ProgramImage:
         lowered values and the write-backs :meth:`write_back` applies
         after the call: one per list, unless ``copy_back`` is False.
         """
-        from .functional import _wrap
-
         lowered: List = []
         writebacks: List = []
         for formal, actual in zip(types, args):
@@ -260,7 +259,7 @@ class ProgramImage:
                 if copy_back and isinstance(actual, list):
                     writebacks.append((actual, address, element))
             else:
-                lowered.append(_wrap(actual, formal))
+                lowered.append(wrapper(formal)(actual))
         return lowered, writebacks
 
     def write_back(self, writebacks: List) -> None:

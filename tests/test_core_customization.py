@@ -16,7 +16,7 @@ from repro.core import (
     Candidate, EnumerationConfig, ExtensionLibrary, IsaCustomizer, Pattern,
     PatternNode, SelectionConfig, customize_isa, enumerate_block_cuts,
     identify_candidates, pattern_from_cut,
-    rewrite_with_library, select, select_greedy, select_knapsack,
+    rewrite_with_library, select,
 )
 from repro.core.rewrite import custom_op_usage
 from repro.frontend import compile_c
@@ -142,42 +142,26 @@ class TestSelection:
     def test_area_budget_respected(self):
         candidates, _ = self._candidates()
         machine = vliw4()
-        for budget in (5.0, 20.0, 60.0):
-            result = select_greedy(candidates, machine,
-                                   SelectionConfig(area_budget_kgates=budget))
+        for budget in (5.0, 20.0, 25.0, 60.0):
+            result = select(candidates, machine,
+                            SelectionConfig(area_budget_kgates=budget))
             assert result.area_used_kgates <= budget + 1e-9
 
     def test_opcode_budget_respected(self):
         candidates, _ = self._candidates()
-        result = select_greedy(candidates, vliw4(),
-                               SelectionConfig(opcode_budget=3, area_budget_kgates=1e9))
+        result = select(candidates, vliw4(),
+                        SelectionConfig(opcode_budget=3, area_budget_kgates=1e9))
         assert result.opcode_points_used <= 3
 
     def test_max_operations_respected(self):
         candidates, _ = self._candidates()
-        result = select_greedy(candidates, vliw4(),
-                               SelectionConfig(max_operations=2, area_budget_kgates=1e9))
+        result = select(candidates, vliw4(),
+                        SelectionConfig(max_operations=2, area_budget_kgates=1e9))
         assert len(result.selected) <= 2
-
-    def test_knapsack_at_least_as_good_as_greedy_estimate(self):
-        candidates, _ = self._candidates()
-        machine = vliw4()
-        config_g = SelectionConfig(area_budget_kgates=25.0, algorithm="greedy")
-        config_k = SelectionConfig(area_budget_kgates=25.0, algorithm="knapsack")
-        greedy = select(candidates, machine, config_g)
-        knapsack = select(candidates, machine, config_k)
-        # Before overlap filtering both respect the budget; knapsack should
-        # never be drastically worse than greedy.
-        assert knapsack.area_used_kgates <= 25.0 + 1e-9
-        assert greedy.area_used_kgates <= 25.0 + 1e-9
-
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError):
-            select([], vliw4(), SelectionConfig(algorithm="magic"))
 
     def test_overlap_filtering_keeps_disjoint_sites(self):
         candidates, _ = self._candidates()
-        result = select_greedy(candidates, vliw4(), SelectionConfig())
+        result = select(candidates, vliw4(), SelectionConfig())
         claimed = set()
         for candidate in result.selected:
             for occurrence in candidate.occurrences:
