@@ -40,7 +40,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..exec.registry import validate_engine
+from ..exec.registry import TRACE_ENGINE, validate_engine
 from ..obs import (
     ObsJournal, default_journal_path, global_tracer, metrics_enabled,
     obs_override, validate_obs_mode,
@@ -561,7 +561,7 @@ class Session:
 
         # Report what ran: the trace profiler is the threaded-code engine;
         # cycle fidelity (and a re-scored frontier) is the cycle simulator.
-        engine = "compiled" if result.fidelity == "trace" else "cycle"
+        engine = TRACE_ENGINE if result.fidelity == "trace" else "cycle"
         exported = result.to_dict()
         extra_cache = {"batch": explorer.batch.stats.as_dict()}
         if result.rescore is not None:

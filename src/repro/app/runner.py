@@ -23,11 +23,12 @@ Two fidelities mirror the single-kernel evaluator:
 * ``"cycle"`` — every window of every node actually executes; window
   latency, jitter and deadline misses come from measured per-window
   profiles (data-dependent control flow makes windows genuinely vary);
-* ``"trace"`` — each node is profiled exactly once (the pipeline's
-  ``trace`` stage, window 0) and priced analytically per machine by the
-  :class:`~repro.model.RetimingModel`; the graph is re-aggregated from
-  the per-node estimates, so a design-space sweep never re-executes the
-  application.
+* ``"trace"`` — each node is timed once (window 0) by the pipeline's
+  one kernel measurement, :meth:`~repro.pipeline.CompilePipeline.measure`
+  at trace fidelity: profiled by the ``trace`` stage and priced
+  analytically per machine by the :class:`~repro.model.RetimingModel`;
+  the graph is re-aggregated from the per-node estimates, so a
+  design-space sweep never re-executes the application.
 
 The result is a typed, plain-data :class:`AppReport` — picklable
 through the artifact store — with p50/p95/p99 window latencies derived
@@ -139,12 +140,6 @@ class AppReport:
         if len(self.window_latencies_us) < 2:
             return 0.0
         return max(self.window_latencies_us) - min(self.window_latencies_us)
-
-    @property
-    def mean_latency_us(self) -> float:
-        if not self.window_latencies_us:
-            return 0.0
-        return sum(self.window_latencies_us) / len(self.window_latencies_us)
 
     @property
     def energy_per_window_uj(self) -> float:
@@ -433,10 +428,7 @@ class AppRunner:
     def _run_trace(self) -> AppReport:
         """Profile each node once (window 0), price analytically, and
         re-aggregate the graph — no per-window execution at all."""
-        from ..model.retime import RetimingModel
-
         report = self._empty_report()
-        retimer = RetimingModel(store=self.pipeline.store)
         produced_oracle: Dict[Tuple[str, str], object] = {}
         total_cycles = 0
         total_energy = 0.0
@@ -450,15 +442,15 @@ class AppRunner:
             generated = self.generated[name]
             args = self.bind_args(0, name, produced_oracle, load=load)
             expected = self._oracle_step(0, name, produced_oracle, load=load)
-            trace, _record = self.pipeline.trace(
-                self._modules[name], generated.kernel.entry, args)
-            estimate = retimer.price(self._compiled[name], self.machine, trace)
+            estimate = self.pipeline.measure(
+                self._modules[name], self._compiled[name],
+                generated.kernel.entry, args, "trace")
             stats = next(s for s in report.node_stats if s.node == name)
             stats.runs = 1
             stats.cycles_per_window.append(estimate.cycles)
             stats.energy_uj_total = estimate.energy_uj
-            stats.correct = trace.value == expected
-            values[name] = trace.value
+            stats.correct = estimate.value == expected
+            values[name] = estimate.value
             total_cycles += estimate.cycles
             total_energy += estimate.energy_uj
         latency_us = total_cycles * self.machine.clock_ns / 1000.0

@@ -197,10 +197,6 @@ class MachineDescription:
         return self.registers_per_cluster * self.num_clusters
 
     @property
-    def total_functional_units(self) -> int:
-        return sum(fu.count for fu in self.functional_units)
-
-    @property
     def cluster_issue_width(self) -> int:
         return self.issue_width // self.num_clusters
 

@@ -3,12 +3,15 @@
 The evaluator compiles each kernel of a weighted mix for the candidate
 machine (optionally customizing the ISA first; candidate machines share
 the process-wide extension library, and each one uses only the
-operations its own ``custom_ops`` name), runs the cycle simulator, and
-reduces the measurements to the objective metrics the paper's argument
-uses: execution time, silicon area, energy, code size, and their ratios.
+operations its own ``custom_ops`` name), times it through the pipeline's
+one kernel measurement (:meth:`~repro.pipeline.CompilePipeline.measure`),
+and reduces the measurements to the objective metrics the paper's
+argument uses: execution time, silicon area, energy, code size, and
+their ratios.  Each kernel's optimized IR, arguments and oracle answer
+are prepared once per evaluator, not once per design point.
 
-``fidelity=`` selects the timing model, the one timing axis of
-design-space evaluation:
+``fidelity=`` selects the timing model of ``measure``, the one timing
+axis of design-space evaluation:
 
 * ``"cycle"`` (default) — the cycle-accurate simulator executes the
   scheduled code of every design point: exact timing including cache
@@ -31,12 +34,9 @@ from ..arch.area import estimate_area
 from ..arch.machine import MachineDescription
 from ..core.customizer import IsaCustomizer
 from ..core.selection import SelectionConfig
-from ..backend.mcode import CompiledModule
 from ..exec.registry import validate_engine
 from ..ir import Module
 from ..pipeline import CompilePipeline
-from ..sim.cycle import CycleSimulator
-from ..workloads.kernels import Kernel, copy_run_args
 from ..workloads.suite import WorkloadMix
 
 
@@ -174,17 +174,17 @@ class Evaluator:
             from ..api.session import default_pipeline
 
             self.pipeline = default_pipeline()
-        # Pre-compile the machine-independent IR once per kernel.
+        # Per-kernel work is the same at every design point, so it is done
+        # once: the machine-independent IR, the arguments and the oracle's
+        # answer.  ``measure`` copies the arguments on every run.
         self._modules = {}
+        self._inputs = {}
         for kernel, weight in mix.kernels():
             module, _records = self.pipeline.front(
                 kernel.source, kernel.name, opt_level=self.opt_level)
             self._modules[kernel.name] = module
-        # One retiming model per evaluator: d-cache replays are memoized
-        # in the pipeline's artifact store, shared across design points.
-        from ..model.retime import RetimingModel
-
-        self._retimer = RetimingModel(store=self.pipeline.store)
+            args = kernel.arguments(self.size, seed=self.seed)
+            self._inputs[kernel.name] = (args, kernel.expected(args))
 
     def with_fidelity(self, fidelity: str) -> "Evaluator":
         """This evaluator's recipe at another fidelity (shared pipeline)."""
@@ -212,29 +212,21 @@ class Evaluator:
                                          custom_area_budget)
         for kernel, weight in self.mix.kernels():
             module = modules[kernel.name]
-            args = kernel.arguments(self.size, seed=self.seed)
-            expected = kernel.expected(args)
+            args, expected = self._inputs[kernel.name]
             try:
                 compiled, report = self.pipeline.backend(module, working_machine)
-                code_bytes = (report.code.bytes_effective
-                              if report.code is not None else 0)
-                if self.fidelity == "trace":
-                    measurement = self._measure_trace(
-                        kernel, weight, module, compiled, working_machine,
-                        args, expected, code_bytes)
-                else:
-                    simulator = CycleSimulator(compiled)
-                    result = simulator.run(kernel.entry, *copy_run_args(args))
-                    measurement = KernelMeasurement(
-                        kernel=kernel.name,
-                        weight=weight,
-                        cycles=result.cycles,
-                        correct=(result.value == expected),
-                        energy_uj=result.energy_uj,
-                        code_bytes=code_bytes,
-                        ipc=result.stats.ipc,
-                    )
-                evaluation.measurements.append(measurement)
+                result = self.pipeline.measure(module, compiled, kernel.entry,
+                                               args, self.fidelity)
+                evaluation.measurements.append(KernelMeasurement(
+                    kernel=kernel.name,
+                    weight=weight,
+                    cycles=result.cycles,
+                    correct=(result.value == expected),
+                    energy_uj=result.energy_uj,
+                    code_bytes=(report.code.bytes_effective
+                                if report.code is not None else 0),
+                    ipc=result.stats.ipc,
+                ))
             except Exception:  # noqa: BLE001 - infeasible point
                 evaluation.measurements.append(KernelMeasurement(
                     kernel=kernel.name, weight=weight, cycles=0,
@@ -242,19 +234,3 @@ class Evaluator:
                 ))
 
         return evaluation
-
-    # ------------------------------------------------------------------
-    # Trace fidelity: profile once, retime analytically per machine.
-    # ------------------------------------------------------------------
-    def _measure_trace(self, kernel: Kernel, weight: float, module,
-                       compiled: CompiledModule, machine: MachineDescription,
-                       args: tuple, expected, code_bytes: int
-                       ) -> KernelMeasurement:
-        trace, _record = self.pipeline.trace(module, kernel.entry, args)
-        estimate = self._retimer.price(compiled, machine, trace)
-        return KernelMeasurement(
-            kernel=kernel.name, weight=weight, cycles=estimate.cycles,
-            correct=(trace.value == expected),
-            energy_uj=estimate.energy_uj, code_bytes=code_bytes,
-            ipc=estimate.stats.ipc,
-        )

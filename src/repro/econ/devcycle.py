@@ -82,13 +82,3 @@ class DevelopmentCycleModel:
                 continue
             return max(0.0, (step - 1) / resolution)
         return 1.0
-
-    def months_for_survival(self, survival: float) -> float:
-        """How long a freeze-to-ship window yields the given survival."""
-        if not 0.0 < survival <= 1.0:
-            raise ValueError("survival must be in (0, 1]")
-        if self.monthly_change_rate <= 0:
-            return float("inf")
-        import math
-
-        return math.log(survival) / math.log(1.0 - self.monthly_change_rate)

@@ -12,7 +12,8 @@ authoritative list, grouped by *kind*:
 * ``"fidelity"`` — timing-model fidelity levels, the one timing axis of
   design-space evaluation: ``"cycle"`` (simulate every design point) and
   ``"trace"`` (profile once, retime analytically per point via
-  :mod:`repro.model`).
+  :mod:`repro.model`); :data:`TRACE_ENGINE` names the functional engine
+  the trace fidelity runs.
 
 Kept import-light on purpose so every layer (toolchain, dse, workloads)
 can import it without cycles.
@@ -27,6 +28,11 @@ FUNCTIONAL_ENGINES: Tuple[str, ...] = ("interpreter", "compiled", "native")
 
 #: timing-model fidelity levels (simulate vs. analytic retiming).
 FIDELITY_LEVELS: Tuple[str, ...] = ("cycle", "trace")
+
+#: the functional engine that runs at ``"trace"`` fidelity: the trace
+#: stage profiles each kernel once on the threaded-code engine, so that
+#: one run is also the fidelity's only functional execution.
+TRACE_ENGINE = "compiled"
 
 ENGINE_KINDS: Dict[str, Tuple[str, ...]] = {
     "functional": FUNCTIONAL_ENGINES,

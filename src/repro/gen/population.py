@@ -26,7 +26,7 @@ from ..workloads.kernels import (
 from ..workloads.suite import WorkloadMix
 from .characterize import WorkloadCharacterization, characterize_kernel
 from .generator import GeneratedKernel, generate_kernel
-from .spec import WorkloadSpec, sample_population_specs
+from .spec import sample_population_specs
 
 
 @dataclass
@@ -75,11 +75,6 @@ class WorkloadPopulation:
                  ) -> "WorkloadPopulation":
         """``count`` kernels, round-robin over ``families``, fixed seed."""
         specs = sample_population_specs(count, seed, families)
-        return cls([generate_kernel(spec) for spec in specs], seed=seed)
-
-    @classmethod
-    def from_specs(cls, specs: Sequence[WorkloadSpec],
-                   seed: int = 0) -> "WorkloadPopulation":
         return cls([generate_kernel(spec) for spec in specs], seed=seed)
 
     # ------------------------------------------------------------------

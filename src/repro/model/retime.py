@@ -26,7 +26,14 @@ accounting term by term:
 The approximate terms are summed into ``error_bound_cycles`` on the
 returned :class:`TraceEstimate`, and the differential harness in
 ``tests/test_trace_model.py`` locks the estimate to the cycle simulator
-within :data:`TRACE_CYCLE_TOLERANCE` across presets × kernels.
+within :data:`TRACE_CYCLE_TOLERANCE` across presets × kernels, customized
+family members included.
+
+Kernels are priced through :meth:`repro.pipeline.CompilePipeline.measure`
+at ``"trace"`` fidelity, which builds the model over the pipeline's store
+so d-cache replays are shared by every caller of that pipeline.  The one
+other pricing, the application runner's cycle fidelity, prices
+functional-engine profiles with ``model_caches=False``.
 """
 
 from __future__ import annotations

@@ -18,6 +18,13 @@ Two machine-independent side stages share the same store: ``trace``
 (generated-C shared objects for the ``engine="native"`` execution tier,
 keyed by module structure × compiler ABI).
 
+After the stages comes the one kernel measurement,
+:meth:`CompilePipeline.measure`: it times scheduled code on its machine
+at either fidelity — the cycle simulator at ``"cycle"``, the ``trace``
+stage priced by :class:`~repro.model.RetimingModel` at ``"trace"``.  The
+N×M matrix, the design-space evaluator and the application runner's
+trace screen all time kernels through it.
+
 The split sits exactly at the machine-independence boundary, so a
 design-space sweep compiles C→optimized-IR once per kernel no matter how
 many machines it visits, and design points that differ only in
@@ -37,6 +44,7 @@ from ..backend.asm import BinaryImage, encode_module
 from ..backend.codegen import CompileReport, compile_module
 from ..backend.mcode import CompiledFunction, CompiledModule
 from ..exec.cache import module_fingerprint
+from ..exec.registry import validate_engine
 from ..frontend import compile_c
 from ..ir import Module
 from ..obs import global_tracer
@@ -295,6 +303,36 @@ class CompilePipeline:
     def backend_key(self, module: Module, machine: MachineDescription) -> str:
         """The content key the backend stage would use for this pair."""
         return self.backend_stage.key(module, machine)
+
+    # ------------------------------------------------------------------
+    # The one kernel measurement.
+    # ------------------------------------------------------------------
+    def measure(self, module: Module, compiled: CompiledModule, entry: str,
+                args, fidelity: str):
+        """Time one run of ``entry(*args)`` on ``compiled.machine``.
+
+        ``compiled`` is ``module``'s scheduled code for the machine being
+        measured (as :meth:`backend` returns it, rebound to that machine).
+        At ``"cycle"`` the :class:`~repro.sim.cycle.CycleSimulator`
+        executes it on a copy of ``args``; at ``"trace"`` the kernel's
+        machine-independent trace (the ``trace`` stage, profiled once per
+        module and arguments) is priced over its schedule by a
+        :class:`~repro.model.RetimingModel` whose d-cache replays are
+        memoized in this pipeline's store.  Either way the result is a
+        :class:`~repro.sim.cycle.SimulationResult`: the kernel's value,
+        cycles, statistics and energy.
+        """
+        validate_engine(fidelity, "fidelity")
+        if fidelity == "trace":
+            from ..model.retime import RetimingModel
+
+            trace, _record = self.trace(module, entry, args)
+            return RetimingModel(store=self.store).price(
+                compiled, compiled.machine, trace)
+        from ..sim.cycle import CycleSimulator
+        from ..workloads.kernels import copy_run_args
+
+        return CycleSimulator(compiled).run(entry, *copy_run_args(args))
 
     # ------------------------------------------------------------------
     # Whole pipeline.

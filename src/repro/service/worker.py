@@ -122,6 +122,7 @@ class WorkerRuntime:
     def _matrix(self, task: Dict[str, object]) -> Dict[str, object]:
         """One machine's matrix column, memoized per cell."""
         from ..api.requests import MatrixRequest, resolve_machine
+        from ..exec.registry import TRACE_ENGINE
         from ..toolchain.matrix import run_matrix
         from ..workloads.kernels import KERNELS
 
@@ -138,9 +139,8 @@ class WorkerRuntime:
                     else session.fidelity)
         engine = request.engine if request.engine is not None else session.engine
         if fidelity == "trace":
-            # Mirror run_matrix: the one profiled run is always the
-            # threaded-code engine; key and report what actually runs.
-            engine = "compiled"
+            # Mirror run_matrix: key and report the engine that runs.
+            engine = TRACE_ENGINE
         kernels = (sorted(request.kernels) if request.kernels is not None
                    else sorted(KERNELS))
 

@@ -5,12 +5,12 @@ from .cache import Cache, CacheStatistics, make_cache
 from .functional import (
     MAX_CALL_DEPTH, ExecutionProfile, FunctionalSimulator, SimulationError,
 )
-from .cycle import CycleSimulator, CycleStatistics, SimulationResult, simulate
+from .cycle import CycleSimulator, CycleStatistics, SimulationResult
 
 __all__ = [
     "Memory", "MemoryError_", "ProgramImage",
     "Cache", "CacheStatistics", "make_cache",
     "MAX_CALL_DEPTH", "ExecutionProfile", "FunctionalSimulator",
     "SimulationError",
-    "CycleSimulator", "CycleStatistics", "SimulationResult", "simulate",
+    "CycleSimulator", "CycleStatistics", "SimulationResult",
 ]

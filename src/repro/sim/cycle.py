@@ -543,9 +543,3 @@ class CycleSimulator:
                 ctx.icache.access_lines(_fetches)
         return timed
 
-
-def simulate(compiled: CompiledModule, function_name: str, *args,
-             memory_size: int = 1 << 20) -> SimulationResult:
-    """Convenience wrapper: build a simulator and run one function."""
-    simulator = CycleSimulator(compiled, memory_size=memory_size)
-    return simulator.run(function_name, *args)

@@ -2,8 +2,10 @@
 
 Section 3.1 item 2: "Testing methodology uses architectures as if they
 were test programs (thus NxM tests)".  Every kernel is compiled for every
-machine in the list, run on the cycle simulator, and checked against both
-the kernel's pure-Python oracle and the machine-independent functional
+machine in the list, timed through the pipeline's one kernel measurement
+(:meth:`~repro.pipeline.CompilePipeline.measure`: the cycle simulator,
+or the retimed trace at trace fidelity), and checked against both the
+kernel's pure-Python oracle and the machine-independent functional
 simulation.  The matrix is simultaneously the toolchain's regression
 suite and the raw data for experiment E5.
 """
@@ -15,8 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..arch.machine import MachineDescription
-from ..exec.registry import validate_engine
-from ..sim.cycle import CycleSimulator
+from ..exec.registry import TRACE_ENGINE, validate_engine
 from ..workloads.kernels import KERNELS, Kernel, copy_run_args, get_kernel
 
 #: version of MatrixReport's exported dict/JSON form.
@@ -136,9 +137,10 @@ def run_matrix(machines: Sequence[MachineDescription],
     so a matrix sweep shares artifacts — including native ``.so``s — with
     whatever warmed the session.
 
-    ``fidelity`` selects the timing model: ``"cycle"`` executes every
-    cell on the cycle simulator; ``"trace"`` profiles each kernel once
-    (the pipeline's machine-independent trace stage — the profiled run
+    ``fidelity`` selects the timing model of ``pipeline.measure``:
+    ``"cycle"`` executes every cell on the cycle simulator; ``"trace"``
+    profiles each kernel once (the pipeline's machine-independent trace
+    stage — the profiled run, on :data:`~repro.exec.registry.TRACE_ENGINE`,
     doubles as the functional oracle check) and prices every machine
     analytically with the :class:`repro.model.RetimingModel`.
 
@@ -157,20 +159,14 @@ def run_matrix(machines: Sequence[MachineDescription],
 
     names = sorted(kernel_names) if kernel_names is not None else sorted(KERNELS)
     if fidelity == "trace":
-        # The one profiled run is the only functional execution, and it
-        # always uses the threaded-code engine; record what actually ran
-        # rather than a cross-check engine that never did.
-        engine = "compiled"
+        # Record the engine that actually ran rather than a cross-check
+        # engine that never did.
+        engine = TRACE_ENGINE
     report = MatrixReport(engine=engine, fidelity=fidelity)
     if pipeline is None:
         from ..api.session import default_pipeline
 
         pipeline = default_pipeline()
-    retimer = None
-    if fidelity == "trace":
-        from ..model.retime import RetimingModel
-
-        retimer = RetimingModel(store=pipeline.store)
 
     # The cycle-fidelity functional reference runs the machine-independent
     # module from ``pipeline.front``, so it runs once per kernel; its value,
@@ -216,31 +212,20 @@ def run_matrix(machines: Sequence[MachineDescription],
                 if isinstance(module, Exception):
                     raise module
                 compiled, compile_report = pipeline.backend(module, machine)
-
-                if fidelity == "trace":
-                    # Profile-once path: the trace's recorded value *is*
-                    # the functional-simulation output (the threaded-code
-                    # engine is bit-identical to the interpreter), and
-                    # timing is retimed from the static schedule.
-                    trace, _record = pipeline.trace(module, kernel.entry,
-                                                    args)
-                    estimate = retimer.price(compiled, machine, trace)
-                    ref_value = run_value = trace.value
-                    cell.cycles = estimate.cycles
-                    cell.operations = estimate.stats.operations_executed
-                    cell.ipc = estimate.stats.ipc
-                else:
+                if fidelity == "cycle":
                     # Cross-check 1: functional simulation vs. the oracle.
                     ref_value = reference_value(kernel, module, args)
-
-                    # Cross-check 2: scheduled code on the cycle simulator.
-                    simulator = CycleSimulator(compiled)
-                    result = simulator.run(kernel.entry, *copy_run_args(args))
-                    run_value = result.value
-                    cell.cycles = result.cycles
-                    cell.operations = result.stats.operations_executed
-                    cell.ipc = result.stats.ipc
-
+                # Cross-check 2: the kernel timed on this machine.
+                result = pipeline.measure(module, compiled, kernel.entry,
+                                          args, fidelity)
+                run_value = result.value
+                if fidelity == "trace":
+                    # The profiled run is the only functional execution:
+                    # its recorded value is the functional output.
+                    ref_value = run_value
+                cell.cycles = result.cycles
+                cell.operations = result.stats.operations_executed
+                cell.ipc = result.stats.ipc
                 if compile_report.code is not None:
                     cell.code_bytes = compile_report.code.bytes_effective
                 cell.correct = (run_value == expected and ref_value == expected)

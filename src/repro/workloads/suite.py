@@ -58,15 +58,17 @@ def run_kernel(name: str, size: Optional[int] = None, seed: int = 1234,
                opt_level: int = 2, engine: str = "interpreter") -> KernelRun:
     """Compile, optimize and functionally execute one kernel.
 
-    The result is checked against the kernel's pure-Python oracle;
-    ``engine`` selects the interpreter or the compiled engine.
+    The optimized module comes from the default pipeline's ``front``
+    stages, the one path from C to optimized IR.  The result is checked
+    against the kernel's pure-Python oracle; ``engine`` selects the
+    interpreter or the compiled engine.
     """
+    from ..api.session import default_pipeline
     from ..exec.engine import make_functional_simulator
-    from ..opt import optimize
 
     kernel = get_kernel(name)
-    module = compile_kernel(name)
-    optimize(module, level=opt_level)
+    module, _records = default_pipeline().front(kernel.source, kernel.name,
+                                                opt_level=opt_level)
     args = kernel.arguments(size, seed=seed)
     expected = kernel.expected(args)
     simulator = make_functional_simulator(module, engine=engine)

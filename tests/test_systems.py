@@ -207,6 +207,31 @@ class TestDesignSpaceExploration:
         assert result.best is not None
         assert result.points_evaluated >= 1
 
+    @pytest.mark.parametrize("fidelity", ["cycle", "trace"])
+    def test_evaluator_prepares_each_kernel_once(self, monkeypatch,
+                                                 api_session, fidelity):
+        from repro.workloads.kernels import Kernel
+
+        calls = {"arguments": [], "expected": []}
+
+        def counting(method):
+            real = getattr(Kernel, method)
+
+            def wrapper(kernel, *args, **kwargs):
+                calls[method].append(kernel.name)
+                return real(kernel, *args, **kwargs)
+            return wrapper
+
+        for method in calls:
+            monkeypatch.setattr(Kernel, method, counting(method))
+        mix = get_mix("video")
+        evaluator = Evaluator(mix, size=8, opt_level=2, fidelity=fidelity,
+                              pipeline=api_session.pipeline)
+        for machine in (risc_baseline(), vliw2(), vliw4()):
+            assert evaluator.evaluate(machine).feasible
+        assert sorted(calls["arguments"]) == sorted(mix.names())
+        assert sorted(calls["expected"]) == sorted(mix.names())
+
     def test_ablation_covers_every_axis(self):
         evaluator = Evaluator(get_mix("medical"), size=16, opt_level=2)
         rows = run_ablation(evaluator, vliw4(), custom_budget=30.0)

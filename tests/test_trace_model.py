@@ -10,9 +10,11 @@ generated population** and asserts, per cell:
   (:data:`repro.model.TRACE_CYCLE_TOLERANCE`) *and* within each
   estimate's self-reported ``error_bound_cycles``;
 * **exact** agreement on code size, executed-operation counts (including
-  NOP slots and spill/copy/custom breakdowns) and oracle outputs;
+  NOP slots and spill/copy/custom breakdowns) and oracle outputs.
 
-plus hypothesis property tests that retiming is deterministic and
+The same per-cell checks cover customized family members: every preset
+customized at 40 kgates for a few built-in kernels, each running its
+rewritten module.  Then come hypothesis property tests that retiming is deterministic and
 monotone in issue width, serialization/caching tests for the trace
 artifact, and end-to-end checks of the fidelity selector through
 ``Evaluator``, ``Explorer.screen_then_rescore`` and ``run_matrix``.
@@ -25,6 +27,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.api import Session
 from repro.arch.presets import PRESETS, get_preset
+from repro.core import customize_isa
 from repro.dse import DesignPoint, DesignSpace
 from repro.model import (
     TRACE_CYCLE_TOLERANCE, KernelTrace, RetimingModel, capture_trace,
@@ -56,11 +59,18 @@ def sweep():
     session.close()
 
 
-def _differential_cell(pipeline, model, kernel, machine, copies):
-    """Run one (kernel, machine) cell both ways; return (truth, estimate)."""
+def _differential_cell(pipeline, model, kernel, machine, copies,
+                       module=None):
+    """Run one (kernel, machine) cell both ways; return (truth, estimate).
+
+    ``module`` is the kernel's IR to compile (its O2 module when None),
+    e.g. one rewritten for a customized ``machine``.
+    """
     args = kernel.arguments(SIZE, seed=SEED)
     expected = kernel.expected(args)
-    module, _records = pipeline.front(kernel.source, kernel.name, opt_level=2)
+    if module is None:
+        module, _records = pipeline.front(kernel.source, kernel.name,
+                                          opt_level=2)
     compiled, report = pipeline.backend(module, machine)
 
     truth = CycleSimulator(compiled).run(kernel.entry, *copies(args))
@@ -117,6 +127,33 @@ class TestDifferentialGeneratedPopulation:
             for name in seeded_population.names():
                 _differential_cell(session.pipeline, model, get_kernel(name),
                                    machine, copies)
+
+
+class TestDifferentialCustomizedMembers:
+    """All presets, each customized at 40 kgates for a few built-in
+    kernels: the machines the paper is about, running the rewritten
+    module (custom operations included)."""
+
+    KERNELS = ("crc32", "fir_filter", "popcount_buffer", "sad16",
+               "viterbi_acs")
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_customized_preset_against_cycle_simulator(self, preset, sweep,
+                                                       copies):
+        session, model = sweep
+        custom_ops = 0
+        for name in self.KERNELS:
+            kernel = get_kernel(name)
+            module, _records = session.pipeline.front(
+                kernel.source, kernel.name, opt_level=3)
+            result = customize_isa(module, get_preset(preset),
+                                   area_budget_kgates=40.0)
+            assert result.machine.custom_ops
+            truth, _estimate = _differential_cell(
+                session.pipeline, model, kernel, result.machine, copies,
+                module=module)
+            custom_ops += truth.stats.custom_ops_executed
+        assert custom_ops > 0
 
 
 # ----------------------------------------------------------------------
