@@ -37,7 +37,6 @@ via :mod:`repro.obs` histogram quantiles.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -47,6 +46,7 @@ from ..gen.generator import _INPUT_RANGES, build_function, generate_kernel
 from ..ir.types import I32
 from ..obs import global_tracer
 from ..obs.metrics import Histogram
+from ..workloads.kernels import draw_ints
 from .spec import VALUE_PORT, ApplicationSpec
 
 _W = I32.wrap
@@ -300,10 +300,10 @@ class AppRunner:
             load = min(spec.stream.window_load(window), n)
         args: List[object] = []
         for param in self.arrays[node_name]:
-            rng = random.Random(
-                _port_seed(spec.stream.seed, window, node_name, param.name))
+            draw_seed = _port_seed(spec.stream.seed, window, node_name,
+                                   param.name)
             if param.role == "table":
-                args.append([rng.randint(0, 255) for _ in range(256)])
+                args.append(draw_ints(draw_seed, 256, 0, 255))
             elif param.role == "output":
                 args.append([0] * n)
             else:
@@ -311,7 +311,7 @@ class AppRunner:
                 if edge is not None and edge.is_array:
                     args.append(list(produced[(edge.src, edge.src_port)]))
                 else:
-                    data = [rng.randint(lo, hi) for _ in range(n)]
+                    data = draw_ints(draw_seed, n, lo, hi)
                     if edge is not None:
                         scalar = produced[(edge.src, VALUE_PORT)]
                         data = [_W(v + scalar) for v in data]

@@ -83,6 +83,9 @@ def apply_selection(module: Module,
     library (the registration assigns the operation name).  Returns a map
     from operation name to the number of sites rewritten.
     """
+    from ..exec.cache import forget_fingerprint
+
+    forget_fingerprint(module)
     library = global_extension_library()
     rewritten: Dict[str, int] = {}
     for candidate in selected:
@@ -118,6 +121,9 @@ def rewrite_with_library(module: Module,
     matched first so overlapping smaller ones do not steal their
     instructions.
     """
+    from ..exec.cache import forget_fingerprint
+
+    forget_fingerprint(module)
     library = global_extension_library()
     by_signature: Dict[str, str] = {}
     for name in machine.custom_ops:

@@ -30,6 +30,7 @@ from ..backend.mcode import CompiledModule
 from ..core.library import global_extension_library
 from ..core.patterns import expand_pattern
 from ..core.rewrite import rewrite_with_library
+from ..exec.cache import forget_fingerprint
 from ..ir import Module, Opcode
 
 
@@ -68,6 +69,7 @@ def expand_custom_ops(module: Module,
     pattern recorded in the extension library, so the result is
     semantically identical to the fused operation.
     """
+    forget_fingerprint(module)
     supported = supported or set()
     library = global_extension_library()
     expanded = 0

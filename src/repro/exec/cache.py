@@ -14,6 +14,14 @@ ids, so raw ids would never match).  CUSTOM operations additionally hash
 the *signature* of the pattern currently bound to their name, so the same
 IR under different registered semantics maps to different cache entries.
 
+The hash is remembered per module object (weakly keyed, so it dies with
+the module) because one module is keyed many times: by the backend,
+trace, translation and native stages.  The in-place rewriters --
+``optimize``, ``apply_selection``, ``rewrite_with_library`` and
+``expand_custom_ops`` -- drop a module's entry with
+:func:`forget_fingerprint`, and :func:`reset_global_code_cache` drops
+them all.
+
 :class:`TranslationStage` stores translations under :data:`CODE_STAGE`
 in the store a simulator is given (a session's store), or in one
 process-wide store when it is given none; its hit, miss and eviction
@@ -23,7 +31,9 @@ counters are that store's ``exec.code`` stage stats.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+import threading
+import weakref
+from typing import Dict, Optional, Tuple
 
 from ..ir import (
     Argument, Constant, GlobalVariable, Module, UndefValue, VirtualRegister,
@@ -33,18 +43,55 @@ from ..pipeline.store import ArtifactStore
 from .translator import TranslatedProgram, translate_module
 
 
+#: module -> (fingerprint, the (custom-op name, pattern) bindings it
+#: hashed).  Weakly keyed by the module object, so an entry dies with its
+#: module and travels through neither ``clone`` nor pickling.
+_REMEMBERED: "weakref.WeakKeyDictionary[Module, Tuple[str, tuple]]" = (
+    weakref.WeakKeyDictionary())
+_REMEMBERED_LOCK = threading.Lock()
+
+
 def module_fingerprint(module: Module) -> str:
     """A structural content hash of ``module``.
 
     Two modules have equal fingerprints iff they are clones of each other
     (same functions, blocks, instructions, operands, globals) with the same
     custom-op semantics visible in the process-wide extension library.
+
+    The hash is remembered per module object and served again while every
+    custom op it hashed is still bound to the same pattern; a module with
+    a custom op no pattern is registered for is never remembered.  Code
+    that rewrites a module in place calls :func:`forget_fingerprint`.
     """
     from ..core.library import global_extension_library
 
     library = global_extension_library()
+    with _REMEMBERED_LOCK:
+        remembered = _REMEMBERED.get(module)
+    if remembered is not None:
+        digest, bindings = remembered
+        if all(library.lookup(name) is pattern for name, pattern in bindings):
+            return digest
+    digest, bindings = _hash_module(module, library)
+    with _REMEMBERED_LOCK:
+        if bindings is None:
+            _REMEMBERED.pop(module, None)
+        else:
+            _REMEMBERED[module] = (digest, bindings)
+    return digest
 
+
+def forget_fingerprint(module: Module) -> None:
+    """Drop ``module``'s remembered fingerprint (it is about to change)."""
+    with _REMEMBERED_LOCK:
+        _REMEMBERED.pop(module, None)
+
+
+def _hash_module(module: Module, library) -> Tuple[str, Optional[tuple]]:
+    """The fingerprint of ``module`` and the (name, pattern) bindings of
+    its custom ops, or None for them when one has no pattern."""
     parts = []
+    bindings: Dict[str, object] = {}
 
     for name, gvar in module.globals.items():
         init = gvar.initializer
@@ -89,14 +136,17 @@ def module_fingerprint(module: Module) -> str:
                     tokens.append(f"@{inst.callee}")
                 if inst.custom_op:
                     pattern = library.lookup(inst.custom_op)
+                    bindings[inst.custom_op] = pattern
                     signature = pattern.signature() if pattern is not None else "?"
                     tokens.append(f"x{inst.custom_op}={signature}")
                 if inst.alloc_type is not None:
                     tokens.append(f"a{inst.alloc_type}")
                 parts.append(" ".join(tokens))
 
-    digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
-    return digest.hexdigest()
+    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    if None in bindings.values():
+        return digest, None
+    return digest, tuple(bindings.items())
 
 
 #: artifact-store stage name of threaded-code translations.
@@ -139,5 +189,8 @@ def translate(module: Module, store=None) -> TranslatedProgram:
 
 def reset_global_code_cache() -> None:
     """Empty the process-wide translation store and zero its counters
-    (tests and benchmarks start cold passes with it)."""
+    (tests and benchmarks start cold passes with it), and forget every
+    remembered module fingerprint."""
     _GLOBAL_CODE_STORE.clear()
+    with _REMEMBERED_LOCK:
+        _REMEMBERED.clear()

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 from ..ir.types import I32
-from ..workloads.kernels import Kernel
+from ..workloads.kernels import Kernel, draw_ints
 from .spec import OP_BUCKETS, WorkloadSpec
 
 _W = I32.wrap
@@ -497,13 +497,13 @@ def _make_args_builder(arrays: Sequence[ArrayParam],
         n = max(int(n or 0), footprint)
         args: List[object] = []
         for k, (_name, role) in enumerate(roles):
-            rng = random.Random(seed + 1000003 * (k + 1))
+            draw_seed = seed + 1000003 * (k + 1)
             if role == "table":
-                args.append([rng.randint(0, 255) for _ in range(256)])
+                args.append(draw_ints(draw_seed, 256, 0, 255))
             elif role == "output":
                 args.append([0] * n)
             else:
-                args.append([rng.randint(lo, hi) for _ in range(n)])
+                args.append(draw_ints(draw_seed, n, lo, hi))
         args.append(n)
         return tuple(args)
 

@@ -136,6 +136,9 @@ class PassManager:
 def optimize(module: Module, level: int = 2, *, unroll_factor: int = 4,
              verify: bool = True) -> PassStatistics:
     """Run the standard optimization pipeline on ``module`` in place."""
+    from ..exec.cache import forget_fingerprint
+
+    forget_fingerprint(module)
     manager = PassManager(verify=verify)
     if level <= 0:
         if verify:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import copy
 import time
+import weakref
 from typing import List, Optional, Tuple, Union
 
 from ..arch.machine import MachineDescription
@@ -100,6 +101,12 @@ class BackendStage(Stage):
 
     name = "backend"
 
+    def __init__(self) -> None:
+        #: module fingerprint -> the private snapshot compiled code of
+        #: that module references; alive while some compiled code is.
+        self._snapshots: "weakref.WeakValueDictionary[str, Module]" = (
+            weakref.WeakValueDictionary())
+
     def key(self, module: Module, machine: MachineDescription) -> str:
         return backend_fingerprint(module_fingerprint(module), machine)
 
@@ -108,7 +115,11 @@ class BackendStage(Stage):
         # Compile against a private snapshot: callers may rewrite their
         # module in place later (ISA customization), and the cached
         # compiled code must keep referencing the IR it was built from.
-        snapshot = module.clone()
+        # Compiled code only reads it, so every machine shares one.
+        fingerprint = module_fingerprint(module)
+        snapshot = self._snapshots.get(fingerprint)
+        if snapshot is None:
+            snapshot = self._snapshots[fingerprint] = module.clone()
         return compile_module(snapshot, machine)
 
     def replicate(self, payload: Tuple[CompiledModule, CompileReport],

@@ -1,4 +1,9 @@
-"""Set-associative cache model with LRU replacement."""
+"""Set-associative cache model with LRU replacement.
+
+A cache allocates one table of sets and makes a set's list of ways on
+the set's first access, so a simulator that touches few sets (most
+kernels) builds few lists.
+"""
 
 from __future__ import annotations
 
@@ -35,18 +40,22 @@ class Cache:
         self.associativity = config.associativity
         self.line_bits = (config.line_bytes - 1).bit_length()
         self.hit_latency = config.hit_latency
-        # sets[i] is an ordered list of tags, most recently used last.
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # sets[i] is an ordered list of tags, most recently used last,
+        # made on the set's first access (None before it).
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
         self.stats = CacheStatistics()
 
     def access(self, address: int) -> int:
         """Access ``address``; returns the added latency in cycles."""
         self.stats.accesses += 1
         line = address >> self.line_bits
-        ways = self._sets[line % self.num_sets]
+        index = line % self.num_sets
+        ways = self._sets[index]
         tag = line // self.num_sets
         if ways and ways[-1] == tag:
             return self.hit_latency  # the most recent way: LRU unchanged
+        if ways is None:
+            ways = self._sets[index] = []
         return self._touch(ways, tag)
 
     def line(self, address: int) -> Tuple[int, int]:
@@ -61,6 +70,8 @@ class Cache:
         sets = self._sets
         for index, tag in lines:
             ways = sets[index]
+            if ways is None:
+                ways = sets[index] = []
             if not ways or ways[-1] != tag:
                 self._touch(ways, tag)
 

@@ -12,6 +12,7 @@ correctness matrix) and a deterministic input generator.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -51,12 +52,33 @@ class Kernel:
         return self.reference(*copy_run_args(args))
 
 
-def _rng(seed: int) -> random.Random:
-    return random.Random(seed)
+def draw_ints(seed, count: int, low: int, high: int) -> List[int]:
+    """``[random.Random(seed).randint(low, high) for _ in range(count)]``,
+    drawn in bulk.
 
-
-def _ints(rng: random.Random, count: int, low: int = -1000, high: int = 1000) -> List[int]:
-    return [rng.randint(low, high) for _ in range(count)]
+    ``randint`` draws ``k = width.bit_length()`` bits per try and redraws
+    while the draw is ``>= width``.  For widths below ``2**32`` (``k <=
+    32``) a try is the top ``k`` bits of one 32-bit Mersenne Twister word,
+    and ``getrandbits(32 * m)`` returns the next ``m`` words least
+    significant first, so rejecting over a batch of words yields the same
+    values without three Python call layers per value.  The generator is
+    private to the call, so drawing a few words too many changes nothing.
+    """
+    width = high - low + 1
+    k = width.bit_length()
+    if k > 32:
+        raise ValueError(f"range [{low}, {high}] has 2**32 values or more")
+    rng = random.Random(seed)
+    shift = 32 - k
+    limit = width << shift  # word >> shift < width
+    values: List[int] = []
+    while len(values) < count:
+        words = ((count - len(values)) << k) // width + 8
+        raw = rng.getrandbits(32 * words).to_bytes(4 * words, "little")
+        values += [low + (word >> shift)
+                   for word in struct.unpack(f"<{words}I", raw) if word < limit]
+    del values[count:]
+    return values
 
 
 def _wrap32(value: int) -> int:
@@ -83,7 +105,7 @@ int dot_product(int *a, int *b, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, -500, 500), _ints(_rng(seed + 1), n, -500, 500), n
+        draw_ints(seed, n, -500, 500), draw_ints(seed + 1, n, -500, 500), n
     ),
     reference=lambda a, b, n: _wrap32(sum(x * y for x, y in zip(a[:n], b[:n]))),
 )
@@ -110,8 +132,8 @@ int fir_filter(int *x, int *h, int *y, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, -3000, 3000),
-        _ints(_rng(seed + 1), 16, -2000, 2000),
+        draw_ints(seed, n, -3000, 3000),
+        draw_ints(seed + 1, 16, -2000, 2000),
         [0] * n,
         n,
     ),
@@ -142,8 +164,8 @@ int saturated_add(int *a, int *b, int *out, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, -30000, 30000),
-        _ints(_rng(seed + 1), n, -30000, 30000),
+        draw_ints(seed, n, -30000, 30000),
+        draw_ints(seed + 1, n, -30000, 30000),
         [0] * n,
         n,
     ),
@@ -172,8 +194,8 @@ int viterbi_acs(int *metrics, int *branch, int *out, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), 2 * n, -5000, 5000),
-        _ints(_rng(seed + 1), n, -500, 500),
+        draw_ints(seed, 2 * n, -5000, 5000),
+        draw_ints(seed + 1, n, -500, 500),
         [0] * n,
         n,
     ),
@@ -210,8 +232,8 @@ int iir_biquad(int *x, int *coeff, int *y, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, -2000, 2000),
-        _ints(_rng(seed + 1), 5, -1500, 1500),
+        draw_ints(seed, n, -2000, 2000),
+        draw_ints(seed + 1, 5, -1500, 1500),
         [0] * n,
         n,
     ),
@@ -256,7 +278,7 @@ int sad16(int *cur, int *ref, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, 0, 255), _ints(_rng(seed + 1), n, 0, 255), n
+        draw_ints(seed, n, 0, 255), draw_ints(seed + 1, n, 0, 255), n
     ),
     reference=lambda cur, ref, n: sum(abs(cur[i] - ref[i]) for i in range(n)),
     default_size=256,
@@ -281,9 +303,9 @@ int rgb_to_gray(int *r, int *g, int *b, int *gray, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, 0, 255),
-        _ints(_rng(seed + 1), n, 0, 255),
-        _ints(_rng(seed + 2), n, 0, 255),
+        draw_ints(seed, n, 0, 255),
+        draw_ints(seed + 1, n, 0, 255),
+        draw_ints(seed + 2, n, 0, 255),
         [0] * n,
         n,
     ),
@@ -313,9 +335,9 @@ int alpha_blend(int *fg, int *bg, int *alpha, int *out, int n) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), n, 0, 255),
-        _ints(_rng(seed + 1), n, 0, 255),
-        _ints(_rng(seed + 2), n, 0, 255),
+        draw_ints(seed, n, 0, 255),
+        draw_ints(seed + 1, n, 0, 255),
+        draw_ints(seed + 2, n, 0, 255),
         [0] * n,
         n,
     ),
@@ -356,7 +378,7 @@ int dct_stage(int *blk, int *out, int n) {
     return acc;
 }
 """,
-    make_args=lambda n, seed: (_ints(_rng(seed), n, -128, 127), [0] * n, n),
+    make_args=lambda n, seed: (draw_ints(seed, n, -128, 127), [0] * n, n),
     reference=None,  # set below
     default_size=64,
 )
@@ -403,7 +425,7 @@ int crc32(int *data, int n) {
     return crc & 2147483647;
 }
 """,
-    make_args=lambda n, seed: (_ints(_rng(seed), n, 0, 255), n),
+    make_args=lambda n, seed: (draw_ints(seed, n, 0, 255), n),
     reference=None,  # set below
     default_size=32,
 )
@@ -437,7 +459,7 @@ int ip_checksum(int *words, int n) {
     return (~sum) & 65535;
 }
 """,
-    make_args=lambda n, seed: (_ints(_rng(seed), n, 0, 65535), n),
+    make_args=lambda n, seed: (draw_ints(seed, n, 0, 65535), n),
     reference=None,  # set below
     default_size=128,
 )
@@ -472,7 +494,7 @@ int popcount_buffer(int *data, int n) {
     return total;
 }
 """,
-    make_args=lambda n, seed: (_ints(_rng(seed), n, 0, 2**31 - 1), n),
+    make_args=lambda n, seed: (draw_ints(seed, n, 0, 2**31 - 1), n),
     reference=lambda data, n: sum(bin(data[i] & 0xFFFFFFFF).count("1") for i in range(n)),
     default_size=128,
 )
@@ -503,7 +525,7 @@ int histogram(int *pixels, int *bins, int n) {
     return peak;
 }
 """,
-    make_args=lambda n, seed: (_ints(_rng(seed), n, 0, 255), [0] * 256, n),
+    make_args=lambda n, seed: (draw_ints(seed, n, 0, 255), [0] * 256, n),
     reference=None,  # set below
     default_size=512,
 )
@@ -544,7 +566,7 @@ int matmul4(int *a, int *b, int *c, int reps) {
 }
 """,
     make_args=lambda n, seed: (
-        _ints(_rng(seed), 16, -50, 50), _ints(_rng(seed + 1), 16, -50, 50),
+        draw_ints(seed, 16, -50, 50), draw_ints(seed + 1, 16, -50, 50),
         [0] * 16, max(1, n // 16),
     ),
     reference=None,  # set below

@@ -209,6 +209,106 @@ class TestCodeCache:
         assert store.disk_len() > 0  # the compile stages did persist
 
 
+class TestRememberedFingerprints:
+    """``module_fingerprint`` remembers its hash per module object; these
+    hold the memo to a from-scratch hash."""
+
+    @staticmethod
+    def _fresh(module):
+        from repro.core.library import global_extension_library
+
+        return cache_module._hash_module(module,
+                                         global_extension_library())[0]
+
+    def test_never_stale_across_request_kinds(self, monkeypatch):
+        from repro.api import (
+            AppRequest, CustomizeRequest, MatrixRequest, PopulationRequest,
+            Session,
+        )
+        from repro.exec import native as native_module
+        from repro.model import trace as trace_module
+        from repro.pipeline import compile as compile_module
+
+        real = cache_module.module_fingerprint
+        calls = {"all": 0, "remembered": 0, "mismatches": 0}
+
+        def checked(module):
+            calls["all"] += 1
+            calls["remembered"] += module in cache_module._REMEMBERED
+            fingerprint = real(module)
+            calls["mismatches"] += fingerprint != self._fresh(module)
+            return fingerprint
+
+        for owner in (cache_module, native_module, trace_module,
+                      compile_module):
+            monkeypatch.setattr(owner, "module_fingerprint", checked)
+        matrix = dict(machines=["vliw4", "risc_baseline"],
+                      kernels=["dot_product", "crc32"], size=16)
+        with Session(workers=0) as session:
+            for request in (
+                    MatrixRequest(fidelity="cycle", **matrix),
+                    MatrixRequest(fidelity="trace", **matrix),
+                    CustomizeRequest(kernel="crc32", machine="vliw4",
+                                     opt_level=3, size=16),
+                    PopulationRequest(count=2, seed=3, budget_kgates=16.0,
+                                      kernels_per_family=1, workers=0),
+                    AppRequest(topology="chain", app_seed=11,
+                               machine="vliw4", windows=2)):
+                session.execute(request)
+        assert calls["mismatches"] == 0
+        assert calls["remembered"] > 0 and calls["all"] > calls["remembered"]
+
+    def test_rewriters_drop_the_remembered_hash(self):
+        from repro.core import rewrite_with_library
+        from repro.drift import expand_custom_ops
+
+        _kernel, module = build_kernel_module("crc32", opt_level=3)
+        retarget = module.clone()
+        before = module_fingerprint(module)
+        assert module in cache_module._REMEMBERED
+        custom = Toolchain(vliw4()).customize(module, area_budget_kgates=40.0)
+        customized = module_fingerprint(module)    # apply_selection
+        assert customized != before
+        assert customized == self._fresh(module)
+
+        assert module_fingerprint(retarget) == before
+        rewrite_with_library(retarget, custom.machine)
+        assert module_fingerprint(retarget) == self._fresh(retarget) != before
+
+        expand_custom_ops(module)
+        assert module_fingerprint(module) == self._fresh(module) != customized
+
+        raw = compile_c(get_kernel("crc32").source, module_name="crc32")
+        unoptimized = module_fingerprint(raw)
+        optimize(raw, level=2)
+        assert module_fingerprint(raw) == self._fresh(raw) != unoptimized
+
+    def test_unregistered_custom_op_is_not_remembered(self):
+        from repro.core import reset_global_library
+
+        _kernel, module = build_kernel_module("crc32", opt_level=3)
+        Toolchain(vliw4()).customize(module, area_budget_kgates=40.0)
+        registered = module_fingerprint(module)
+        assert module in cache_module._REMEMBERED
+        reset_global_library()
+        # The remembered hash names patterns that are gone: not served.
+        unregistered = module_fingerprint(module)
+        assert unregistered != registered
+        assert unregistered == self._fresh(module)
+        assert module not in cache_module._REMEMBERED
+
+    def test_memo_stays_with_the_object(self):
+        import pickle
+
+        _kernel, module = build_kernel_module("fir_filter")
+        fingerprint = module_fingerprint(module)
+        assert module.clone() not in cache_module._REMEMBERED
+        assert pickle.loads(pickle.dumps(module)) not in cache_module._REMEMBERED
+        assert module_fingerprint(module.clone()) == fingerprint
+        reset_global_code_cache()
+        assert len(cache_module._REMEMBERED) == 0
+
+
 class TestEngineSelector:
     def test_make_functional_simulator_dispatch(self):
         _kernel, module = build_kernel_module("dot_product")

@@ -710,8 +710,7 @@ class TestBatchSimulatorReuse:
             simulator.run(kernel.entry,
                           *arg_copies(kernel.arguments(16, seed=1)))
             # Resizing raises BufferError while a ctypes view is exported.
-            simulator.memory.data.extend(b"\0")
-            del simulator.memory.data[-1:]
+            simulator.memory.data.resize(simulator.memory.size)
         finally:
             gc.enable()
 

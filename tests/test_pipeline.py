@@ -229,6 +229,22 @@ class TestCompilePipelineCaching:
         assert image_a.words == image_b.words
         assert image_b.machine_name == "fast-clock"
 
+    def test_machines_share_one_private_snapshot(self):
+        kernel, source = _kernel_source()
+        pipeline = CompilePipeline()
+        module, _ = pipeline.front(source, kernel.name)
+        compiled_a, _ = pipeline.backend(module, vliw4())
+        compiled_b, _ = pipeline.backend(module, vliw2())
+        assert pipeline.store.stats("backend").misses == 2
+        assert compiled_a.source is compiled_b.source is not module
+        # Rewriting the caller's module reaches neither compiled module.
+        fingerprint = module_fingerprint(compiled_a.source)
+        optimize(module, level=3)
+        assert module_fingerprint(module) != fingerprint
+        assert module_fingerprint(compiled_b.source) == fingerprint
+        compiled_c, _ = pipeline.backend(module, vliw4())
+        assert compiled_c.source is not compiled_a.source
+
     def test_encode_stage_serves_binary(self):
         kernel, source = _kernel_source()
         toolchain = Toolchain(vliw4(), pipeline=CompilePipeline())

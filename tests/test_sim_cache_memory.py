@@ -94,6 +94,14 @@ class TestCacheAccounting:
         assert cache.stats.miss_rate == 0.0
         assert cache.access(0x40) == 1            # contents survived the reset
 
+    def test_sets_are_built_on_first_touch(self):
+        cache = small_cache()
+        assert cache._sets == [None] * cache.num_sets
+        cache.access(0x100)                       # set 0
+        cache.access_lines([cache.line(0x20)])    # set 1
+        assert [ways is not None for ways in cache._sets] == [
+            True, True, False, False]
+
     def test_make_cache_none_for_uncached_machines(self):
         assert make_cache(None) is None
         assert isinstance(make_cache(CacheConfig()), Cache)
@@ -208,11 +216,74 @@ class TestMemory:
         tail = memory.load(address + 2 * (len(values) - 1), I16)
         assert tail == values[-1]
 
+    @pytest.mark.parametrize("type_", [
+        I8, I16, I32, I64, IntType(8, signed=False), IntType(16, signed=False),
+        IntType(32, signed=False), IntType(64, signed=False), F32, F64,
+        PointerType(I32)])
+    def test_bulk_write_matches_scalar_stores(self, type_):
+        # In-range values take the direct pack; any value the element
+        # cannot hold as is (out of range, negative unsigned, a float in
+        # an integer array) sends the whole array through the wrap path.
+        rng = random.Random(str(type_))
+        bits = 8 * type_.size
+        in_range = [rng.randrange(-(1 << (bits - 1)), 1 << (bits - 1))
+                    for _ in range(20)]
+        if type_.is_float():
+            in_range = [v / 7 for v in in_range]
+        arrays = [in_range, [0, 1, -1, True, False],
+                  [1 << bits, -(1 << bits) - 3, (1 << (bits - 1))],
+                  [2.75, -3.5, 7]]
+        for values in arrays:
+            bulk, scalar = Memory(size=1 << 10), Memory(size=1 << 10)
+            bulk.write_array(Memory.GUARD, values, type_)
+            for i, value in enumerate(values):
+                scalar.store(Memory.GUARD + i * type_.size, value, type_)
+            assert bulk.data[:] == scalar.data[:], values
+
     def test_little_endian_layout(self):
         memory = Memory()
         address = memory.allocate(4)
         memory.store(address, 0x01020304, I32)
         assert memory.load(address, I8) == 0x04   # low byte first
+
+    def test_fresh_memory_reads_zero_everywhere(self):
+        memory = Memory()
+        assert memory.size == 1 << 20
+        assert memory.data[:] == bytes(memory.size)
+        assert memory.read_array(memory.size - 64, 16, I32) == [0] * 16
+
+    @pytest.mark.parametrize("drop_pages", [True, False])
+    def test_reset_zeroes_written_pages(self, drop_pages, monkeypatch):
+        import sys
+
+        from repro.sim import memory as memory_module
+
+        if drop_pages and not sys.platform.startswith("linux"):
+            pytest.skip("dropped pages read as zero only on Linux")
+        monkeypatch.setattr(memory_module, "_DROPPED_PAGES_READ_ZERO",
+                            drop_pages)
+        memory = Memory()
+        # One write per 4 KiB page, plus both ends of the memory.
+        addresses = [Memory.GUARD, memory.size - 8,
+                     *range(4096, memory.size - 8, 4096)]
+        for address in addresses:
+            memory.store(address, -1, I64)
+        assert all(memory.load(a, I64) == -1 for a in addresses)
+        memory.reset()
+        assert memory.data[:] == bytes(memory.size)
+        assert memory.bytes_allocated == 0
+
+    def test_out_of_range_accesses_raise(self):
+        memory = Memory()
+        for address in (memory.size - 3, memory.size, -4, Memory.GUARD - 1):
+            with pytest.raises(MemoryError_):
+                memory.load(address, I32)
+            with pytest.raises(MemoryError_):
+                memory.store(address, 1, I32)
+            with pytest.raises(MemoryError_):
+                memory.write_array(address, [1, 2], I32)
+            with pytest.raises(MemoryError_):
+                memory.read_array(address, 2, I32)
 
 
 class TestProgramImage:
